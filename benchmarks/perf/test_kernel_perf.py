@@ -3,8 +3,9 @@
 Unlike the figure benches (which pin *simulated* quantities against the
 paper), this suite tracks the implementation's own speed: it runs the
 ``repro.experiments.perfbench`` quick profile, validates the report
-schema, and persists a human-readable summary under
-``benchmarks/out/perf_kernel.txt``.  The checked-in repo-root
+schema, and prints a human-readable summary, also written to
+``benchmarks/out/perf_kernel.txt``.  That file holds host timings, so
+it is git-ignored rather than checked in.  The checked-in repo-root
 ``BENCH_ltnc.json`` is the full-profile artifact — regenerate it with
 ``PYTHONPATH=src python -m repro.experiments.perfbench`` when the
 kernel changes.

@@ -38,7 +38,7 @@ def test_content_compare(benchmark, profile, reporter):
 
     aggregates = run_once_benchmark(benchmark, experiment)
     rep = reporter("content_compare")
-    rep.line(f"{TRIALS} trials per catalogue across {workers} worker processes")
+    rep.line(f"{TRIALS} trials per catalogue")
     rep.line(PAPER_NOTE)
     rep.line()
     header, rows = comparison_rows(aggregates)

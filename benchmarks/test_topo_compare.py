@@ -37,7 +37,7 @@ def test_topo_compare(benchmark, profile, reporter):
 
     aggregates = run_once_benchmark(benchmark, experiment)
     rep = reporter("topo_compare")
-    rep.line(f"{TRIALS} trials per overlay across {workers} worker processes")
+    rep.line(f"{TRIALS} trials per overlay")
     rep.line(PAPER_NOTE)
     rep.line()
     header, rows = comparison_rows(aggregates)

@@ -90,10 +90,10 @@ SCHEMAS: tuple[SchemaContract, ...] = (
         version_const="CHECKPOINT_VERSION",
         validator="repro.scenarios.fleet:validate_checkpoint",
     ),
-    # The batched round plan is an rng-stream layout, not a JSON
-    # payload: the version constant pins the draw order the batched
-    # simulator step must reproduce, and the validator checks a carried
-    # version int rather than a document.
+    # The round plan is an rng-stream layout, not a JSON payload: the
+    # version constant pins the draw order the simulator's round loop
+    # must reproduce, and the validator checks a carried version int
+    # rather than a document.
     SchemaContract(
         artifact="ltnc-round-plan",
         format=None,
@@ -109,7 +109,7 @@ SCHEMAS: tuple[SchemaContract, ...] = (
     SchemaContract(
         artifact="ltnc-bench",
         format=None,
-        version=5,
+        version=6,
         writer_module="repro.experiments.perfbench",
         format_const=None,
         version_const="SCHEMA_VERSION",

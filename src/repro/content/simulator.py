@@ -48,6 +48,7 @@ from repro.obs.metrics import (
     ROUND_BOUNDARIES,
     MetricsCollector,
 )
+from repro.obs.profiler import phase_clock
 from repro.obs.spans import SpanRecorder
 from repro.obs.tracer import NULL_TRACER
 from repro.rng import derive
@@ -273,16 +274,12 @@ class CatalogueSimulator:
             or tuple(range(n_nodes))
             for c in range(self.n_contents)
         )
-        # Observability: one null-tracer default; selection happens once
-        # so the disabled hot paths carry no extra branching.
+        # Observability: one null-tracer default; the session seam is
+        # chosen once, so the untraced loop only makes no-op calls.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         self._trace = bool(self.tracer.enabled)
-        self._transfer_fn = (
-            self._transfer_traced
-            if self._trace and self.tracer.detail == "session"
-            else self._transfer
-        )
+        self._clock = phase_clock(tracer=self.tracer)
         self._trace_completed: set[tuple[int, int]] = set()
         self._trace_prev = dict.fromkeys(
             (
@@ -396,8 +393,13 @@ class CatalogueSimulator:
         receiver_id: int,
         content_index: int,
         round_index: int,
-    ) -> None:
-        """One push session of *content* to node *receiver_id*."""
+    ) -> bool | None:
+        """One push session of *content* to node *receiver_id*.
+
+        Returns ``None`` when the receiver refused at header time,
+        otherwise whether the payload was useful (``False`` when lost or
+        unwanted).
+        """
         result = self.result
         result.sessions += 1
         packet = sender_endpoint.make_packet()
@@ -407,11 +409,11 @@ class CatalogueSimulator:
             if not willing:
                 result.aborted += 1
                 result.unwanted += 1
-                return
+                return None
             receiver = self.endpoint(receiver_id, content_index)
             if not receiver.innovative(packet):
                 result.aborted += 1
-                return
+                return None
         result.data_transfers += 1
         result.content_data_transfers[content_index] = (
             result.content_data_transfers.get(content_index, 0) + 1
@@ -434,10 +436,10 @@ class CatalogueSimulator:
             # No feedback channel: the payload shipped and is discarded.
             result.unwanted += 1
             result.redundant_transfers += 1
-            return
+            return False
         if self.channel.loses(self._fault_rng, sender_id, receiver_id):
             result.lost_transfers += 1
-            return
+            return False
         receiver = self.endpoint(receiver_id, content_index)
         was_complete = receiver.is_complete()
         deliveries = 2 if self.channel.duplicates(self._fault_rng) else 1
@@ -458,38 +460,27 @@ class CatalogueSimulator:
         ):
             result.completion_rounds[pair] = round_index
             result.data_until_complete[pair] = self._data_received[pair]
+        return useful
 
-    def _transfer_traced(
-        self,
-        sender_endpoint: _Endpoint,
+    @staticmethod
+    def _session_event(
         sender_id: int,
-        sender_serves_from_cache: bool,
         receiver_id: int,
         content_index: int,
+        from_cache: bool,
         round_index: int,
-    ) -> None:
-        """The plain transfer plus one ``session`` trace event."""
-        result = self.result
-        before_aborted = result.aborted
-        before_useful = result.useful_transfers
-        self._transfer(
-            sender_endpoint,
-            sender_id,
-            sender_serves_from_cache,
-            receiver_id,
-            content_index,
-            round_index,
-        )
-        self.tracer.event(
-            "session",
-            round=round_index,
-            sender=sender_id,
-            receiver=receiver_id,
-            content=content_index,
-            from_cache=sender_serves_from_cache,
-            aborted=result.aborted > before_aborted,
-            useful=result.useful_transfers > before_useful,
-        )
+        outcome: bool | None,
+    ) -> dict[str, object]:
+        """Fields of the ``session`` trace event of one transfer."""
+        return {
+            "round": round_index,
+            "sender": sender_id,
+            "receiver": receiver_id,
+            "content": content_index,
+            "from_cache": from_cache,
+            "aborted": outcome is None,
+            "useful": bool(outcome),
+        }
 
     def _cache_commit(self, node_id: int, content_index: int) -> None:
         """Account a delivered non-interest packet against the cache."""
@@ -550,7 +541,9 @@ class CatalogueSimulator:
         """Run one gossip period."""
         if self.channel.churns(self._fault_rng, round_index):
             self._churn(round_index)
-        transfer = self._transfer_fn
+        transfer = self._transfer
+        session = self._clock.session
+        event = self._session_event
         # Origin injection: request-driven, content then target.
         for source in self._sources:
             for _ in range(self.source_pushes):
@@ -559,9 +552,10 @@ class CatalogueSimulator:
                 target = int(
                     targets[self._order_rng.integers(len(targets))]
                 )
-                transfer(
+                outcome = transfer(
                     source[content], -1, False, target, content, round_index
                 )
+                session(event, -1, target, content, False, round_index, outcome)
         # Node pushes, in random order, one content per node per round.
         order = self._order_rng.permutation(self.n_nodes)
         for raw_id in order:
@@ -572,13 +566,16 @@ class CatalogueSimulator:
             content = int(ready[self._order_rng.integers(len(ready))])
             (target,) = self.sampler.peers(sender_id, 1, round_index)
             from_cache = not self.wants(sender_id, content)
-            transfer(
+            outcome = transfer(
                 self._endpoints[sender_id][content],
                 sender_id,
                 from_cache,
                 target,
                 content,
                 round_index,
+            )
+            session(
+                event, sender_id, target, content, from_cache, round_index, outcome
             )
         self.result.record_round(round_index)
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.coding.packet import xor_payloads
 from repro.core.degree_index import DegreeIndex
 from repro.costmodel.counters import OpCounter
 from repro.lt.tanner import TannerGraph
@@ -79,29 +78,12 @@ class BuildResult:
         return (self.target - self.degree) / self.target
 
 
-def _item_support(
-    graph: TannerGraph, degree_class: int, item: int
-) -> set[int]:
-    if degree_class == 1:
-        return {item}
-    return graph.packets[item].support
-
-
-def _item_payload(
-    graph: TannerGraph, degree_class: int, item: int
-) -> np.ndarray | None:
-    if degree_class == 1:
-        return graph.decoded[item]
-    return graph.packets[item].payload
-
-
 def build_packet(
     d: int,
     graph: TannerGraph,
     index: DegreeIndex,
     rng: np.random.Generator,
     counter: OpCounter | None = None,
-    fast: bool = False,
 ) -> BuildResult:
     """Greedily build a packet of degree <= *d* (Algorithm 1).
 
@@ -119,76 +101,15 @@ def build_packet(
         Randomness for the per-class uniform picks.
     counter:
         Cost accounting (control ops on supports, data ops on payloads).
-    fast:
-        Use the index's memoized pool tuples (batched-mode nodes).  The
-        pools are element-for-element identical to the slow
-        construction, so picks, charges and results do not change.
+
+    Each degree class is drawn from as a swap-pop over the index's
+    memoized pool (:meth:`DegreeIndex.items_tuple`), whose element order
+    is the frozenset order of :meth:`DegreeIndex.items_of_degree` — the
+    order the rng picks index into.  Charges accumulate locally and land
+    as one add per op name (the counter is a totals-only multiset).
     """
     counter = counter if counter is not None else OpCounter()
-    if fast:
-        return _build_packet_fast(d, graph, index, rng, counter)
     words = (graph.k + 63) >> 6  # code-vector words an implementation XORs
-    support: set[int] = set()
-    payload: np.ndarray | None = None
-    result = BuildResult(support=support, payload=None, target=d)
-
-    i = min(d, index.max_degree())
-    pool: list[int] = []
-    pool_class = 0
-    while len(support) < d and i > 0:
-        if pool_class != i:
-            pool = list(index.items_of_degree(i))
-            pool_class = i
-            counter.add("table_op")
-        if not pool:
-            i -= 1
-            continue
-        # pickAtRandom(S') with removal: swap-pop a uniform position.
-        counter.add("rng_draw")
-        j = int(rng.integers(len(pool)))
-        pool[j], pool[-1] = pool[-1], pool[j]
-        item = pool.pop()
-        result.examined += 1
-        candidate = _item_support(graph, i, item)
-        counter.add("table_op", len(candidate))
-        overlap = len(support & candidate)
-        new_degree = len(support) + len(candidate) - 2 * overlap
-        if len(support) < new_degree <= d:
-            support.symmetric_difference_update(candidate)
-            counter.add("vec_word_xor", words)
-            payload = xor_payloads(
-                payload, _item_payload(graph, i, item), counter
-            )
-            result.picked.append((i, item))
-    result.support = support
-    result.payload = payload
-    return result
-
-
-def _build_packet_fast(
-    d: int,
-    graph: TannerGraph,
-    index: DegreeIndex,
-    rng: np.random.Generator,
-    counter: OpCounter,
-) -> BuildResult:
-    """Draw-, charge- and result-identical fast body of Algorithm 1.
-
-    Three swaps relative to the reference body above, none observable:
-
-    * pools come from the index's memoized tuples
-      (:meth:`DegreeIndex.items_tuple`), element-for-element identical
-      to ``list(items_of_degree(i))`` so the swap-pop picks consume the
-      same rng draws and select the same items;
-    * item supports/payloads are read inline instead of through the
-      ``_item_*`` helpers, and the payload XOR replicates
-      :func:`~repro.coding.packet.xor_payloads` semantics by value
-      (copies elided where the result is never mutated in place);
-    * charges accumulate locally and land as one add per op name — the
-      counter is a totals-only multiset, so call batching is
-      unobservable.
-    """
-    words = (graph.k + 63) >> 6
     support: set[int] = set()
     payload: np.ndarray | None = None
     result = BuildResult(support=support, payload=None, target=d)
@@ -210,6 +131,7 @@ def _build_packet_fast(
         if not pool:
             i -= 1
             continue
+        # pickAtRandom(S') with removal: swap-pop a uniform position.
         rng_draws += 1
         j = int(rng.integers(len(pool)))
         pool[j], pool[-1] = pool[-1], pool[j]
@@ -223,6 +145,8 @@ def _build_packet_fast(
             support.symmetric_difference_update(candidate)
             xor_words += words
             payload_xors += 1
+            # xor_payloads semantics by value: the first term is copied
+            # so the packet never aliases a stored payload.
             other = decoded[item] if i == 1 else packets[item].payload
             if other is not None:
                 payload = (

@@ -34,7 +34,6 @@ simulator treats all three schemes uniformly.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +58,7 @@ from repro.gf2.bitvec import BitVector
 from repro.lt.decoder import BeliefPropagationDecoder
 from repro.lt.distributions import DegreeDistribution, RobustSoliton
 from repro.lt.tanner import TannerListener
-from repro.obs import profiler as _obs_profiler
+from repro.obs.profiler import NULL_CLOCK, PhaseClock
 from repro.rng import make_rng
 
 __all__ = ["LtncStats", "LtncNode"]
@@ -242,29 +241,17 @@ class LtncNode:
             self.degree_index, self.decoder.graph, counter=self.recode_counter
         )
         self.stats = LtncStats()
+        #: Observation seam; a profiled simulator hands its clock in so
+        #: Algorithm-2 time is charged to the ``refine`` phase.
+        self.clock: PhaseClock = NULL_CLOCK
         # Decoded natives as a bitmask, maintained from Tanner events
-        # (one int OR per decode); serves the fast header check.
+        # (one int OR per decode); serves the header check.
         self._decoded_mask = 0
-        self._fast_paths = False
         self.decoder.add_listener(_StructureMaintainer(self))
         if detect_redundancy:
             self.decoder.set_drop_policy(self.detector)
         self.innovative_count = 0
         self.redundant_count = 0
-
-    def enable_fast_paths(self) -> None:
-        """Switch on the batched-mode kernels (see ``ROUND_PLAN_VERSION``).
-
-        Called by :class:`~repro.gossip.simulator.EpidemicSimulator`
-        when round batching is active.  Every selected variant — bisect
-        degree sampling, mask-based header reduction, member-set
-        refinement scan — is draw-for-draw, result- and charge-identical
-        to the reference implementation it replaces, pinned by
-        ``tests/test_batch_equivalence.py``.
-        """
-        self._fast_paths = True
-        self.occurrences.enable_fast_mode()
-        self.oracle.enable_fast_mode()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -321,25 +308,16 @@ class LtncNode:
         Gaussian reduction LTNC avoids.
         """
         self.decode_counter.add("table_op")
-        if self._fast_paths:
-            # Clear decoded bits in one int AND instead of extracting
-            # every index; residual bits come out ascending, the same
-            # order indices_list() produces.
-            residual = vector._x & ~self._decoded_mask
-            if residual.bit_count() > 3:
-                return True
-            reduced = []
-            while residual:
-                lsb = residual & -residual
-                reduced.append(lsb.bit_length() - 1)
-                residual ^= lsb
-            return not self.detector.is_redundant_reduced(reduced)
-        is_decoded = self.decoder.is_decoded
-        reduced = [
-            i for i in vector.indices_list() if not is_decoded(i)
-        ]
-        if len(reduced) > 3:
+        # Clear decoded bits in one int AND instead of testing every
+        # index; residual bits come out ascending.
+        residual = vector._x & ~self._decoded_mask
+        if residual.bit_count() > 3:
             return True
+        reduced = []
+        while residual:
+            lsb = residual & -residual
+            reduced.append(lsb.bit_length() - 1)
+            residual ^= lsb
         return not self.detector.is_redundant_reduced(reduced)
 
     def receive(self, packet: EncodedPacket) -> bool:
@@ -381,11 +359,7 @@ class LtncNode:
 
     def _pick_degree(self) -> int:
         """Draw Robust Soliton degrees until one passes both bounds."""
-        sample = (
-            self.distribution.sample_fast
-            if self._fast_paths
-            else self.distribution.sample
-        )
+        sample = self.distribution.sample
         self.stats.degree_picks += 1
         self.recode_counter.add("rng_draw")
         d = sample(self.rng)
@@ -413,7 +387,6 @@ class LtncNode:
             self.degree_index,
             self.rng,
             self.recode_counter,
-            fast=self._fast_paths,
         )
         if not built.support:
             raise RecodingError(f"builder produced an empty packet (d={d})")
@@ -423,10 +396,8 @@ class LtncNode:
         self.stats.deviation_sum += built.relative_deviation
         support, payload = built.support, built.payload
         if self.refine:
-            # Phase-profiling hook (repro.obs): None except during a
-            # profiled run, so the disabled cost is one attribute read.
-            prof = _obs_profiler.REFINE_PROFILER
-            t0 = time.perf_counter() if prof is not None else 0.0
+            clock = self.clock
+            t0 = clock.start()
             refined = refine_packet(
                 support,
                 payload,
@@ -435,10 +406,8 @@ class LtncNode:
                 self.decoder.graph,
                 self.recode_counter,
                 scan_limit=self.scan_limit,
-                fast_scan=self._fast_paths,
             )
-            if prof is not None:
-                prof.add("refine", time.perf_counter() - t0)
+            clock.stop("refine", t0)
             support, payload = refined.support, refined.payload
             self.stats.substitutions += len(refined.substitutions)
         return self._finish_packet(support, payload)

@@ -34,71 +34,35 @@ class OccurrenceTracker:
             raise DimensionError(f"k must be positive, got {k}")
         self.k = k
         self.counter = counter if counter is not None else OpCounter()
-        self.counts = np.zeros(k, dtype=np.int64)
+        # Counts live in a plain list: numpy scalar reads and writes
+        # would dominate record_sent, which runs once per sent native.
+        self._counts = [0] * k
         self._buckets: dict[int, set[int]] = {0: set(range(k))}
         self._min_count = 0
         self.packets_sent = 0
-        # Batched-mode state (enable_fast_mode): a plain-list shadow of
-        # ``counts`` (numpy scalar reads/writes dominate record_sent
-        # otherwise) and memoized tuple(frozenset(bucket)) snapshots per
-        # count, serving the fast refinement scan.  Iteration order of a
-        # CPython set depends on its full mutation history, and the slow
-        # scan observes it through frozenset() copies — the cache
-        # snapshots exactly that order, and record_sent (the single
-        # bucket-mutation site) invalidates the two counts it touches.
-        self.fast_mode = False
-        self._counts_list: list[int] | None = None
-        self._counts_dirty = False
-        self._bucket_cache: dict[int, tuple[int, ...]] = {}
+        # Memoized views for the refinement scan: the ascending
+        # non-empty counts, and tuple(frozenset(bucket)) snapshots per
+        # count.  Iteration order of a CPython set depends on its full
+        # mutation history, and the refinement result depends on which
+        # acceptable candidate comes first, so the snapshots pin the
+        # order a frozenset copy of the bucket has.  record_sent (the
+        # single bucket-mutation site) invalidates what it touches.
         self._counts_sorted: list[int] | None = None
+        self._bucket_cache: dict[int, tuple[int, ...]] = {}
 
-    def enable_fast_mode(self) -> None:
-        """Switch to the batched-mode bookkeeping (list shadow + caches).
-
-        Charge- and result-identical to the reference mode; pinned by
-        the batched-vs-scalar differential tests.
-        """
-        if not self.fast_mode:
-            self.fast_mode = True
-            self._counts_list = self.counts.tolist()
-            self._bucket_cache.clear()
-            self._counts_sorted = None
-
-    def _sync_counts(self) -> None:
-        """Refresh the numpy ``counts`` array from the fast-mode shadow."""
-        if self._counts_dirty:
-            self.counts = np.array(self._counts_list, dtype=np.int64)
-            self._counts_dirty = False
+    @property
+    def counts(self) -> np.ndarray:
+        """Per-native occurrence counts, as a fresh int64 array."""
+        return np.array(self._counts, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def record_sent(self, support: Iterable[int]) -> None:
-        """Account one sent packet containing the natives in *support*."""
-        if self.fast_mode:
-            self._record_sent_fast(support)
-            return
-        for x in support:
-            if not 0 <= x < self.k:
-                raise DimensionError(f"native {x} outside 0..{self.k - 1}")
-            old = int(self.counts[x])
-            self.counts[x] = old + 1
-            bucket = self._buckets[old]
-            bucket.discard(x)
-            if not bucket:
-                del self._buckets[old]
-            self._buckets.setdefault(old + 1, set()).add(x)
-            self.counter.add("table_op", 2)
-        self.packets_sent += 1
-        # The minimum can only move up, and only when its bucket drains.
-        while self._min_count not in self._buckets:
-            self._min_count += 1
+        """Account one sent packet containing the natives in *support*.
 
-    def _record_sent_fast(self, support: Iterable[int]) -> None:
-        """Batched-mode record_sent: same moves, one batched charge.
-
-        The counter is a totals-only multiset, so charging ``2 * moved``
-        once equals the reference path's per-native ``add(2)``.
+        Two ``table_op`` per native (leave the old bucket, join the
+        next), charged as one batched add.
         """
-        counts = self._counts_list
+        counts = self._counts
         buckets = self._buckets
         cache_pop = self._bucket_cache.pop
         moved = 0
@@ -117,9 +81,9 @@ class OccurrenceTracker:
             moved += 1
         if moved:
             self._counts_sorted = None
-            self._counts_dirty = True
         self.counter.add("table_op", 2 * moved)
         self.packets_sent += 1
+        # The minimum can only move up, and only when its bucket drains.
         while self._min_count not in buckets:
             self._min_count += 1
 
@@ -127,9 +91,7 @@ class OccurrenceTracker:
     def frequency(self, x: int) -> int:
         """Occurrences of native *x* in packets sent so far."""
         self.counter.add("table_op")
-        if self._counts_list is not None:
-            return self._counts_list[x]
-        return int(self.counts[x])
+        return self._counts[x]
 
     def min_frequency(self) -> int:
         """Smallest occurrence count over all natives."""
@@ -140,6 +102,7 @@ class OccurrenceTracker:
 
         Buckets come in increasing count order, so the first candidate a
         caller accepts is the global argmin under its extra constraints.
+        One ``table_op`` per count visited, empty counts included.
         """
         for count in range(self._min_count, limit):
             bucket = self._buckets.get(count)
@@ -150,11 +113,10 @@ class OccurrenceTracker:
     def nonempty_counts(self) -> list[int]:
         """Ascending counts with a non-empty bucket, memoized.
 
-        Lets the fast refinement scan step only through real buckets
-        instead of every integer in ``[min, limit)``; the ``table_op``
-        charge for the skipped empty counts is reconstructed
-        arithmetically (hit at count ``c`` visited ``c - min + 1``
-        counts, a miss visited ``limit - min``).
+        Lets the refinement scan step only through real buckets instead
+        of every integer in ``[min, limit)``; the scan reconstructs the
+        ``table_op`` charge :meth:`buckets_below` would make for the
+        skipped empty counts arithmetically.
         """
         counts = self._counts_sorted
         if counts is None:
@@ -164,10 +126,9 @@ class OccurrenceTracker:
     def bucket_tuple(self, count: int) -> tuple[int, ...]:
         """Bucket *count* as a memoized tuple, in frozenset order.
 
-        Candidate order must match what :meth:`buckets_below` consumers
-        see — ``frozenset(bucket)`` iteration — because the refinement
-        scan's result (and its ``examined`` charge) depends on which
-        acceptable candidate comes first.  Charges nothing; the fast
+        Candidate order matches what :meth:`buckets_below` yields, so
+        the refinement scan's result (and its ``examined`` charge) is
+        the one a frozenset walk would produce.  Charges nothing; the
         scan accounts its own ``table_op`` per count visited.
         """
         cached = self._bucket_cache.get(count)
@@ -180,12 +141,10 @@ class OccurrenceTracker:
     # ------------------------------------------------------------------
     def mean(self) -> float:
         """Average occurrences per native."""
-        self._sync_counts()
         return float(self.counts.mean())
 
     def variance(self) -> float:
         """Variance of the per-native occurrence counts."""
-        self._sync_counts()
         return float(self.counts.var())
 
     def rsd(self) -> float:
@@ -194,23 +153,23 @@ class OccurrenceTracker:
         The paper reports 0.1 % for LTNC nodes mid-dissemination; zero
         until the first packet is sent.
         """
-        self._sync_counts()
-        mu = self.counts.mean()
+        counts = self.counts
+        mu = counts.mean()
         if mu == 0:
             return 0.0
-        return float(self.counts.std() / mu)
+        return float(counts.std() / mu)
 
     def check_invariants(self) -> None:
-        """Verify buckets mirror the counts array (tests only)."""
-        self._sync_counts()
+        """Verify buckets mirror the counts (tests only)."""
+        counts = self._counts
         for count, bucket in self._buckets.items():
             assert bucket, f"empty bucket {count} kept alive"
             for x in bucket:
-                assert self.counts[x] == count, (
-                    f"native {x} in bucket {count} but counts {self.counts[x]}"
+                assert counts[x] == count, (
+                    f"native {x} in bucket {count} but counts {counts[x]}"
                 )
-        assert int(self.counts.min()) == self._min_count, (
-            f"min bucket {self._min_count} vs counts min {self.counts.min()}"
+        assert min(counts) == self._min_count, (
+            f"min bucket {self._min_count} vs counts min {min(counts)}"
         )
         total = sum(len(b) for b in self._buckets.values())
         assert total == self.k, f"buckets cover {total} of {self.k} natives"

@@ -45,50 +45,38 @@ class ReachabilityOracle:
         self.index = index
         self.graph = graph
         self.counter = counter if counter is not None else OpCounter()
-        # Batched-mode memo: verdicts keyed by degree, valid for one
-        # index version (see DegreeIndex.version).
-        self._fast = False
+        # Verdicts keyed by degree, valid for one index version (see
+        # DegreeIndex.version).  Bound evaluations are pure functions of
+        # the degree index and the stored supports, both frozen between
+        # index mutations, so a hit replays the stored verdict — and the
+        # exact ``table_op`` charge the evaluation made — without
+        # re-walking the buckets.
         self._memo_version = -1
         self._memo: dict[int, tuple[bool, int]] = {}
-
-    def enable_fast_mode(self) -> None:
-        """Memoize verdicts per index version (batched-mode nodes).
-
-        Bound evaluations are pure functions of the degree index and the
-        stored supports, both frozen between index mutations, so a hit
-        replays the stored verdict — and the exact ``table_op`` charge
-        the evaluation made — without re-walking the buckets.
-        """
-        self._fast = True
 
     # ------------------------------------------------------------------
     def is_unreachable(self, d: int) -> bool:
         """True when either bound proves degree *d* cannot be built."""
         if d < 1:
             return True
-        if self._fast:
-            if self._memo_version != self.index.version:
-                self._memo_version = self.index.version
-                self._memo.clear()
-            else:
-                hit = self._memo.get(d)
-                if hit is not None:
-                    verdict, ops = hit
-                    self.counter.add("table_op", ops)
-                    return verdict
-            counts = self.counter.counts
-            before = counts.get("table_op", 0)
-            self.counter.add("table_op")
-            if self.index.degree_mass(d) < d:
-                verdict = True
-            else:
-                verdict = self.coverage(d) < d
-            self._memo[d] = (verdict, counts.get("table_op", 0) - before)
-            return verdict
+        if self._memo_version != self.index.version:
+            self._memo_version = self.index.version
+            self._memo.clear()
+        else:
+            hit = self._memo.get(d)
+            if hit is not None:
+                verdict, ops = hit
+                self.counter.add("table_op", ops)
+                return verdict
+        counts = self.counter.counts
+        before = counts.get("table_op", 0)
         self.counter.add("table_op")
         if self.index.degree_mass(d) < d:
-            return True
-        return self.coverage(d) < d
+            verdict = True
+        else:
+            verdict = self.coverage(d) < d
+        self._memo[d] = (verdict, counts.get("table_op", 0) - before)
+        return verdict
 
     def coverage(self, d: int) -> int:
         """Distinct natives decoded or in a stored packet of degree <= d.

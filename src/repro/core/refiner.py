@@ -59,92 +59,62 @@ def _find_replacement(
     support: set[int],
     components: ConnectedComponents,
     occurrences: OccurrenceTracker,
-    counter: OpCounter,
     scan_limit: int | None,
-) -> tuple[int | None, int]:
+) -> tuple[int | None, int, int, int]:
     """Least-frequent native ``x' ~ x`` with ``freq < freq(x)``, not in z.
 
-    Returns ``(replacement, candidates_examined)`` with ``replacement``
-    ``None`` when no native satisfies all three conditions.
+    Walks the occurrence buckets from the minimum upward, so the first
+    candidate satisfying the component and "not in z" conditions is the
+    argmin.  Returns ``(replacement, examined, occ_table_ops,
+    leader_lookups)`` — ``replacement`` is ``None`` when no native
+    qualifies within *scan_limit* candidates — and leaves the charging
+    to the caller, which lands one add per counter for the whole
+    Algorithm-2 loop.  The charges are those of a walk that probes
+    ``frequency(x)``, reads ``leader(x)`` and consumes
+    :meth:`OccurrenceTracker.buckets_below` candidate by candidate:
+
+    * ``occ_table_ops`` — the frequency probe plus one per count
+      visited, empty counts included, up to the count the walk stopped
+      in;
+    * ``leader_lookups`` — one, unless ``x`` is already least frequent;
+    * ``examined`` — one ``cc_lookup`` per candidate looked at.
+
+    Component membership is read from the leader's member set
+    (``cc[c] == leader`` iff ``c in members[leader]``, an invariant
+    ``check_invariants`` pins), and a bucket sharing no member with the
+    component is skipped whole, charged as if walked.
     """
-    freq_x = occurrences.frequency(x)
-    if freq_x <= occurrences.min_frequency():
-        return None, 0  # nothing can be strictly less frequent
-    leader = components.leader(x)
-    cc = components.cc
-    examined = 0
-    # One batched "cc_lookup" charge per outcome keeps counter totals
-    # identical to the per-candidate accounting while dropping ~half
-    # the time this inner loop used to spend in OpCounter.add.
-    for _, bucket in occurrences.buckets_below(freq_x):
-        for candidate in bucket:
-            examined += 1
-            if cc[candidate] == leader and candidate not in support:
-                counter.add("cc_lookup", examined)
-                return candidate, examined
-            if scan_limit is not None and examined >= scan_limit:
-                counter.add("cc_lookup", examined)
-                return None, examined
-    counter.add("cc_lookup", examined)
-    return None, examined
-
-
-def _find_replacement_fast(
-    x: int,
-    support: set[int],
-    components: ConnectedComponents,
-    occurrences: OccurrenceTracker,
-) -> tuple[int | None, int, int, int]:
-    """Charge- and result-identical fast scan for batched-mode nodes.
-
-    Same candidate walk as :meth:`_find_replacement` with three swaps
-    that leave every observable untouched:
-
-    * component membership via the leader's member set (``cc[c] ==
-      leader`` iff ``c in members[leader]`` — the invariant
-      ``check_invariants`` pins) instead of a numpy scalar read per
-      candidate;
-    * memoized bucket tuples (:meth:`OccurrenceTracker.bucket_tuple`)
-      in the exact frozenset order the slow generator yields;
-    * charges returned instead of added: ``(replacement, examined,
-      occ_table_ops, leader_lookups)``, so the caller can land one
-      batched add per counter for the whole Algorithm-2 loop.
-      ``occ_table_ops`` merges the ``frequency(x)`` probe with one
-      ``table_op`` per count visited — everything in ``[min, count]``,
-      empty counts included, exactly what ``buckets_below`` charges —
-      and ``examined`` carries the slow path's per-candidate
-      ``cc_lookup`` total.
-
-    Only valid with no ``scan_limit`` (callers fall back otherwise).
-    """
-    freq_x = occurrences._counts_list[x]
-    min_count = occurrences._min_count
+    freq_x = occurrences._counts[x]
+    min_count = occurrences.min_frequency()
     if freq_x <= min_count:
-        return None, 0, 1, 0
+        return None, 0, 1, 0  # nothing can be strictly less frequent
     leader = int(components.cc[x])
     if leader == DECODED_LEADER:
         members: set[int] = components._decoded
     else:
         members = components._members[leader]
     buckets = occurrences._buckets
-    cache = occurrences._bucket_cache
     examined = 0
     for count in occurrences.nonempty_counts():
         if count >= freq_x:
             break
+        visited = count - min_count + 2
         bucket = buckets[count]
         if members.isdisjoint(bucket):
-            # No candidate here can satisfy the component condition; the
-            # slow path would examine (and charge) the whole bucket.
+            # No candidate here can satisfy the component condition.
+            if scan_limit is not None:
+                # A walk stops at the first candidate reaching the limit.
+                stop = max(examined + 1, scan_limit)
+                if stop <= examined + len(bucket):
+                    return None, stop, visited, 1
             examined += len(bucket)
             continue
-        ordered = cache.get(count)
-        if ordered is None:
-            ordered = occurrences.bucket_tuple(count)
-        for candidate in ordered:
+        for candidate in occurrences.bucket_tuple(count):
             examined += 1
             if candidate in members and candidate not in support:
-                return candidate, examined, count - min_count + 2, 1
+                return candidate, examined, visited, 1
+            if scan_limit is not None and examined >= scan_limit:
+                return None, examined, visited, 1
     return None, examined, freq_x - min_count + 1, 1
 
 
@@ -179,7 +149,6 @@ def refine_packet(
     graph: TannerGraph,
     counter: OpCounter | None = None,
     scan_limit: int | None = None,
-    fast_scan: bool = False,
 ) -> RefineResult:
     """Apply Algorithm 2 to a freshly built packet.
 
@@ -188,16 +157,16 @@ def refine_packet(
     a substitution happens).  The degree never changes — a class of
     invariants the property tests pin down.
 
-    ``fast_scan`` selects :func:`_find_replacement_fast` (batched-mode
-    nodes); it is ignored when a ``scan_limit`` is set, which only the
-    slow scan implements.
+    Charges land on the counters that own the structures: the tracker's
+    counter for bucket/frequency ``table_op``, the components' counter
+    for the leader lookups (the decode counter on an LTNC node) and
+    *counter* for the per-candidate ``cc_lookup`` and the substitution
+    XORs.
     """
     counter = counter if counter is not None else OpCounter()
     result = RefineResult(support=support, payload=payload)
-    if fast_scan and scan_limit is None:
-        return _refine_packet_fast(
-            result, components, occurrences, graph, counter
-        )
+    occ_ops = 0
+    leader_lookups = 0
     # Iterate the *original* members in index order (the paper's worked
     # example processes natives by increasing index); substituted-in
     # natives are not re-examined, but they do block later substitutions
@@ -206,50 +175,8 @@ def refine_packet(
         if x not in support:
             continue  # already substituted away by an earlier step
         before = len(support)
-        replacement, examined = _find_replacement(
-            x, support, components, occurrences, counter, scan_limit
-        )
-        result.candidates_examined += examined
-        if replacement is None:
-            continue
-        pair = pair_payload(x, replacement, components, graph, counter)
-        support.discard(x)
-        support.add(replacement)
-        counter.add("vec_word_xor", (components.k + 63) >> 6)
-        result.payload = xor_payloads(result.payload, pair, counter)
-        result.substitutions.append((x, replacement))
-        assert len(support) == before, "substitution changed the degree"
-    result.support = support
-    return result
-
-
-def _refine_packet_fast(
-    result: RefineResult,
-    components: ConnectedComponents,
-    occurrences: OccurrenceTracker,
-    graph: TannerGraph,
-    counter: OpCounter,
-) -> RefineResult:
-    """The batched-mode Algorithm-2 loop: same walk, batched charges.
-
-    The per-native charges returned by :func:`_find_replacement_fast`
-    accumulate locally and land as one add per counter after the loop —
-    the counters are totals-only multisets, so the totals equal the
-    slow path's per-step accounting.  They land on the same counter
-    instances too: the tracker's own counter for bucket/frequency
-    table_ops, the components' counter for the leader lookups (the
-    decode counter on an LTNC node), and the refine *counter* argument
-    for the per-candidate examinations.
-    """
-    support = result.support
-    occ_ops = 0
-    leader_lookups = 0
-    for x in sorted(support):
-        if x not in support:
-            continue  # already substituted away by an earlier step
-        before = len(support)
-        replacement, examined, table_ops, lookups = _find_replacement_fast(
-            x, support, components, occurrences
+        replacement, examined, table_ops, lookups = _find_replacement(
+            x, support, components, occurrences, scan_limit
         )
         result.candidates_examined += examined
         occ_ops += table_ops

@@ -77,8 +77,12 @@ __all__ = [
 #: :mod:`repro.obs.metrics`); v5 added ``n_scaling`` (scalar-vs-batched
 #: round throughput per overlay size, up to N = 10,000),
 #: ``microbench.kernel_batch`` (numpy multi-row RREF vs the int kernel
-#: at paper-scale k) and the ``ltnc_batched`` phase breakdown.
-SCHEMA_VERSION = 5
+#: at paper-scale k) and the ``ltnc_batched`` phase breakdown; v6 drops
+#: the scalar round loop's leg — ``n_scaling`` rows lose ``scalar`` and
+#: ``speedup_batched_vs_scalar`` (the one remaining loop keeps its
+#: ``batched`` key, so v5 and v6 rows align) and ``phases.ltnc_batched``
+#: goes, ``phases.ltnc`` now timing the same loop.
+SCHEMA_VERSION = 6
 DEFAULT_SEED = 2026
 KERNEL_KS: tuple[int, ...] = (32, 64, 128, 256)
 DEFAULT_OUT = "BENCH_ltnc.json"
@@ -98,8 +102,8 @@ _PROFILES = {
         "fleet_k": 32,
         "fleet_shards": 4,
         # (n_nodes, round cap or None for run-to-completion); the
-        # N = 10,000 pair is round-capped to bound the scalar leg, and
-        # the separate completion row (below) runs batched to the end.
+        # N = 10,000 row is round-capped, and the separate completion
+        # row (below) runs that overlay to the end.
         "n_scaling": ((128, None), (1024, None), (10_000, 80)),
         "n_scaling_k": 32,
         "n_scaling_completion": 10_000,
@@ -117,7 +121,7 @@ _PROFILES = {
         "fleet_k": 16,
         "fleet_shards": 3,
         # Tight round caps keep the CI smoke in seconds while still
-        # driving the batched planner at the full N = 10,000 overlay.
+        # driving the round loop at the full N = 10,000 overlay.
         "n_scaling": ((128, 24), (1024, 8), (10_000, 3)),
         "n_scaling_k": 32,
         "n_scaling_completion": None,
@@ -337,57 +341,42 @@ def bench_n_scaling(
     k: int,
     seed: int,
     max_rounds: int | None = None,
-    modes: Sequence[str] = ("off", "on"),
 ) -> dict[str, object]:
-    """Scalar vs batched round throughput at one overlay size.
+    """Round throughput at one overlay size.
 
-    Runs the identical seeded LTNC dissemination (binary feedback, the
-    baseline shape at a fixed small k so per-node decode work stays
-    constant while N scales) once per round-execution mode and reports
-    rounds/sec for each plus the batched-over-scalar speedup.  The two
-    modes are result-identical by contract (the batched-vs-scalar
-    differential tests pin results *and* counter totals), so they
-    always simulate the same rounds; *max_rounds* bounds the largest
-    overlays, where a scalar run to completion would dominate the whole
-    suite.
+    Runs one seeded LTNC dissemination (binary feedback, the baseline
+    shape at a fixed small k so per-node decode work stays constant
+    while N scales) and reports rounds/sec under the row's ``batched``
+    key; *max_rounds* bounds the largest overlays.
     """
     from repro.gossip.simulator import EpidemicSimulator, Feedback
 
-    entry: dict[str, object] = {
+    sim = EpidemicSimulator(
+        "ltnc",
+        n_nodes=n_nodes,
+        k=k,
+        feedback=Feedback.BINARY,
+        seed=seed,
+        max_rounds=max_rounds if max_rounds is not None else 200_000,
+    )
+    t0 = time.perf_counter()
+    result = sim.run()
+    seconds = time.perf_counter() - t0
+    return {
         "n_nodes": n_nodes,
         "k": k,
         "max_rounds": max_rounds,
-    }
-    for mode in modes:
-        sim = EpidemicSimulator(
-            "ltnc",
-            n_nodes=n_nodes,
-            k=k,
-            feedback=Feedback.BINARY,
-            seed=seed,
-            max_rounds=max_rounds if max_rounds is not None else 200_000,
-            batch_rounds=mode,
-        )
-        t0 = time.perf_counter()
-        result = sim.run()
-        seconds = time.perf_counter() - t0
-        entry["scalar" if mode == "off" else "batched"] = {
+        "batched": {
             "rounds": result.rounds,
             "all_complete": result.all_complete,
             "seconds": round(seconds, 6),
             "rounds_per_sec": round(result.rounds / seconds, 2),
-        }
-    if "scalar" in entry and "batched" in entry:
-        entry["speedup_batched_vs_scalar"] = round(
-            entry["batched"]["rounds_per_sec"]
-            / entry["scalar"]["rounds_per_sec"],
-            2,
-        )
-    return entry
+        },
+    }
 
 
 def bench_phases(
-    scheme: str, n_nodes: int, k: int, seed: int, batch_rounds: str = "off"
+    scheme: str, n_nodes: int, k: int, seed: int
 ) -> dict[str, object]:
     """Per-phase wall time of one seeded epidemic dissemination.
 
@@ -398,9 +387,6 @@ def bench_phases(
     the LTNC-only refine slice (a subset of encode, not additive).
     ``measured_fraction`` says how much of the wall clock the phase
     brackets account for; the remainder is loop scaffolding.
-    *batch_rounds* selects the round-execution mode, so the report can
-    carry a batched breakdown next to the scalar one (same phases —
-    the batched step brackets the identical work).
     """
     from repro.gossip.simulator import EpidemicSimulator
     from repro.obs import PhaseProfiler
@@ -413,7 +399,6 @@ def bench_phases(
         seed=seed,
         max_rounds=200_000,
         profiler=profiler,
-        batch_rounds=batch_rounds,
     )
     t0 = time.perf_counter()
     result = sim.run()
@@ -545,10 +530,7 @@ def run_perfbench(
     }
     if sizes["n_scaling_completion"]:
         n_scaling["completion"] = bench_n_scaling(
-            sizes["n_scaling_completion"],
-            sizes["n_scaling_k"],
-            seed,
-            modes=("on",),
+            sizes["n_scaling_completion"], sizes["n_scaling_k"], seed
         )
 
     phases = {
@@ -557,9 +539,6 @@ def run_perfbench(
         )
         for scheme in schemes
     }
-    phases["ltnc_batched"] = bench_phases(
-        "ltnc", sizes["e2e_nodes"], sizes["e2e_k"], seed, batch_rounds="on"
-    )
 
     fleet = bench_fleet(
         sizes["fleet_trials"],
@@ -606,11 +585,11 @@ def validate_bench(data: dict[str, object]) -> None:
     """
     errors: list[str] = []
     version = data.get("schema_version")
-    # Version-aware: v4 reports (the checked-in history trail) still
-    # validate against the sections they were written with; the v5
-    # additions are only required at v5.
-    if version not in (4, SCHEMA_VERSION):
-        errors.append(f"schema_version not in (4, {SCHEMA_VERSION})")
+    # Version-aware: v4 and v5 reports (the checked-in history trail)
+    # still validate against the sections they were written with; the
+    # v5 additions are required from v5 on.
+    if version not in (4, 5, SCHEMA_VERSION):
+        errors.append(f"schema_version not in (4, 5, {SCHEMA_VERSION})")
     if data.get("suite") != "ltnc-perfbench":
         errors.append("suite != 'ltnc-perfbench'")
     micro = data.get("microbench")
@@ -622,7 +601,7 @@ def validate_bench(data: dict[str, object]) -> None:
         ("bitvector", "ixor_per_sec"),
         ("decode", "gauss_packets_per_sec"),
     ]
-    if version == SCHEMA_VERSION:
+    if version != 4:
         micro_sections.append(("kernel_batch", "numpy_ops_per_sec"))
     for section, rate_key in micro_sections:
         table = micro.get(section)
@@ -644,7 +623,7 @@ def validate_bench(data: dict[str, object]) -> None:
                 errors.append(f"end_to_end[{scheme}].rounds_per_sec not positive")
             elif not entry.get("all_complete"):
                 errors.append(f"end_to_end[{scheme}] did not complete")
-    if version == SCHEMA_VERSION:
+    if version != 4:
         scaling = data.get("n_scaling")
         if not isinstance(scaling, dict) or not scaling:
             errors.append("n_scaling section missing or empty")
@@ -675,10 +654,8 @@ def validate_bench(data: dict[str, object]) -> None:
                     errors.append(
                         "n_scaling.completion did not run to completion"
                     )
-        if not isinstance(data.get("phases"), dict) or "ltnc_batched" not in (
-            data.get("phases") or {}
-        ):
-            errors.append("phases.ltnc_batched missing")
+    if version == 5 and "ltnc_batched" not in (data.get("phases") or {}):
+        errors.append("phases.ltnc_batched missing")
     phases = data.get("phases")
     if not isinstance(phases, dict) or not phases:
         errors.append("phases section missing or empty")
@@ -790,17 +767,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         f"; fleet {fleet['trials_per_sec']} trials/s "
         f"({fleet['n_trials']}-trial grid, {fleet['n_shards']} shards)"
     )
-    scaling = report["n_scaling"]
-    big = max(
-        (row for row in scaling.values() if "speedup_batched_vs_scalar" in row),
-        key=lambda row: row["n_nodes"],
-        default=None,
+    big = max(report["n_scaling"].values(), key=lambda row: row["n_nodes"])
+    line += (
+        f"; {big['batched']['rounds_per_sec']} rounds/s "
+        f"at N={big['n_nodes']}"
     )
-    if big:
-        line += (
-            f"; batched {big['speedup_batched_vs_scalar']}x vs scalar "
-            f"at N={big['n_nodes']}"
-        )
     ltnc = report["phases"].get("ltnc")
     if ltnc:
         table = ltnc["phases"]

@@ -1,30 +1,17 @@
 """Epidemic push dissemination: peer sampling, simulator, metrics.
 
-Scheme dispatch lives in :mod:`repro.schemes`; the ``SCHEMES`` /
-``make_node`` / ``make_source`` names re-exported here are deprecated
-shims kept for backward compatibility.
+Scheme dispatch lives in :mod:`repro.schemes`.
 """
 
 from repro.gossip.channel import ChannelModel, ChurnPhase, HeterogeneousChannel
 from repro.gossip.metrics import DisseminationResult
 from repro.gossip.peer_sampling import PeerSampler, UniformSampler, ViewSampler
 from repro.gossip.simulator import EpidemicSimulator, Feedback, run_dissemination
-from repro.gossip.source import SchemeNode, make_node, make_source
 from repro.gossip.wireless import (
     WirelessResult,
     WirelessSimulator,
     WirelessTopology,
 )
-
-
-def __getattr__(name: str):
-    # Live view: ``repro.gossip.SCHEMES`` always mirrors the registry
-    # (see repro.gossip.source.__getattr__).
-    if name == "SCHEMES":
-        from repro.schemes import available_schemes
-
-        return available_schemes()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ChannelModel",
@@ -37,10 +24,6 @@ __all__ = [
     "EpidemicSimulator",
     "Feedback",
     "run_dissemination",
-    "SCHEMES",
-    "SchemeNode",
-    "make_node",
-    "make_source",
     "WirelessResult",
     "WirelessSimulator",
     "WirelessTopology",

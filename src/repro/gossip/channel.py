@@ -79,32 +79,6 @@ class ChannelModel:
         rate = self.loss_for(sender, receiver)
         return rate > 0.0 and rng.random() < rate
 
-    def delivers_batch(
-        self,
-        rng: np.random.Generator,
-        senders: "list[int]",
-        receivers: "list[int]",
-    ) -> "list[bool]":
-        """Per-transfer delivery flags (``not loses``) for a planned run.
-
-        Contract (round-plan v1): consumes the fault stream exactly as a
-        sequential loop of :meth:`loses` calls would — one draw per
-        transfer whose link rate is positive, **no** draw for zero-rate
-        links.  The batched simulator only calls this when the feedback
-        mode and duplicate rate guarantee the scalar path would reach
-        every ``loses`` call (no aborts, no interleaved duplicate
-        draws); the vectorised form below is therefore draw-for-draw
-        identical to the reference loop.
-        """
-        rates = [self.loss_for(s, r) for s, r in zip(senders, receivers)]
-        positive = [i for i, rate in enumerate(rates) if rate > 0.0]
-        delivered = [True] * len(rates)
-        if positive:
-            draws = rng.random(len(positive))
-            for j, i in enumerate(positive):
-                delivered[i] = not draws[j] < rates[i]
-        return delivered
-
     def duplicates(self, rng: np.random.Generator) -> bool:
         return self.duplicate_rate > 0.0 and rng.random() < self.duplicate_rate
 

@@ -25,7 +25,6 @@ The simulator is scheme-agnostic through the
 from __future__ import annotations
 
 import enum
-import time
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from repro.obs.metrics import (
     VOLUME_BOUNDARIES,
     MetricsCollector,
 )
-from repro.obs.profiler import PhaseProfiler, set_refine_profiler
+from repro.obs.profiler import PhaseProfiler, phase_clock
 from repro.obs.spans import SpanRecorder
 from repro.obs.tracer import NULL_TRACER, node_rank
 from repro.rng import derive, make_rng, spawn
@@ -49,23 +48,20 @@ __all__ = [
     "EpidemicSimulator",
     "run_dissemination",
     "ROUND_PLAN_VERSION",
-    "BATCH_AUTO_NODES",
     "validate_round_plan",
 ]
 
-#: Version of the batched round-plan rng-stream layout.  The batched
-#: step is only allowed to reorder draws **across** independent streams;
+#: Version of the round-plan rng-stream layout.  The round loop draws
+#: in bulk where it can, but only **across** independent streams;
 #: within every stream the draw sequence is pinned, and this constant
 #: names the pinned layout so future changes must bump it explicitly:
 #:
 #: v1 — per round, in order:
 #:   * fault stream: one ``churns`` draw, then the ``_churn`` victim
 #:     draw when it fires, then per-transfer loss/duplicate draws in
-#:     transfer order (a planned run may hoist its loss draws into one
-#:     bulk draw only when no abort or duplicate draw can interleave:
-#:     ``feedback is NONE and duplicate_rate == 0``);
+#:     transfer order;
 #:   * order stream: one bulk ``integers(n_nodes, size=sources*pushes)``
-#:     draw (== the scalar per-push draws), then one
+#:     draw (the same values as one draw per push), then one
 #:     ``permutation(n_nodes)``;
 #:   * sampler stream: one target draw per sendable sender in
 #:     permutation order, batched per maximal run of senders that are
@@ -77,10 +73,6 @@ __all__ = [
 #:     own ``make_packet``/``receive`` calls, whose order the plan
 #:     preserves exactly.
 ROUND_PLAN_VERSION = 1
-
-#: ``batch_rounds="auto"`` switches the batched step on at this overlay
-#: size; below it the scalar loop's per-call overhead is negligible.
-BATCH_AUTO_NODES = 256
 
 
 def validate_round_plan(version: object) -> None:
@@ -154,20 +146,12 @@ class EpidemicSimulator:
     profiler:
         Optional :class:`repro.obs.profiler.PhaseProfiler`; when given,
         the run charges per-phase wall times (sampling / channel /
-        encode / decode / refine) through rng-identical profiled
-        duplicates of the hot paths.
+        encode / decode / refine) through the phase-clock seam.
     metrics:
         Optional :class:`repro.obs.metrics.MetricsCollector`; the run
         records its mergeable telemetry (counters, gauges, histograms)
         into it after the loop finishes.  Recording reads only final
         result state — no rng draws, no OpCounter charges.
-    batch_rounds:
-        ``"off"`` runs the scalar reference loop; ``"on"`` runs the
-        batched round planner (``ROUND_PLAN_VERSION``); ``"auto"``
-        (default) batches at ``n_nodes >= BATCH_AUTO_NODES``.  Both
-        paths are draw-for-draw and result-identical — batching also
-        switches the nodes' gated fast kernels on (``enable_fast_paths``)
-        — pinned by ``tests/test_batch_equivalence.py``.
     """
 
     def __init__(
@@ -188,7 +172,6 @@ class EpidemicSimulator:
         tracer=None,
         profiler: PhaseProfiler | None = None,
         metrics: MetricsCollector | None = None,
-        batch_rounds: str = "auto",
     ) -> None:
         if n_nodes < 2:
             raise SimulationError(f"n_nodes must be >= 2, got {n_nodes}")
@@ -198,11 +181,6 @@ class EpidemicSimulator:
             )
         if n_sources < 1:
             raise SimulationError(f"n_sources must be >= 1, got {n_sources}")
-        if batch_rounds not in ("auto", "on", "off"):
-            raise SimulationError(
-                "batch_rounds must be 'auto', 'on' or 'off', "
-                f"got {batch_rounds!r}"
-            )
         self.coding_scheme = resolve(scheme)
         self.scheme = self.coding_scheme.name
         self.n_nodes = n_nodes
@@ -260,57 +238,20 @@ class EpidemicSimulator:
         self._incomplete: set[int] = {
             i for i, node in enumerate(self.nodes) if not node.is_complete()
         }
-        # Observability: implementation selection happens once, here, so
-        # the disabled hot paths carry no per-call branching beyond one
-        # attribute lookup.  Profiling takes precedence over per-session
-        # tracing (round-level events still fire either way).
+        # Observability: the phase-clock seam is chosen once, here; it
+        # is the null clock unless the run is profiled or traced per
+        # session, so the unobserved loop reads no clock.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.profiler = profiler
         self.metrics = metrics
         self._trace = bool(self.tracer.enabled)
-        self.batch_rounds = batch_rounds
-        self._batch = batch_rounds == "on" or (
-            batch_rounds == "auto" and n_nodes >= BATCH_AUTO_NODES
-        )
+        self._clock = phase_clock(profiler, self.tracer)
+        for peer in (*self.sources, *self.nodes):
+            self._observe(peer)
         # Nodes whose can_send() has been observed True.  Valid as a
         # cache because can_send is monotone within a node's lifetime
         # (scheme-node contract); _churn drops the crashed identity.
         self._sendable: set[int] = set()
-        if profiler is not None:
-            self._transfer_fn = self._transfer_profiled
-            self._step_fn = (
-                self._step_batched_profiled
-                if self._batch
-                else self._step_profiled
-            )
-        elif self._trace and self.tracer.detail == "session":
-            self._transfer_fn = self._transfer_traced
-            self._step_fn = self._step_batched if self._batch else self.step
-        else:
-            self._transfer_fn = self._transfer
-            self._step_fn = self._step_batched if self._batch else self.step
-        # Hoisting a run's loss draws into one delivers_batch call is
-        # stream-legal only when the scalar path reaches every loses()
-        # call with nothing interleaved: no header aborts (feedback is
-        # NONE) and no duplicate draws; the profiled/traced transfer
-        # variants keep per-draw brackets/events, so only the plain
-        # transfer participates.
-        self._plan_channel = (
-            self._batch
-            and feedback is Feedback.NONE
-            and self.channel.duplicate_rate == 0.0
-            and self._transfer_fn is self._transfer
-        )
-        # When no link can lose, loses() never draws, so the planner
-        # may skip the delivers_batch call outright.
-        self._channel_lossless = self.channel.loss_rate == 0.0 and all(
-            rate == 0.0 for rate in getattr(self.channel, "node_loss", ())
-        )
-        if self._batch:
-            for peer in (*self.sources, *self.nodes):
-                enable = getattr(peer, "enable_fast_paths", None)
-                if enable is not None:
-                    enable()
         self._trace_completed: set[int] = set()
         self._trace_prev = dict.fromkeys(
             (
@@ -361,121 +302,59 @@ class EpidemicSimulator:
                     node_id, self._data_received[node_id]
                 )
 
+    def _observe(self, node: SchemeNode) -> None:
+        """Hand the run's phase clock to *node* (LTNC nodes time refine)."""
+        if hasattr(node, "clock"):
+            node.clock = self._clock
+
     # ------------------------------------------------------------------
-    def _transfer(self, sender: SchemeNode, receiver_id: int, round_index: int) -> None:
-        """One push session from *sender* to node *receiver_id*."""
+    def _transfer(
+        self, sender: SchemeNode, receiver_id: int, round_index: int
+    ) -> bool | None:
+        """One push session from *sender* to node *receiver_id*.
+
+        Returns ``None`` when the receiver aborted at header time,
+        otherwise whether the payload was useful (``False`` when lost).
+        """
+        clock = self._clock
         receiver = self.nodes[receiver_id]
         result = self.result
         result.sessions += 1
         receiver_state = None
         if self.feedback is Feedback.FULL:
+            t0 = clock.start()
             receiver_state = receiver.feedback_state()
+            clock.stop("decode", t0)
+        t0 = clock.start()
         packet = sender.make_packet(receiver_state)
+        clock.stop("encode", t0)
         result.recoded_packets += 1
         if self.feedback is not Feedback.NONE:
-            if not receiver.header_is_innovative(packet.vector):
-                result.aborted += 1
-                return
-        result.data_transfers += 1
-        was_complete = receiver.is_complete()
-        if not was_complete:
-            self._data_received[receiver_id] += 1
-        sender_id = int(getattr(sender, "node_id", -1))
-        if self.channel.loses(self._fault_rng, sender_id, receiver_id):
-            # The payload bytes were spent but never arrived.
-            result.lost_transfers += 1
-            return
-        deliveries = 2 if self.channel.duplicates(self._fault_rng) else 1
-        useful = receiver.receive(packet)
-        if deliveries == 2:
-            result.duplicated_transfers += 1
-            receiver.receive(packet.copy())
-        if useful:
-            result.useful_transfers += 1
-        else:
-            result.redundant_transfers += 1
-        if not was_complete and receiver.is_complete():
-            self._incomplete.discard(receiver_id)
-            result.completion_rounds[receiver_id] = round_index
-            result.data_until_complete[receiver_id] = self._data_received[
-                receiver_id
-            ]
-
-    def _transfer_traced(
-        self, sender: SchemeNode, receiver_id: int, round_index: int
-    ) -> None:
-        """The plain transfer plus one ``session`` trace event.
-
-        Selected only at ``detail="session"``; the event reads counters
-        and node state after the fact, so the session itself is the
-        untraced code path, bit for bit.
-        """
-        result = self.result
-        before_aborted = result.aborted
-        before_useful = result.useful_transfers
-        self._transfer(sender, receiver_id, round_index)
-        self.tracer.event(
-            "session",
-            round=round_index,
-            sender=int(getattr(sender, "node_id", -1)),
-            receiver=receiver_id,
-            aborted=result.aborted > before_aborted,
-            useful=result.useful_transfers > before_useful,
-            rank=node_rank(self.nodes[receiver_id]),
-        )
-
-    def _transfer_profiled(
-        self, sender: SchemeNode, receiver_id: int, round_index: int
-    ) -> None:
-        """rng-identical duplicate of :meth:`_transfer` with phase timing.
-
-        Draws, state changes and counter updates happen in exactly the
-        original order — ``tests/test_obs_invariance.py`` pins the two
-        paths byte-identical — with ``perf_counter`` brackets charging
-        encode (packet construction), decode (header checks + receive)
-        and channel (fault draws) to the profiler.
-        """
-        perf = time.perf_counter
-        prof = self.profiler
-        receiver = self.nodes[receiver_id]
-        result = self.result
-        result.sessions += 1
-        receiver_state = None
-        if self.feedback is Feedback.FULL:
-            t0 = perf()
-            receiver_state = receiver.feedback_state()
-            prof.add("decode", perf() - t0)
-        t0 = perf()
-        packet = sender.make_packet(receiver_state)
-        prof.add("encode", perf() - t0)
-        result.recoded_packets += 1
-        if self.feedback is not Feedback.NONE:
-            t0 = perf()
+            t0 = clock.start()
             innovative = receiver.header_is_innovative(packet.vector)
-            prof.add("decode", perf() - t0)
+            clock.stop("decode", t0)
             if not innovative:
                 result.aborted += 1
-                return
+                return None
         result.data_transfers += 1
         was_complete = receiver.is_complete()
         if not was_complete:
             self._data_received[receiver_id] += 1
         sender_id = int(getattr(sender, "node_id", -1))
-        t0 = perf()
+        t0 = clock.start()
         lost = self.channel.loses(self._fault_rng, sender_id, receiver_id)
-        prof.add("channel", perf() - t0)
+        duplicated = not lost and self.channel.duplicates(self._fault_rng)
+        clock.stop("channel", t0)
         if lost:
+            # The payload bytes were spent but never arrived.
             result.lost_transfers += 1
-            return
-        t0 = perf()
-        deliveries = 2 if self.channel.duplicates(self._fault_rng) else 1
-        prof.add("channel", perf() - t0)
-        t0 = perf()
+            return False
+        t0 = clock.start()
         useful = receiver.receive(packet)
-        if deliveries == 2:
+        if duplicated:
             result.duplicated_transfers += 1
             receiver.receive(packet.copy())
-        prof.add("decode", perf() - t0)
+        clock.stop("decode", t0)
         if useful:
             result.useful_transfers += 1
         else:
@@ -486,6 +365,38 @@ class EpidemicSimulator:
             result.data_until_complete[receiver_id] = self._data_received[
                 receiver_id
             ]
+        return useful
+
+    def _session_event(
+        self,
+        sender: SchemeNode,
+        receiver_id: int,
+        round_index: int,
+        outcome: bool | None,
+    ) -> dict[str, object]:
+        """Fields of the ``session`` trace event of one transfer."""
+        return {
+            "round": round_index,
+            "sender": int(getattr(sender, "node_id", -1)),
+            "receiver": receiver_id,
+            "aborted": outcome is None,
+            "useful": bool(outcome),
+            "rank": node_rank(self.nodes[receiver_id]),
+        }
+
+    def _push(
+        self,
+        senders: list[SchemeNode],
+        receiver_ids: list[int],
+        round_index: int,
+    ) -> None:
+        """Run one planned run of sessions, in order."""
+        transfer = self._transfer
+        session = self._clock.session
+        event = self._session_event
+        for sender, receiver_id in zip(senders, receiver_ids):
+            outcome = transfer(sender, receiver_id, round_index)
+            session(event, sender, receiver_id, round_index, outcome)
 
     def _churn(self, round_index: int = -1) -> None:
         """Crash-and-restart one random incomplete node.
@@ -519,177 +430,48 @@ class EpidemicSimulator:
             ),
             **self._node_kwargs,
         )
+        self._observe(self.nodes[victim])
         self._data_received[victim] = 0
         self._sendable.discard(victim)
-        if self._batch:
-            enable = getattr(self.nodes[victim], "enable_fast_paths", None)
-            if enable is not None:
-                enable()
 
-    def step(self, round_index: int) -> None:
-        """Run one gossip period."""
-        if self.channel.churns(self._fault_rng, round_index):
-            self._churn(round_index)
-        transfer = self._transfer_fn
-        order_rng = self._order_rng
-        n_nodes = self.n_nodes
-        # Source injection: sources are not members of the overlay, so
-        # they draw targets uniformly themselves.
-        for source in self.sources:
-            for _ in range(self.source_pushes):
-                target = int(order_rng.integers(n_nodes))
-                transfer(source, target, round_index)
-        # Node pushes, in random order for fairness (one bulk tolist
-        # instead of a per-element numpy-scalar conversion).
-        nodes = self.nodes
-        sampler_peers = self.sampler.peers
-        for sender_id in order_rng.permutation(n_nodes).tolist():
-            sender = nodes[sender_id]
-            if not sender.can_send():
-                continue
-            (target,) = sampler_peers(sender_id, 1, round_index)
-            transfer(sender, target, round_index)
-        self.result.record_round(round_index)
+    def _step(self, round_index: int) -> None:
+        """One gossip period under the v1 round plan.
 
-    def _step_profiled(self, round_index: int) -> None:
-        """rng-identical duplicate of :meth:`step` with phase timing.
-
-        Charges the fault-model draw to ``channel`` and the target /
-        permutation / peer-sampling draws to ``sampling``; the transfer
-        phases are charged inside :meth:`_transfer_profiled`.
-        """
-        perf = time.perf_counter
-        prof = self.profiler
-        t0 = perf()
-        churns = self.channel.churns(self._fault_rng, round_index)
-        prof.add("channel", perf() - t0)
-        if churns:
-            self._churn(round_index)
-        transfer = self._transfer_fn
-        order_rng = self._order_rng
-        n_nodes = self.n_nodes
-        for source in self.sources:
-            for _ in range(self.source_pushes):
-                t0 = perf()
-                target = int(order_rng.integers(n_nodes))
-                prof.add("sampling", perf() - t0)
-                transfer(source, target, round_index)
-        nodes = self.nodes
-        sampler_peers = self.sampler.peers
-        t0 = perf()
-        order = order_rng.permutation(n_nodes).tolist()
-        prof.add("sampling", perf() - t0)
-        for sender_id in order:
-            sender = nodes[sender_id]
-            if not sender.can_send():
-                continue
-            t0 = perf()
-            (target,) = sampler_peers(sender_id, 1, round_index)
-            prof.add("sampling", perf() - t0)
-            transfer(sender, target, round_index)
-        self.result.record_round(round_index)
-
-    def _transfer_planned(
-        self,
-        sender: SchemeNode,
-        receiver_id: int,
-        round_index: int,
-        delivered: bool,
-    ) -> None:
-        """:meth:`_transfer` with the channel outcome drawn up front.
-
-        Only reachable through :meth:`_execute_run` under the
-        ``_plan_channel`` gate (feedback NONE, duplicate_rate 0), so the
-        abort branch and the ``loses``/``duplicates`` draws the scalar
-        transfer would perform are exactly the ones this variant elides:
-        no abort can fire and ``duplicates`` never draws at rate 0.
-        """
-        receiver = self.nodes[receiver_id]
-        result = self.result
-        result.sessions += 1
-        packet = sender.make_packet(None)
-        result.recoded_packets += 1
-        result.data_transfers += 1
-        was_complete = receiver.is_complete()
-        if not was_complete:
-            self._data_received[receiver_id] += 1
-        if not delivered:
-            result.lost_transfers += 1
-            return
-        if receiver.receive(packet):
-            result.useful_transfers += 1
-        else:
-            result.redundant_transfers += 1
-        if not was_complete and receiver.is_complete():
-            self._incomplete.discard(receiver_id)
-            result.completion_rounds[receiver_id] = round_index
-            result.data_until_complete[receiver_id] = self._data_received[
-                receiver_id
-            ]
-
-    def _execute_run(
-        self,
-        senders: list[SchemeNode],
-        receiver_ids: list[int],
-        round_index: int,
-    ) -> None:
-        """Execute one planned run of transfers, in order.
-
-        Under the ``_plan_channel`` gate the run's loss draws are
-        hoisted into one :meth:`ChannelModel.delivers_batch` call (or
-        skipped entirely on a lossless channel); otherwise each transfer
-        draws its own channel outcomes inline, as the scalar loop does.
-        """
-        if self._plan_channel:
-            planned = self._transfer_planned
-            if self._channel_lossless:
-                for sender, receiver_id in zip(senders, receiver_ids):
-                    planned(sender, receiver_id, round_index, True)
-            else:
-                sender_ids = [
-                    int(getattr(sender, "node_id", -1)) for sender in senders
-                ]
-                delivered = self.channel.delivers_batch(
-                    self._fault_rng, sender_ids, receiver_ids
-                )
-                for sender, receiver_id, ok in zip(
-                    senders, receiver_ids, delivered
-                ):
-                    planned(sender, receiver_id, round_index, ok)
-        else:
-            transfer = self._transfer_fn
-            for sender, receiver_id in zip(senders, receiver_ids):
-                transfer(sender, receiver_id, round_index)
-
-    def _step_batched(self, round_index: int) -> None:
-        """One gossip period under the v1 batched round plan.
-
-        Draw-for-draw and result-identical to :meth:`step` — see
-        ``ROUND_PLAN_VERSION`` for the pinned stream layout.  The
+        See ``ROUND_PLAN_VERSION`` for the pinned stream layout.  The
         permutation is executed in segmented maximal runs of senders
-        that are already sendable when the run starts; monotone
-        ``can_send`` guarantees run members would also pass their check
-        at their scalar execution point, and the blocker that ended a
-        run is re-checked after the run's transfers (the scalar
-        ordering) before scanning resumes.
+        that are already sendable when the run starts, so each run's
+        targets come from one bulk sampler draw.  Monotone ``can_send``
+        guarantees that run members would also pass their check at
+        their own turn in the permutation, and the sender that ended a
+        run is checked again after the run's sessions — its turn —
+        before scanning resumes.
         """
-        if self.channel.churns(self._fault_rng, round_index):
+        clock = self._clock
+        t0 = clock.start()
+        churns = self.channel.churns(self._fault_rng, round_index)
+        clock.stop("channel", t0)
+        if churns:
             self._churn(round_index)
         order_rng = self._order_rng
         n_nodes = self.n_nodes
         pushes = self.source_pushes
+        # Sources are not members of the overlay: their targets are
+        # uniform draws.  The overlay's push order, a permutation for
+        # fairness, follows on the same stream.
+        t0 = clock.start()
         targets = order_rng.integers(
             n_nodes, size=len(self.sources) * pushes
         ).tolist()
-        self._execute_run(
+        order = order_rng.permutation(n_nodes).tolist()
+        clock.stop("sampling", t0)
+        self._push(
             [source for source in self.sources for _ in range(pushes)],
             targets,
             round_index,
         )
-        order = order_rng.permutation(n_nodes).tolist()
+        # Node pushes, in permutation order.
         nodes = self.nodes
         sendable = self._sendable
-        peers_batch = self.sampler.peers_batch
         pos = 0
         while pos < n_nodes:
             run: list[int] = []
@@ -704,91 +486,24 @@ class EpidemicSimulator:
                     break
                 pos += 1
             if run:
-                self._execute_run(
-                    [nodes[sender_id] for sender_id in run],
-                    peers_batch(run, round_index),
-                    round_index,
+                t0 = clock.start()
+                targets = self.sampler.peers_batch(run, round_index)
+                clock.stop("sampling", t0)
+                self._push(
+                    [nodes[sender_id] for sender_id in run], targets, round_index
                 )
             if pos < n_nodes:
-                # The sender that ended the run: the run's transfers may
-                # have made it sendable, exactly as the scalar loop
-                # would observe at this point in the permutation.
+                # The sender that ended the run, at its turn: the run's
+                # sessions may have made it sendable.
                 sender_id = order[pos]
                 pos += 1
                 sender = nodes[sender_id]
                 if sender.can_send():
                     sendable.add(sender_id)
-                    self._execute_run(
-                        [sender],
-                        self.sampler.peers(sender_id, 1, round_index),
-                        round_index,
-                    )
-        self.result.record_round(round_index)
-
-    def _step_batched_profiled(self, round_index: int) -> None:
-        """rng-identical duplicate of :meth:`_step_batched` with timing.
-
-        Same bulk draws and run segmentation; ``perf_counter`` brackets
-        charge the fault draw to ``channel`` and the bulk target /
-        permutation / peer draws to ``sampling``.  Transfers go through
-        :meth:`_transfer_profiled` (the ``_plan_channel`` gate excludes
-        profiled runs, so channel draws stay inline and bracketed).
-        """
-        perf = time.perf_counter
-        prof = self.profiler
-        t0 = perf()
-        churns = self.channel.churns(self._fault_rng, round_index)
-        prof.add("channel", perf() - t0)
-        if churns:
-            self._churn(round_index)
-        transfer = self._transfer_fn
-        order_rng = self._order_rng
-        n_nodes = self.n_nodes
-        pushes = self.source_pushes
-        t0 = perf()
-        targets = order_rng.integers(
-            n_nodes, size=len(self.sources) * pushes
-        ).tolist()
-        prof.add("sampling", perf() - t0)
-        t = 0
-        for source in self.sources:
-            for _ in range(pushes):
-                transfer(source, targets[t], round_index)
-                t += 1
-        t0 = perf()
-        order = order_rng.permutation(n_nodes).tolist()
-        prof.add("sampling", perf() - t0)
-        nodes = self.nodes
-        sendable = self._sendable
-        pos = 0
-        while pos < n_nodes:
-            run: list[int] = []
-            while pos < n_nodes:
-                sender_id = order[pos]
-                if sender_id in sendable:
-                    run.append(sender_id)
-                elif nodes[sender_id].can_send():
-                    sendable.add(sender_id)
-                    run.append(sender_id)
-                else:
-                    break
-                pos += 1
-            if run:
-                t0 = perf()
-                run_targets = self.sampler.peers_batch(run, round_index)
-                prof.add("sampling", perf() - t0)
-                for sender_id, target in zip(run, run_targets):
-                    transfer(nodes[sender_id], target, round_index)
-            if pos < n_nodes:
-                sender_id = order[pos]
-                pos += 1
-                sender = nodes[sender_id]
-                if sender.can_send():
-                    sendable.add(sender_id)
-                    t0 = perf()
-                    (target,) = self.sampler.peers(sender_id, 1, round_index)
-                    prof.add("sampling", perf() - t0)
-                    transfer(sender, target, round_index)
+                    t0 = clock.start()
+                    targets = self.sampler.peers(sender_id, 1, round_index)
+                    clock.stop("sampling", t0)
+                    self._push([sender], targets, round_index)
         self.result.record_round(round_index)
 
     def _trace_round(self, round_index: int) -> None:
@@ -826,16 +541,12 @@ class EpidemicSimulator:
 
     def run(self) -> DisseminationResult:
         """Run rounds until every node decoded or the horizon is hit."""
-        step = self._step_fn
+        step = self._step
         tracer = self.tracer
         trace = self._trace
         result = self.result
         profiler = self.profiler
         spans = SpanRecorder(tracer) if trace else None
-        if profiler is not None:
-            # Refinement happens too deep inside LTNC recoding for the
-            # simulator to bracket; charge it through the module hook.
-            set_refine_profiler(profiler)
         try:
             if spans is not None:
                 spans.begin("run", scheme=self.scheme)
@@ -861,8 +572,6 @@ class EpidemicSimulator:
                 if profiler is not None:
                     tracer.event("phases", phases=profiler.snapshot())
         finally:
-            if profiler is not None:
-                set_refine_profiler(None)
             tracer.close()
         return result
 

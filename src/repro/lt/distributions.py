@@ -60,26 +60,18 @@ class DegreeDistribution:
         self._cdf = np.cumsum(pmf)
         # Guard against floating error at the top of the CDF.
         self._cdf[-1] = 1.0
-        self._cdf_list: list[float] | None = None
+        # The CDF as a Python list: bisect over it skips numpy's
+        # per-call dispatch on the scalar draws recoding makes.
+        self._cdf_list: list[float] = self._cdf.tolist()
 
     # ------------------------------------------------------------------
     def sample(self, rng: np.random.Generator) -> int:
-        """Draw one degree."""
-        return int(np.searchsorted(self._cdf, rng.random(), side="right"))
+        """Draw one degree from a single ``rng.random()`` draw.
 
-    def sample_fast(self, rng: np.random.Generator) -> int:
-        """Draw one degree — bit-identical to :meth:`sample`.
-
-        ``bisect_right`` over the CDF as a Python list performs the
-        same float64 comparisons as ``np.searchsorted(side="right")``
-        on the same single ``rng.random()`` draw, skipping numpy's
-        per-call dispatch (~10x on scalar draws).  Batched-mode nodes
-        select this variant through ``LtncNode.enable_fast_paths``.
+        ``bisect_right`` over the CDF performs the same float64
+        comparisons as ``np.searchsorted(cdf, u, side="right")``.
         """
-        cdf = self._cdf_list
-        if cdf is None:
-            cdf = self._cdf_list = self._cdf.tolist()
-        return bisect.bisect_right(cdf, rng.random())
+        return bisect.bisect_right(self._cdf_list, rng.random())
 
     def sample_many(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw *n* degrees at once."""

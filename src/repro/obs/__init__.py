@@ -7,7 +7,8 @@ draws no rng, charges no OpCounter.  See the submodules:
 
 * :mod:`repro.obs.tracer` — JSONL trace emission (``ltnc-trace`` v1)
 * :mod:`repro.obs.spans` — nestable begin/end spans into the trace
-* :mod:`repro.obs.profiler` — per-phase wall-time profiling
+* :mod:`repro.obs.profiler` — per-phase wall-time profiling and the
+  simulators' observation seam (:class:`PhaseClock`)
 * :mod:`repro.obs.progress` — fleet heartbeats and ``progress.json``
 * :mod:`repro.obs.metrics` — mergeable counters / gauges / histograms
 * :mod:`repro.obs.telemetry` — per-shard files → ``telemetry.json``
@@ -23,9 +24,11 @@ from repro.obs.metrics import (
     MetricsCollector,
 )
 from repro.obs.profiler import (
+    NULL_CLOCK,
     PHASES,
+    PhaseClock,
     PhaseProfiler,
-    set_refine_profiler,
+    phase_clock,
 )
 from repro.obs.progress import (
     PROGRESS_FORMAT,
@@ -61,6 +64,7 @@ from repro.obs.tracer import (
 
 __all__ = [
     "DEFAULT_BOUNDARIES",
+    "NULL_CLOCK",
     "NULL_TRACER",
     "PHASES",
     "PROGRESS_FORMAT",
@@ -78,16 +82,17 @@ __all__ = [
     "MetricsCollector",
     "NullTracer",
     "ObsSpec",
+    "PhaseClock",
     "PhaseProfiler",
     "ProgressTracker",
     "SpanRecorder",
     "TelemetryStore",
     "iter_events",
     "node_rank",
+    "phase_clock",
     "read_telemetry",
     "read_trace",
     "render_progress",
-    "set_refine_profiler",
     "telemetry_payload",
     "trace_filename",
     "validate_telemetry",

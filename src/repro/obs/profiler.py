@@ -1,17 +1,13 @@
-"""Per-phase wall-time profiling for the simulator hot loops.
+"""Per-phase wall-time profiling and the simulators' observation seam.
 
-The perf-kernel note in ROADMAP.md needs per-phase timings to decide
-where the next optimisation pays off (numpy multi-row elimination at
-k ≥ 2048 helps *decode*, not *sampling*), and the perf trajectory in
-``BENCH_ltnc.json`` (schema v3) now carries a ``phases`` section built
-from this module.
+The perf trajectory in ``BENCH_ltnc.json`` carries a ``phases`` section
+built from this module, so an optimisation can show *which* phase it
+moved, not just the aggregate rate.
 
 A :class:`PhaseProfiler` accumulates ``(seconds, calls)`` per named
 phase, measured exclusively on the monotonic clock
 (``time.perf_counter``) — never wall-clock dates, so suspends and NTP
-steps cannot produce negative phase times.  The canonical phases the
-instrumented :class:`~repro.gossip.simulator.EpidemicSimulator` step
-charges are:
+steps cannot produce negative phase times.  The canonical phases are:
 
 ``sampling``  peer/target draws and the per-round push permutation
 ``channel``   loss / duplication / churn draws
@@ -19,26 +15,32 @@ charges are:
               refinement, which is additionally reported standalone)
 ``decode``    header innovation checks and ``receive`` processing
 ``refine``    Algorithm-2 refinement inside LTNC recoding (a *subset*
-              of ``encode``, surfaced via the :data:`REFINE_PROFILER`
-              hook so the encode/refine split is visible without
-              restructuring the recoding pipeline)
+              of ``encode``, charged by the node itself)
 
-Profiling is opt-in per simulator (``profiler=``); when absent the
-simulator runs its unmodified hot loop — no ``perf_counter`` calls at
-all.  Enabling it never changes simulation *results*: timing reads no
-rng and charges no OpCounter, which ``tests/test_obs_invariance.py``
-pins.
+The simulators reach the profiler and the session tracer through one
+seam, a :class:`PhaseClock` chosen once at construction by
+:func:`phase_clock`.  The epidemic round loop brackets each phase as
+``t0 = clock.start()`` … ``clock.stop(phase, t0)``, and both the
+epidemic and the catalogue simulator report each finished session
+through ``clock.session(...)``.  A profiled simulator hands the same
+clock to its LTNC nodes, which bracket their refinement step.  Without
+profiling or session tracing the seam is :data:`NULL_CLOCK`, whose
+brackets read no clock at all.  Observing never changes simulation *results*: timing
+reads no rng and charges no OpCounter, which
+``tests/test_obs_invariance.py`` pins.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Callable
 
 __all__ = [
+    "NULL_CLOCK",
     "PHASES",
-    "REFINE_PROFILER",
+    "PhaseClock",
     "PhaseProfiler",
-    "set_refine_profiler",
+    "phase_clock",
 ]
 
 #: Canonical phase names, in report order.
@@ -119,23 +121,65 @@ class _PhaseTimer:
         self._profiler.add(self._name, time.perf_counter() - self._t0)
 
 
-# ----------------------------------------------------------------------
-# Refine-phase hook
-# ----------------------------------------------------------------------
-#: Refinement (Algorithm 2) runs deep inside ``LtncNode.make_packet``,
-#: below any seam the simulator can time around without duplicating the
-#: recoding pipeline.  A profiled run installs its profiler here for the
-#: duration (see :func:`set_refine_profiler`); the refiner call site
-#: charges it when present.  Disabled cost: one attribute read and None
-#: check per recode — orders of magnitude below the refinement itself.
-REFINE_PROFILER: PhaseProfiler | None = None
+class PhaseClock:
+    """The observation seam of one simulator run; this base is the null one.
 
-
-def set_refine_profiler(profiler: PhaseProfiler | None) -> None:
-    """Install (or clear, with ``None``) the active refine-phase sink.
-
-    Process-local, like the profiler it feeds: worker processes in a
-    fleet each install their own sink inside ``run_trial``.
+    Every method returns at once without reading a clock, so the
+    brackets in a hot loop cost one no-op call each when nothing is
+    observed.
     """
-    global REFINE_PROFILER
-    REFINE_PROFILER = profiler
+
+    __slots__ = ()
+
+    def start(self) -> float:
+        """Open a phase bracket; the token goes back to :meth:`stop`."""
+        return 0.0
+
+    def stop(self, phase: str, t0: float) -> None:
+        """Close the bracket opened at *t0*, charging it to *phase*."""
+
+    def session(self, fields: Callable[..., dict], *args: object) -> None:
+        """Report one finished session as ``fields(*args)``.
+
+        *fields* builds the event payload; it only runs when sessions
+        are traced.
+        """
+
+
+#: The shared null seam.
+NULL_CLOCK = PhaseClock()
+
+
+class _ObservingClock(PhaseClock):
+    """The seam of a profiled and/or session-traced run."""
+
+    __slots__ = ("profiler", "tracer")
+
+    def __init__(self, profiler: PhaseProfiler | None, tracer) -> None:
+        self.profiler = profiler
+        self.tracer = tracer
+
+    def start(self) -> float:
+        return time.perf_counter() if self.profiler is not None else 0.0
+
+    def stop(self, phase: str, t0: float) -> None:
+        if self.profiler is not None:
+            self.profiler.add(phase, time.perf_counter() - t0)
+
+    def session(self, fields: Callable[..., dict], *args: object) -> None:
+        if self.tracer is not None:
+            self.tracer.event("session", **fields(*args))
+
+
+def phase_clock(profiler: PhaseProfiler | None = None, tracer=None) -> PhaseClock:
+    """The seam for one run: :data:`NULL_CLOCK` unless something observes.
+
+    *profiler* receives the phase brackets; *tracer* receives one
+    ``session`` event per session when its detail level is
+    ``"session"``.
+    """
+    if tracer is not None and not (tracer.enabled and tracer.detail == "session"):
+        tracer = None
+    if profiler is None and tracer is None:
+        return NULL_CLOCK
+    return _ObservingClock(profiler, tracer)

@@ -62,14 +62,13 @@ One more rides the :mod:`repro.schemes` registry:
     (the registry's "add a scheme without touching the simulator"
     proof; see README "Adding a coding scheme").
 
-And one exercises the batched execution path at scale:
+And one exercises the round loop at scale:
 
 ``large_overlay``
     The N ≫ k scale-out regime: eight times the profile's overlay at
-    half its code length, run under the vectorised round planner
-    (``batch_rounds="on"``).  Results are scalar-identical by contract;
-    the preset exists so goldens and sweeps cover overlay sizes where
-    per-round control flow, not the data plane, dominates.
+    half its code length.  The preset exists so goldens and sweeps
+    cover overlay sizes where per-round control flow, not the data
+    plane, dominates.
 
 Add a scenario by writing a ``def my_scenario(profile) -> ScenarioSpec``
 factory and registering it in :data:`PRESETS`; everything downstream
@@ -407,16 +406,12 @@ def sparse_rlnc(profile=None) -> ScenarioSpec:
 
 
 def large_overlay(profile=None) -> ScenarioSpec:
-    """The N ≫ k scale-out regime under the batched round planner.
+    """The N ≫ k scale-out regime.
 
     Eight times the profile's overlay at half its code length — the
     regime where per-round control flow (sampling, fault draws,
-    delivery ordering) dominates the per-packet data plane — executed
-    with ``batch_rounds="on"`` so the vectorised planner runs whatever
-    the node count.  The scalar path produces bit-identical results by
-    contract (``tests/test_batch_equivalence.py`` pins it); at the
-    paper profile this is an 8,000-node overlay, the scale the batched
-    core exists for.
+    delivery ordering) dominates the per-packet data plane.  At the
+    paper profile this is an 8,000-node overlay.
     """
     p = _profile(profile)
     return ScenarioSpec(
@@ -426,7 +421,6 @@ def large_overlay(profile=None) -> ScenarioSpec:
         k=max(1, p.k_default // 2),
         source_pushes=p.source_pushes,
         max_rounds=p.max_rounds,
-        batch_rounds="on",
         node_kwargs=dict(_LTNC_NODE_KWARGS),
     )
 

@@ -74,9 +74,6 @@ class ScenarioSpec:
     content: CatalogueSpec | None = None
     # -- scheme-specific node knobs -----------------------------------
     node_kwargs: dict[str, object] = field(default_factory=dict)
-    # -- execution strategy (host-local; never part of workload
-    # identity: scalar and batched runs are result-identical) ---------
-    batch_rounds: str = "auto"
     # -- observability (host-local; never part of workload identity) --
     obs: ObsSpec | None = None
 
@@ -152,11 +149,6 @@ class ScenarioSpec:
         ):
             object.__setattr__(
                 self, "content", CatalogueSpec.from_dict(self.content)
-            )
-        if self.batch_rounds not in ("auto", "on", "off"):
-            raise SimulationError(
-                "batch_rounds must be 'auto', 'on' or 'off', got "
-                f"{self.batch_rounds!r}"
             )
         if self.obs is not None and not isinstance(self.obs, ObsSpec):
             object.__setattr__(self, "obs", ObsSpec.from_dict(self.obs))
@@ -275,7 +267,6 @@ class ScenarioSpec:
                 tracer=tracer,
                 profiler=profiler,
                 metrics=metrics,
-                batch_rounds=self.batch_rounds,
             )
             n_warm = int(round(self.warm_fraction * self.n_nodes))
             if n_warm and self.warm_packets:
@@ -373,18 +364,14 @@ class ScenarioSpec:
     def to_dict(self) -> dict[str, object]:
         """A plain-JSON dict (tuples become lists) that round-trips.
 
-        The ``obs`` and ``batch_rounds`` fields are deliberately
-        excluded: observability is a host-local concern (trace
-        directories on this machine) and the round-execution strategy
-        is result-invisible by contract (the batched-vs-scalar
-        differential tests pin it), so neither is part of the
-        workload's identity.  Aggregate JSON and fleet checkpoint
+        The ``obs`` field is deliberately excluded: observability is a
+        host-local concern (trace directories on this machine), not part
+        of the workload's identity.  Aggregate JSON and fleet checkpoint
         fingerprints therefore stay byte-identical whether or not
-        tracing or batching is enabled.
+        tracing is enabled.
         """
         payload = asdict(self)
         payload.pop("obs", None)
-        payload.pop("batch_rounds", None)
         payload["node_loss"] = list(self.node_loss)
         payload["churn_phases"] = [asdict(p) for p in self.churn_phases]
         payload["topology"] = (

@@ -7,8 +7,8 @@ the node/source factories, the capability flags, the typed knob schema
 for spec-time validation, the per-scheme experiment defaults and —
 where the paper measures cycles — the Figure-8 cost probe.
 
-The factories reproduce the historic ``repro.gossip.source`` wiring
-bit-for-bit: rng wrapping, constructor argument order and the
+The factories reproduce the pre-registry scheme wiring bit-for-bit:
+rng wrapping, constructor argument order and the
 ``derive`` labels of the cost probes are unchanged, so seeds keep
 producing byte-identical streams across the registry refactor (the
 ``tests/test_schemes.py`` guard pins this).

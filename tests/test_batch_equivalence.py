@@ -1,20 +1,22 @@
-"""Batched execution is invisible: scalar ≡ batched, workers 1 ≡ 4.
+"""The production round loop and LTNC bodies match their oracles.
 
-PR 10's batched round planner and numpy elimination kernel are pure
-execution strategies — the determinism contract says a trial's
-*results* (completion trajectory, metrics, and every OpCounter total)
-are bit-identical whichever path ran it.  This suite pins that
+The simulator runs one round loop — the v1 round plan, which draws each
+run of senders' targets in one sampler call — and the LTNC recoder one
+body per algorithm.  The determinism contract says a trial's *results*
+(completion trajectory, metrics, and every OpCounter total) are those
+of the straightforward implementations kept in ``tests/oracles.py``:
+the scalar loop and the reference LTNC bodies.  This suite pins that
 contract from three directions:
 
-* a hypothesis sweep over simulator configs (feedback modes, loss,
-  duplication, churn) asserting scalar and batched runs serialise to
-  the same JSON — ``DisseminationResult.to_dict`` embeds the recode
-  and decode counter snapshots, so op accounting is covered, not just
-  metrics;
-* the ``large_overlay`` preset (which hard-enables batching) re-run
-  with batching forced off;
-* the batched path under the parallel trial runner: a 1,024-node
-  bounded workload aggregated with 1 worker and with 4 must produce
+* a hypothesis sweep over simulator configs (scheme, peer sampler,
+  feedback mode, loss, duplication, churn) asserting production and
+  oracle runs serialise to the same JSON — ``DisseminationResult.
+  to_dict`` embeds the recode and decode counter snapshots, so op
+  accounting is covered, not just metrics — and that every result obeys
+  the counter conservation laws;
+* the ``large_overlay`` preset re-run on the oracle;
+* the round loop under the parallel trial runner: a 1,024-node bounded
+  workload aggregated with 1 worker and with 4 must produce
   byte-identical aggregate JSON (worker-count invariance does not
   decay at scale-out sizes).
 """
@@ -23,24 +25,34 @@ from __future__ import annotations
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import assert_conserved, reference_paths
 from repro.experiments.scale import PROFILES
 from repro.gossip.channel import ChannelModel
+from repro.gossip.peer_sampling import UniformSampler, ViewSampler
 from repro.gossip.simulator import EpidemicSimulator, Feedback
+from repro.rng import derive
 from repro.scenarios import TrialRunner, get_preset
+from repro.schemes import get_scheme
 
 QUICK = PROFILES["quick"]
 
+_SAMPLERS = {"uniform": UniformSampler, "view": ViewSampler}
 
-def _run_json(batch: str, **kw) -> str:
-    result = EpidemicSimulator(batch_rounds=batch, **kw).run()
+
+def _run_json(sampler: str, seed: int, **kw) -> str:
+    peers = _SAMPLERS[sampler](kw["n_nodes"], rng=derive(seed, "sampler"))
+    result = EpidemicSimulator(seed=seed, sampler=peers, **kw).run()
+    assert_conserved(result)
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
+    scheme=st.sampled_from(["wc", "rlnc", "sparse_rlnc", "rndlt", "ltnc"]),
+    sampler=st.sampled_from(["uniform", "view"]),
     n_nodes=st.integers(min_value=8, max_value=40),
     k=st.integers(min_value=4, max_value=24),
     feedback=st.sampled_from([Feedback.NONE, Feedback.BINARY, Feedback.FULL]),
@@ -50,44 +62,42 @@ def _run_json(batch: str, **kw) -> str:
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_scalar_and_batched_runs_are_bit_identical(
-    n_nodes, k, feedback, loss, duplicate, churn, seed
+    scheme, sampler, n_nodes, k, feedback, loss, duplicate, churn, seed
 ):
+    assume(
+        feedback is not Feedback.FULL
+        or get_scheme(scheme).supports_full_feedback
+    )
     kw = dict(
-        scheme="ltnc",
+        scheme=scheme,
         n_nodes=n_nodes,
         k=k,
         feedback=feedback,
-        seed=seed,
         max_rounds=300,
         channel=ChannelModel(
             loss_rate=loss, duplicate_rate=duplicate, churn_rate=churn
         ),
     )
-    assert _run_json("off", **kw) == _run_json("on", **kw)
+    with reference_paths():
+        oracle = _run_json(sampler, seed, **kw)
+    assert _run_json(sampler, seed, **kw) == oracle
 
 
 def test_large_overlay_preset_is_scalar_identical():
     spec = get_preset("large_overlay", QUICK)
-    assert spec.batch_rounds == "on"
-    batched = spec.run(seed=2010)
-    scalar = spec.with_(batch_rounds="off").run(seed=2010)
-    assert json.dumps(batched.to_dict(), sort_keys=True) == json.dumps(
-        scalar.to_dict(), sort_keys=True
+    production = spec.run(seed=2010)
+    with reference_paths():
+        oracle = spec.run(seed=2010)
+    assert_conserved(production)
+    assert json.dumps(production.to_dict(), sort_keys=True) == json.dumps(
+        oracle.to_dict(), sort_keys=True
     )
 
 
-def test_batch_rounds_is_not_workload_identity():
-    # The execution strategy must not leak into spec serialisation —
-    # checkpoint fingerprints and aggregate JSON hash the spec.
-    spec = get_preset("large_overlay", QUICK)
-    assert spec.to_json() == spec.with_(batch_rounds="off").to_json()
-    assert "batch_rounds" not in spec.to_dict()
-
-
 def test_worker_split_invariance_at_scale_out_size():
-    # N=1024 under the batched planner, rounds bounded so the test
-    # stays in CI budget; the aggregate (metrics, series, counter
-    # snapshots for every trial) must not depend on the worker split.
+    # N=1024, rounds bounded so the test stays in CI budget; the
+    # aggregate (metrics, series, counter snapshots for every trial)
+    # must not depend on the worker split.
     spec = get_preset("large_overlay", QUICK).with_(
         name="n1024", n_nodes=1024, max_rounds=12
     )

@@ -5,8 +5,8 @@ change nothing) live in ``tests/test_obs_invariance.py``:
 
 * ``JsonlTracer`` — header-first JSONL, event/counter/span shapes,
   idempotent close, post-close drops;
-* ``PhaseProfiler`` — accumulation, merge, snapshot fractions, the
-  refine hook;
+* ``PhaseProfiler`` — accumulation, merge, snapshot fractions, and the
+  ``PhaseClock`` seam the simulators observe through;
 * fleet progress — EMA trials/sec, replay exclusion, rendering, the
   atomic ``progress.json``;
 * ``ObsSpec`` — validation, tracer/profiler construction, exclusion
@@ -20,6 +20,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.obs import (
+    NULL_CLOCK,
     NULL_TRACER,
     PHASES,
     PROGRESS_FORMAT,
@@ -31,13 +32,12 @@ from repro.obs import (
     PhaseProfiler,
     ProgressTracker,
     node_rank,
+    phase_clock,
     read_trace,
     render_progress,
-    set_refine_profiler,
     trace_filename,
     write_progress,
 )
-from repro.obs import profiler as profiler_module
 from repro.experiments.tracestats import (
     completion_wave,
     counter_totals,
@@ -154,14 +154,48 @@ def test_phase_profiler_context_manager_and_merge():
     assert set(PHASES) == {"sampling", "channel", "encode", "decode", "refine"}
 
 
-def test_refine_profiler_hook_installs_and_clears():
-    p = PhaseProfiler()
-    set_refine_profiler(p)
-    try:
-        assert profiler_module.REFINE_PROFILER is p
-    finally:
-        set_refine_profiler(None)
-    assert profiler_module.REFINE_PROFILER is None
+def test_phase_clock_is_null_unless_something_observes(tmp_path):
+    assert phase_clock() is NULL_CLOCK
+    assert phase_clock(tracer=NULL_TRACER) is NULL_CLOCK
+    round_tracer = JsonlTracer(tmp_path / "round.jsonl")
+    assert phase_clock(tracer=round_tracer) is NULL_CLOCK
+    round_tracer.close()
+    assert NULL_CLOCK.start() == 0.0
+    NULL_CLOCK.session(lambda: pytest.fail("null seam built an event"))
+
+    profiler = PhaseProfiler()
+    clock = phase_clock(profiler)
+    clock.stop("encode", clock.start())
+    assert profiler.calls == {"encode": 1}
+
+    path = tmp_path / "session.jsonl"
+    tracer = JsonlTracer(path, detail="session")
+    clock = phase_clock(tracer=tracer)
+    clock.stop("encode", clock.start())  # no profiler: nothing charged
+    clock.session(lambda r: {"round": r, "useful": True}, 3)
+    tracer.close()
+    events = [r for r in read_trace(path) if r.get("name") == "session"]
+    assert len(events) == 1 and events[0]["round"] == 3
+
+
+def test_unobserved_round_loop_reads_no_clock(monkeypatch):
+    import time
+
+    from repro.gossip.simulator import EpidemicSimulator
+
+    reads = []
+    real = time.perf_counter
+
+    def counting():
+        reads.append(1)
+        return real()
+
+    sim = EpidemicSimulator("ltnc", 8, 16, seed=5)
+    monkeypatch.setattr(time, "perf_counter", counting)
+    sim.run()
+    monkeypatch.undo()
+    assert reads == []
+    assert sim.result.all_complete
 
 
 # -- fleet progress ------------------------------------------------------

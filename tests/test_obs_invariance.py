@@ -87,7 +87,7 @@ def test_profiling_changes_nothing_and_measures_phases():
         assert snap["encode"]["calls"] > 0
         assert snap["decode"]["calls"] > 0
         if scheme == "ltnc":
-            # Refinement is charged through the module hook.
+            # Refinement is charged by the node, through the run's clock.
             assert snap["refine"]["calls"] > 0
         assert profiler.total_seconds() == 0.0  # the unused one stayed cold
 

@@ -194,3 +194,64 @@ def test_refine_never_increases_variance(k, edges, history, packet, seed):
         np.var(occ.counts + np.isin(np.arange(k), list(result.support)))
     )
     assert after_var <= before_var + 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(3, 14),
+    edges=st.lists(
+        st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=16
+    ),
+    decoded=st.sets(st.integers(0, 13), max_size=4),
+    history=st.lists(
+        st.sets(st.integers(0, 13), min_size=1, max_size=5), max_size=20
+    ),
+    packet=st.sets(st.integers(0, 13), min_size=1, max_size=6),
+    scan_limit=st.one_of(st.none(), st.integers(1, 6)),
+)
+def test_refine_matches_reference_walk(
+    k, edges, decoded, history, packet, scan_limit
+):
+    """The scan agrees with the candidate-by-candidate walk, charges too."""
+    from oracles import reference_refine
+
+    runs = []
+    for refine in (refine_packet, reference_refine):
+        decoded_natives = sorted({x % k for x in decoded})
+        graph, components = _world(
+            k,
+            [
+                (a % k, b % k)
+                for a, b in edges
+                if a % k != b % k
+                and a % k not in decoded_natives
+                and b % k not in decoded_natives
+            ],
+            decoded=decoded_natives,
+        )
+        components.counter = OpCounter()
+        occ = OccurrenceTracker(k)
+        for support in history:
+            occ.record_sent({x % k for x in support})
+        occ.counter = OpCounter()
+        counter = OpCounter()
+        result = refine(
+            {x % k for x in packet},
+            None,
+            components,
+            occ,
+            graph,
+            counter,
+            scan_limit=scan_limit,
+        )
+        runs.append(
+            (
+                result.support,
+                result.substitutions,
+                result.candidates_examined,
+                counter.counts,
+                occ.counter.counts,
+                components.counter.counts,
+            )
+        )
+    assert runs[0] == runs[1]

@@ -143,7 +143,6 @@ def test_presets_scale_with_profile(name):
         # The scale-out preset: N >> k relative to the profile.
         assert spec.n_nodes == QUICK.n_nodes * 8
         assert spec.k == QUICK.k_default // 2
-        assert spec.batch_rounds == "on"
     else:
         assert spec.n_nodes == QUICK.n_nodes
         assert spec.k == QUICK.k_default

@@ -9,10 +9,10 @@ Three layers of protection:
 * **spec-time knob validation** — typos and out-of-range knobs fail
   when the spec is built (with a did-you-mean), not mid-trial in a
   worker process;
-* **deprecation-shim guard** — ``repro.gossip.SCHEMES`` /
-  ``make_node`` / ``make_source`` stay importable and the registry
-  path produces **byte-identical rng streams** vs. seed for the four
-  historic schemes (fingerprints recorded on the pre-registry code).
+* **rng-stream guard** — ``resolve(scheme).make_node`` /
+  ``.make_source`` and the simulator produce **byte-identical rng
+  streams** vs. seed for the four historic schemes (fingerprints
+  recorded on the pre-registry code).
 """
 
 import math
@@ -20,10 +20,7 @@ import math
 import pytest
 
 from repro.errors import SimulationError
-from repro.gossip import SCHEMES, make_node, make_source
 from repro.gossip.simulator import EpidemicSimulator
-from repro.lt.distributions import RobustSoliton
-from repro.lt.encoder import LTEncoder
 from repro.rng import derive
 from repro.scenarios.spec import ScenarioSpec
 from repro.schemes import (
@@ -161,8 +158,8 @@ def test_register_duplicate_and_unregister():
 def test_unknown_scheme_error_lists_registry_everywhere():
     for build in (
         lambda: get_scheme("nope"),
-        lambda: make_node("nope", 0, 8),
-        lambda: make_source("nope", 8),
+        lambda: resolve("nope").make_node(0, 8),
+        lambda: resolve("nope").make_source(8),
         lambda: EpidemicSimulator("nope", 4, 8),
         lambda: ScenarioSpec(name="x", scheme="nope"),
     ):
@@ -251,7 +248,7 @@ def test_valid_spec_kwargs_still_pass():
 
 
 # ----------------------------------------------------------------------
-# Deprecation-shim guard: byte-identical rng streams vs. seed
+# rng-stream guard: byte-identical rng streams vs. seed
 # ----------------------------------------------------------------------
 #: EpidemicSimulator(scheme, n_nodes=10, k=16, seed=42, max_rounds=4000)
 #: fingerprints recorded on the pre-registry if/elif implementation:
@@ -264,8 +261,8 @@ SIM_FINGERPRINTS = {
 }
 
 #: First three code vectors (as index tuples) out of
-#: make_source(scheme, 16, rng=derive(7, "guard-src", scheme)), same
-#: provenance as SIM_FINGERPRINTS.
+#: resolve(scheme).make_source(16, rng=derive(7, "guard-src", scheme)),
+#: same provenance as SIM_FINGERPRINTS.
 SOURCE_FINGERPRINTS = {
     "wc": [(0,), (1,), (2,)],
     "rlnc": [
@@ -280,33 +277,6 @@ SOURCE_FINGERPRINTS = {
         (0, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
     ],
 }
-
-
-def test_legacy_schemes_tuple_still_importable():
-    assert SCHEMES[:4] == ("wc", "rlnc", "ltnc", "rndlt")
-    assert SCHEMES == available_schemes()
-
-
-def test_legacy_schemes_view_is_live():
-    # ``repro.gossip.SCHEMES`` mirrors the registry even for schemes
-    # registered after import, so legacy ``scheme in SCHEMES`` gates
-    # keep agreeing with the registry.
-    import repro.gossip as gossip
-    import repro.gossip.source as gossip_source
-
-    dummy = CodingScheme(
-        name="live_view_scheme",
-        summary="liveness fixture",
-        node_factory=lambda node_id, k, m, n, rng, **kw: None,
-        source_factory=lambda k, content, rng, **kw: None,
-    )
-    register_scheme(dummy)
-    try:
-        assert "live_view_scheme" in gossip.SCHEMES
-        assert "live_view_scheme" in gossip_source.SCHEMES
-    finally:
-        unregister_scheme("live_view_scheme")
-    assert "live_view_scheme" not in gossip.SCHEMES
 
 
 @pytest.mark.parametrize("name", sorted(SIM_FINGERPRINTS))
@@ -326,35 +296,9 @@ def test_simulator_rng_streams_bit_identical_to_pre_registry(name):
 
 @pytest.mark.parametrize("name", sorted(SOURCE_FINGERPRINTS))
 def test_source_rng_streams_bit_identical_to_pre_registry(name):
-    source = make_source(name, 16, rng=derive(7, "guard-src", name))
+    source = resolve(name).make_source(16, rng=derive(7, "guard-src", name))
     vectors = [
         tuple(int(i) for i in source.make_packet(None).vector.indices())
         for _ in range(3)
     ]
     assert vectors == SOURCE_FINGERPRINTS[name]
-
-
-@pytest.mark.parametrize("name", sorted(SIM_FINGERPRINTS))
-def test_shim_and_registry_paths_are_interchangeable(name):
-    # Same seed through make_node and through the descriptor: the same
-    # node state evolves, packet for packet.
-    feed = LTEncoder(16, RobustSoliton(16), rng=derive(9, "feed", name))
-    packets = [feed.next_packet() for _ in range(24)]
-    outputs = []
-    for build in (
-        lambda: make_node(name, 0, 16, n_nodes=10, rng=derive(9, "n", name)),
-        lambda: get_scheme(name).make_node(
-            0, 16, n_nodes=10, rng=derive(9, "n", name)
-        ),
-    ):
-        node = build()
-        for packet in packets:
-            if name == "wc":
-                break  # WC understands natives only; construction is enough
-            node.receive(packet.copy())
-        outputs.append(
-            tuple(int(i) for i in node.make_packet(None).vector.indices())
-            if name != "wc"
-            else node.buffered_indices()
-        )
-    assert outputs[0] == outputs[1]
