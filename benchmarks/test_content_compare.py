@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 
-from repro.experiments.content_compare import comparison_rows, run_content_compare
+from repro.scenarios import FleetRunner, comparison_rows, expand_scenarios
 
 from conftest import run_once_benchmark
 
@@ -24,16 +24,23 @@ PAPER_NOTE = (
 
 TRIALS = 2
 
+#: Report columns: (metrics_summary key, short header).  ``baseline``
+#: is single-content, so its catalogue-only cells print ``n/a``.
+COLUMNS = (
+    ("rounds", "rounds"),
+    ("average_completion_round", "avg_complete"),
+    ("overhead", "overhead"),
+    ("edge_served_fraction", "edge_served"),
+    ("cache_hit_ratio", "cache_hit"),
+)
+
 
 def test_content_compare(benchmark, profile, reporter):
     workers = min(4, os.cpu_count() or 1)
 
     def experiment():
-        return run_content_compare(
-            n_trials=TRIALS,
-            master_seed=2010,
-            n_workers=workers,
-            profile=profile,
+        return FleetRunner(n_workers=workers).run_grid(
+            expand_scenarios(["content"], profile), TRIALS, master_seed=2010
         )
 
     aggregates = run_once_benchmark(benchmark, experiment)
@@ -41,7 +48,7 @@ def test_content_compare(benchmark, profile, reporter):
     rep.line(f"{TRIALS} trials per catalogue")
     rep.line(PAPER_NOTE)
     rep.line()
-    header, rows = comparison_rows(aggregates)
+    header, rows = comparison_rows(aggregates, COLUMNS)
     rep.table(header, rows)
     rep.finish()
 

@@ -1,4 +1,4 @@
-"""SCENARIOS — the scenario catalogue under the parallel trial runner.
+"""SCENARIOS — the scenario catalogue under the parallel fleet runner.
 
 Not a paper figure: this bench exercises the workloads the paper's
 testbed could not express (multihop loss heterogeneity, coded edge
@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import pathlib
 
-from repro.scenarios import TrialRunner, get_preset, preset_names
+from repro.scenarios import FleetRunner, get_preset, preset_names
 
 from conftest import OUT_DIR, run_once_benchmark
 
@@ -24,7 +24,7 @@ PAPER_NOTE = (
 
 def test_scenarios_catalogue(benchmark, profile, reporter):
     workers = min(4, os.cpu_count() or 1)
-    runner = TrialRunner(n_workers=workers)
+    runner = FleetRunner(n_workers=workers)
     trials = max(2, profile.monte_carlo)
     specs = [get_preset(name, profile) for name in preset_names()]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 
-from repro.experiments.topo_compare import comparison_rows, run_topo_compare
+from repro.scenarios import FleetRunner, comparison_rows, expand_scenarios
 
 from conftest import run_once_benchmark
 
@@ -23,16 +23,22 @@ PAPER_NOTE = (
 
 TRIALS = 2
 
+#: Report columns: (metrics_summary key, short header).
+COLUMNS = (
+    ("rounds", "rounds"),
+    ("average_completion_round", "avg_complete"),
+    ("overhead", "overhead"),
+    ("lost_transfers", "lost"),
+    ("aborted", "aborted"),
+)
+
 
 def test_topo_compare(benchmark, profile, reporter):
     workers = min(4, os.cpu_count() or 1)
 
     def experiment():
-        return run_topo_compare(
-            n_trials=TRIALS,
-            master_seed=2010,
-            n_workers=workers,
-            profile=profile,
+        return FleetRunner(n_workers=workers).run_grid(
+            expand_scenarios(["topology"], profile), TRIALS, master_seed=2010
         )
 
     aggregates = run_once_benchmark(benchmark, experiment)
@@ -40,7 +46,7 @@ def test_topo_compare(benchmark, profile, reporter):
     rep.line(f"{TRIALS} trials per overlay")
     rep.line(PAPER_NOTE)
     rep.line()
-    header, rows = comparison_rows(aggregates)
+    header, rows = comparison_rows(aggregates, COLUMNS)
     rep.table(header, rows)
     rep.finish()
 

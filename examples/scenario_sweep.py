@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Scenario sweep: declarative workloads on the parallel trial runner.
+"""Scenario sweep: declarative workloads on the parallel fleet runner.
 
 Three steps:
 
 1. pick scenarios — two from the built-in catalogue plus one custom
    spec (a lossy, churning edge network) declared inline;
 2. fan a scenario × seed grid out across worker processes with
-   :class:`~repro.scenarios.runner.TrialRunner` — every trial is
+   :class:`~repro.scenarios.fleet.FleetRunner` — every trial is
    reproducible standalone from its integer seed;
 3. read the aggregated mean ± 95 % CI summaries.
 
@@ -17,7 +17,7 @@ import os
 
 from repro.experiments.scale import PROFILES
 from repro.gossip.channel import ChurnPhase
-from repro.scenarios import ScenarioSpec, TrialRunner, get_preset
+from repro.scenarios import FleetRunner, ScenarioSpec, get_preset
 
 PROFILE = PROFILES["quick"]
 TRIALS = 4
@@ -48,7 +48,7 @@ def main() -> None:
 
     # -- 2. the full grid, in parallel.
     workers = min(4, os.cpu_count() or 1)
-    runner = TrialRunner(n_workers=workers)
+    runner = FleetRunner(n_workers=workers)
     aggregates = runner.run_grid(scenarios, TRIALS, master_seed=SEED)
     print(f"\n{TRIALS} trials x {len(scenarios)} scenarios "
           f"on {workers} workers:")

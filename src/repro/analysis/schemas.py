@@ -84,7 +84,7 @@ SCHEMAS: tuple[SchemaContract, ...] = (
     SchemaContract(
         artifact="ltnc-fleet-checkpoint",
         format="ltnc-fleet-checkpoint",
-        version=1,
+        version=2,
         writer_module="repro.scenarios.fleet",
         format_const="CHECKPOINT_FORMAT",
         version_const="CHECKPOINT_VERSION",

@@ -43,6 +43,7 @@ import os
 import pathlib
 import platform
 import sys
+import tempfile
 import time
 from typing import Callable, Sequence
 
@@ -438,7 +439,9 @@ def bench_fleet(
     this harness.  Since v4 the row carries the workload's in-worker
     telemetry counters (:mod:`repro.obs.metrics`), which *are*
     deterministic — a changed counter means the workload itself
-    changed, not the host.
+    changed, not the host.  The fleet writes its ``telemetry.json`` to
+    a throwaway directory; the counters come from
+    :attr:`~repro.scenarios.fleet.FleetRunner.last_telemetry`.
     """
     from repro.scenarios.fleet import FleetRunner
     from repro.scenarios.spec import ScenarioSpec
@@ -446,12 +449,13 @@ def bench_fleet(
     if n_workers is None:
         n_workers = min(4, os.cpu_count() or 1)
     spec = ScenarioSpec(name="fleet_baseline", n_nodes=n_nodes, k=k)
-    runner = FleetRunner(
-        n_workers=n_workers, n_shards=n_shards, collect_telemetry=True
-    )
-    t0 = time.perf_counter()
-    aggregate = runner.run(spec, n_trials, master_seed=seed)
-    seconds = time.perf_counter() - t0
+    with tempfile.TemporaryDirectory() as telemetry_dir:
+        runner = FleetRunner(
+            n_workers=n_workers, n_shards=n_shards, telemetry_dir=telemetry_dir
+        )
+        t0 = time.perf_counter()
+        aggregate = runner.run(spec, n_trials, master_seed=seed)
+        seconds = time.perf_counter() - t0
     summary = aggregate.metrics_summary()
     section = (runner.last_telemetry or {}).get(spec.name, {})
     return {

@@ -11,8 +11,8 @@ draws no rng, charges no OpCounter.  See the submodules:
   simulators' observation seam (:class:`PhaseClock`)
 * :mod:`repro.obs.progress` — fleet heartbeats and ``progress.json``
 * :mod:`repro.obs.metrics` — mergeable counters / gauges / histograms
-* :mod:`repro.obs.telemetry` — per-shard files → ``telemetry.json``
-  (``ltnc-telemetry`` v1)
+* :mod:`repro.obs.telemetry` — merged telemetry sections →
+  ``telemetry.json`` (``ltnc-telemetry`` v1)
 * :mod:`repro.obs.spec` — the ``obs=`` field carried by ScenarioSpec
 """
 
@@ -43,7 +43,6 @@ from repro.obs.spec import ObsSpec
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT,
     TELEMETRY_VERSION,
-    TelemetryStore,
     read_telemetry,
     telemetry_payload,
     validate_telemetry,
@@ -86,7 +85,6 @@ __all__ = [
     "PhaseProfiler",
     "ProgressTracker",
     "SpanRecorder",
-    "TelemetryStore",
     "iter_events",
     "node_rank",
     "phase_clock",

@@ -5,7 +5,8 @@ built from this module, so an optimisation can show *which* phase it
 moved, not just the aggregate rate.
 
 A :class:`PhaseProfiler` accumulates ``(seconds, calls)`` per named
-phase, measured exclusively on the monotonic clock
+phase.  It times nothing itself: the :class:`PhaseClock` seam below is
+the one place phases are measured, exclusively on the monotonic clock
 (``time.perf_counter``) — never wall-clock dates, so suspends and NTP
 steps cannot produce negative phase times.  The canonical phases are:
 
@@ -61,10 +62,6 @@ class PhaseProfiler:
         self.seconds[phase] = self.seconds.get(phase, 0.0) + seconds
         self.calls[phase] = self.calls.get(phase, 0) + calls
 
-    def phase(self, name: str) -> "_PhaseTimer":
-        """Context manager charging the with-block's duration to *name*."""
-        return _PhaseTimer(self, name)
-
     def merge(self, other: "PhaseProfiler") -> None:
         """Fold another profiler's totals into this one (per-trial agg)."""
         for phase, seconds in other.seconds.items():
@@ -103,22 +100,6 @@ class PhaseProfiler:
             f"{p}={s:.4f}s" for p, s in sorted(self.seconds.items())
         )
         return f"PhaseProfiler({inner})"
-
-
-class _PhaseTimer:
-    __slots__ = ("_profiler", "_name", "_t0")
-
-    def __init__(self, profiler: PhaseProfiler, name: str) -> None:
-        self._profiler = profiler
-        self._name = name
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_PhaseTimer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self._profiler.add(self._name, time.perf_counter() - self._t0)
 
 
 class PhaseClock:

@@ -1,14 +1,13 @@
 """Nestable named spans emitted into the ``ltnc-trace`` JSONL stream.
 
-The tracer's inline ``tracer.span(...)`` context manager times a single
-with-block, which is enough for leaf measurements but cannot express the
-structure a worker-process trial actually has: *build* the simulator,
-*run* the round loop, *collect* the counters — phases that open and
-close at different call depths.  :class:`SpanRecorder` adds explicit
-``begin`` / ``end`` pairs on the monotonic clock, tracks the nesting
-depth, and emits one ``span`` record per completed pair into the trial's
-own :class:`~repro.obs.tracer.JsonlTracer` — so the spans land in the
-same per-trial trace file the round events already stream to, and
+A worker-process trial has structure: *build* the simulator, *run* the
+round loop, *collect* the counters — phases that open and close at
+different call depths.  :class:`SpanRecorder` is the one way spans are
+timed: explicit ``begin`` / ``end`` pairs (or the ``wrap`` context
+manager) on the monotonic clock, with the nesting depth tracked, and
+one ``span`` record per completed pair emitted through the trial's own
+:meth:`~repro.obs.tracer.JsonlTracer.emit_span` — so the spans land in
+the same per-trial trace file the round events already stream to, and
 ``tracestats --spans`` can report them without a new artifact kind.
 
 Span records extend the ``ltnc-trace`` v1 ``span`` shape with a
@@ -25,6 +24,7 @@ clock, so instrumented simulators stay rng- and OpCounter-identical
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 from repro.errors import SimulationError
@@ -33,19 +33,8 @@ from repro.obs.tracer import NULL_TRACER
 __all__ = ["SpanRecorder"]
 
 
-class _NullSpanContext:
-    """Context manager for the disabled recorder: measures nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpanContext":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        return None
-
-
-_NULL_SPAN_CONTEXT = _NullSpanContext()
+#: What :meth:`SpanRecorder.wrap` returns when disabled: reads no clock.
+_NULL_CONTEXT = contextlib.nullcontext()
 
 
 class _SpanContext:
@@ -116,7 +105,7 @@ class SpanRecorder:
         when disabled — the shared null context reads no clock.
         """
         if not self.enabled:
-            return _NULL_SPAN_CONTEXT
+            return _NULL_CONTEXT
         return _SpanContext(self, name, attrs)
 
     @property

@@ -1,17 +1,18 @@
-"""Fleet-wide telemetry persistence: per-shard files → ``telemetry.json``.
+"""Fleet-wide telemetry persistence: shard sections → ``telemetry.json``.
 
 The :mod:`repro.obs.metrics` collectors live inside worker processes;
-this module owns how their snapshots reach disk.  Two artifact shapes
-share the schema-versioned ``ltnc-telemetry`` v1 format:
+this module owns how their snapshots reach disk.  A *section* is one
+scenario's merged telemetry: an ``n_trials`` count plus a
+:meth:`~repro.obs.metrics.MetricsCollector.snapshot`.  Sections live in
+two places:
 
-* **shard files** (``telemetry-<scenario>-<index>.json``), written by
-  :class:`TelemetryStore` next to the fleet's checkpoints.  Each holds
-  one shard's merged trial telemetry plus the same grid fingerprint and
-  shard identity the checkpoint carries, and is loaded with the same
-  paranoia (anything stale, corrupt or from a different grid is
-  recomputed, with a warning);
-* the **fleet file** (``telemetry.json``), the atomic shard-by-shard
-  merge over every scenario, written once per completed run.
+* a fleet shard's checkpoint carries its shard's section (the optional
+  ``telemetry`` key of ``ltnc-fleet-checkpoint`` v2, see
+  :mod:`repro.scenarios.fleet`), checked by :func:`section_errors` with
+  the checkpoint's own paranoia;
+* the **fleet file** (``telemetry.json``, ``ltnc-telemetry`` v1) is the
+  atomic shard-by-shard merge over every scenario, written once per
+  completed run.
 
 ``telemetry.json`` deliberately contains **no wall-clock content** — no
 timestamps, durations, host names or rates.  Everything in it is a
@@ -32,9 +33,7 @@ Fleet file shape::
 from __future__ import annotations
 
 import json
-import logging
 import pathlib
-import re
 
 from repro.errors import SimulationError
 from repro.obs.metrics import Histogram
@@ -42,8 +41,8 @@ from repro.obs.metrics import Histogram
 __all__ = [
     "TELEMETRY_FORMAT",
     "TELEMETRY_VERSION",
-    "TelemetryStore",
     "read_telemetry",
+    "section_errors",
     "telemetry_payload",
     "validate_telemetry",
     "write_telemetry",
@@ -51,13 +50,6 @@ __all__ = [
 
 TELEMETRY_FORMAT = "ltnc-telemetry"
 TELEMETRY_VERSION = 1
-
-logger = logging.getLogger(__name__)
-
-
-def _slug(name: str) -> str:
-    """Filesystem-safe scenario label (same rule as the checkpoints)."""
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", name) or "scenario"
 
 
 def telemetry_payload(
@@ -76,6 +68,27 @@ def telemetry_payload(
         "version": TELEMETRY_VERSION,
         "scenarios": {name: sections[name] for name in sorted(sections)},
     }
+
+
+def section_errors(section: object, label: str) -> list[str]:
+    """Every violation of one merged telemetry *section*, named by *label*."""
+    if not isinstance(section, dict):
+        return [f"{label} is not an object"]
+    errors: list[str] = []
+    n_trials = section.get("n_trials")
+    if not isinstance(n_trials, int) or isinstance(n_trials, bool) or n_trials < 1:
+        errors.append(f"{label}.n_trials not a positive int")
+    counters = section.get("counters")
+    if not isinstance(counters, dict):
+        errors.append(f"{label}.counters missing")
+    elif any(not isinstance(v, int) or v < 0 for v in counters.values()):
+        errors.append(f"{label} has a negative/non-int counter")
+    for hist_name, hist in (section.get("histograms") or {}).items():
+        try:
+            Histogram.from_dict(hist)
+        except (SimulationError, KeyError, TypeError) as exc:
+            errors.append(f"{label}.histograms[{hist_name}]: {exc}")
+    return errors
 
 
 def validate_telemetry(
@@ -103,26 +116,7 @@ def validate_telemetry(
         errors.append("scenarios section missing or empty")
         scenarios = {}
     for name, section in scenarios.items():
-        if not isinstance(section, dict):
-            errors.append(f"scenarios[{name}] is not an object")
-            continue
-        n_trials = section.get("n_trials")
-        if not isinstance(n_trials, int) or n_trials < 1:
-            errors.append(f"scenarios[{name}].n_trials not a positive int")
-        counters = section.get("counters")
-        if not isinstance(counters, dict):
-            errors.append(f"scenarios[{name}].counters missing")
-        elif any(
-            not isinstance(v, int) or v < 0 for v in counters.values()
-        ):
-            errors.append(f"scenarios[{name}] has a negative/non-int counter")
-        for hist_name, hist in (section.get("histograms") or {}).items():
-            try:
-                Histogram.from_dict(hist)
-            except (SimulationError, KeyError, TypeError) as exc:
-                errors.append(
-                    f"scenarios[{name}].histograms[{hist_name}]: {exc}"
-                )
+        errors.extend(section_errors(section, f"scenarios[{name}]"))
     if errors:
         raise ValueError(f"{source}: invalid telemetry: " + "; ".join(errors))
     return payload
@@ -150,118 +144,3 @@ def read_telemetry(path: str | pathlib.Path) -> dict[str, object]:
     path = pathlib.Path(path)
     payload = json.loads(path.read_text())
     return validate_telemetry(payload, source=str(path))
-
-
-class TelemetryStore:
-    """One JSON file per shard's telemetry, next to its checkpoint.
-
-    Mirrors :class:`~repro.scenarios.fleet.CheckpointStore`: ``save``
-    writes atomically, ``load`` is paranoid — a telemetry file is
-    replayed only when its format, version, fingerprint and shard
-    identity all match the live plan, and any other state (missing
-    file included, since a checkpoint without its telemetry cannot be
-    replayed into a telemetry-collecting run) means the shard is
-    recomputed.
-    """
-
-    def __init__(self, directory: str | pathlib.Path) -> None:
-        self.directory = pathlib.Path(directory)
-
-    def path_for(self, shard) -> pathlib.Path:
-        return (
-            self.directory
-            / f"telemetry-{_slug(shard.scenario.name)}-{shard.shard_index:04d}.json"
-        )
-
-    def save(
-        self,
-        shard,
-        fingerprint: str,
-        section: dict[str, object],
-    ) -> pathlib.Path:
-        """Persist one shard's merged telemetry section atomically."""
-        from repro.scenarios.aggregate import atomic_write_text
-
-        payload = {
-            "format": TELEMETRY_FORMAT,
-            "version": TELEMETRY_VERSION,
-            "kind": "shard",
-            "fingerprint": fingerprint,
-            "scenario": shard.scenario.name,
-            "master_seed": shard.master_seed,
-            "shard_index": shard.shard_index,
-            "trial_indices": list(shard.trial_indices),
-            "telemetry": section,
-        }
-        self.directory.mkdir(parents=True, exist_ok=True)
-        return atomic_write_text(
-            self.path_for(shard),
-            json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        )
-
-    def load(self, shard, fingerprint: str) -> dict[str, object] | None:
-        """The shard's telemetry section, or ``None`` if not reusable."""
-        path = self.path_for(shard)
-        try:
-            payload = json.loads(path.read_text())
-        except FileNotFoundError:
-            logger.warning(
-                "telemetry %s: missing for checkpointed shard; recomputing",
-                path,
-            )
-            return None
-        except OSError as exc:
-            logger.warning(
-                "telemetry %s: unreadable (%s); recomputing", path, exc
-            )
-            return None
-        except json.JSONDecodeError as exc:
-            logger.warning(
-                "telemetry %s: corrupt JSON (%s); recomputing", path, exc
-            )
-            return None
-        if not isinstance(payload, dict):
-            logger.warning(
-                "telemetry %s: corrupt JSON (not an object); recomputing",
-                path,
-            )
-            return None
-        if (
-            payload.get("format") != TELEMETRY_FORMAT
-            or payload.get("version") != TELEMETRY_VERSION
-            or payload.get("kind") != "shard"
-        ):
-            logger.warning(
-                "telemetry %s: format/version mismatch "
-                "(got %r v%r kind=%r); recomputing",
-                path,
-                payload.get("format"),
-                payload.get("version"),
-                payload.get("kind"),
-            )
-            return None
-        if payload.get("fingerprint") != fingerprint:
-            logger.warning(
-                "telemetry %s: grid fingerprint mismatch; recomputing", path
-            )
-            return None
-        if (
-            payload.get("scenario") != shard.scenario.name
-            or payload.get("shard_index") != shard.shard_index
-            or payload.get("master_seed") != shard.master_seed
-            or payload.get("trial_indices") != list(shard.trial_indices)
-        ):
-            logger.warning(
-                "telemetry %s: shard identity mismatch; recomputing", path
-            )
-            return None
-        section = payload.get("telemetry")
-        if not isinstance(section, dict) or not isinstance(
-            section.get("n_trials"), int
-        ):
-            logger.warning(
-                "telemetry %s: malformed telemetry section; recomputing",
-                path,
-            )
-            return None
-        return section

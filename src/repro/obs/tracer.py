@@ -1,4 +1,4 @@
-"""Determinism-safe trace emission: spans, events, counters → JSONL.
+"""Determinism-safe trace emission: events, counters, spans → JSONL.
 
 The paper's claims are *trajectory* claims — LTNC trades per-round
 overhead for faster convergence to full rank — yet a simulation's only
@@ -31,8 +31,10 @@ Trace file format (``ltnc-trace`` v1)::
     {"kind": "span", "name": "run", "t": 0.0001, "dt": 1.25, ...}
 
 ``t`` is seconds since the header; ``dt`` (spans only) is the span's
-duration.  Every record is a flat JSON object, so the files stream
-through ``json.loads`` line by line with no framing state.
+duration.  Span records come from :meth:`JsonlTracer.emit_span`, which
+:class:`~repro.obs.spans.SpanRecorder` drives with begin/end pairs.
+Every record is a flat JSON object, so the files stream through
+``json.loads`` line by line with no framing state.
 """
 
 from __future__ import annotations
@@ -65,21 +67,6 @@ TRACE_VERSION = 1
 TRACE_DETAILS = ("round", "session")
 
 
-class _NullSpan:
-    """Context manager that measures nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class NullTracer:
     """The disabled tracer: every hook is a no-op.
 
@@ -99,9 +86,6 @@ class NullTracer:
     def counter(self, name: str, value: int = 1, **attrs: object) -> None:
         return None
 
-    def span(self, name: str, **attrs: object) -> _NullSpan:
-        return _NULL_SPAN
-
     def emit_span(
         self, name: str, start: float, duration: float, **attrs: object
     ) -> None:
@@ -119,34 +103,6 @@ class NullTracer:
 
 #: The single module-level null tracer every simulator defaults to.
 NULL_TRACER = NullTracer()
-
-
-class _Span:
-    """Times a with-block on the monotonic clock; emits on exit."""
-
-    __slots__ = ("_tracer", "_name", "_attrs", "_t0")
-
-    def __init__(self, tracer: "JsonlTracer", name: str, attrs: dict) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._attrs = attrs
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_Span":
-        self._t0 = time.monotonic()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        t1 = time.monotonic()
-        self._tracer._emit(
-            {
-                "kind": "span",
-                "name": self._name,
-                "t": round(self._t0 - self._tracer._t0, 6),
-                "dt": round(t1 - self._t0, 6),
-                **self._attrs,
-            }
-        )
 
 
 class JsonlTracer:
@@ -235,19 +191,14 @@ class JsonlTracer:
             }
         )
 
-    def span(self, name: str, **attrs: object) -> _Span:
-        """Context manager timing a block; emits one span record."""
-        return _Span(self, name, attrs)
-
     def emit_span(
         self, name: str, start: float, duration: float, **attrs: object
     ) -> None:
         """One completed span with explicit monotonic *start*/*duration*.
 
-        The structured form :class:`~repro.obs.spans.SpanRecorder` uses
-        for begin/end pairs that do not fit a single with-block; *start*
-        is a raw ``time.monotonic()`` reading, converted to a header
-        offset here.
+        :class:`~repro.obs.spans.SpanRecorder` calls this once per
+        closed begin/end pair; *start* is a raw ``time.monotonic()``
+        reading, converted to a header offset here.
         """
         self._emit(
             {

@@ -10,22 +10,26 @@ JSON-serialisable workload description that compiles into a configured
 multi-content ``zipf_catalogue``, ``edge_cache_catalogue`` and
 ``striped_vod`` riding :mod:`repro.content`, plus ``sparse_rlnc``
 riding the :mod:`repro.schemes` registry);
-:mod:`~repro.scenarios.runner` fans scenario × seed grids out across
-worker processes; :mod:`~repro.scenarios.fleet` shards those grids
-into checkpointable units with interrupt-safe resume
-(:class:`FleetRunner`); :mod:`~repro.scenarios.aggregate` folds the
-per-trial results into mean/CI summaries with deterministic JSON
-export.
+groups of them and ``<preset>[<scheme>]`` re-pointings expand through
+:func:`expand_scenarios`; :mod:`~repro.scenarios.fleet` runs
+scenario × seed grids as checkpointable shards with interrupt-safe
+resume (:class:`FleetRunner`, the one grid runner), over the worker
+map of :mod:`~repro.scenarios.runner`;
+:mod:`~repro.scenarios.aggregate` folds the per-trial results into
+mean/CI summaries with deterministic JSON export.
 
-CLI: ``python -m repro.scenarios --scenario churn --trials 8
---workers 4 --seed 7``.
+CLI (the one sweep CLI): ``python -m repro.scenarios --scenario churn
+--trials 8 --workers 4 --seed 7``, or ``--scenario topology``,
+``content``, ``schemes``, ``'baseline[wc]' 'baseline[rlnc]'``, ...
 """
 
 from repro.content.spec import CatalogueSpec, ContentSpec
 from repro.scenarios.aggregate import (
     ScenarioAggregate,
     atomic_write_text,
+    comparison_rows,
     summary_stats,
+    trial_record,
 )
 from repro.scenarios.fleet import (
     CheckpointStore,
@@ -43,11 +47,14 @@ from repro.scenarios.presets import (
     churn,
     edge_cache,
     edge_cache_catalogue,
+    expand_scenarios,
     get_preset,
+    get_scenario,
     multihop_lossy,
     powerline_multihop,
     preset_names,
     scalefree_p2p,
+    scenario_groups,
     sensor_grid,
     smallworld_gossip,
     sparse_rlnc,
@@ -55,7 +62,6 @@ from repro.scenarios.presets import (
     zipf_catalogue,
 )
 from repro.scenarios.runner import (
-    TrialRunner,
     TrialSpec,
     default_chunksize,
     parallel_map,
@@ -68,7 +74,9 @@ from repro.topology.spec import TopologySpec
 __all__ = [
     "ScenarioAggregate",
     "atomic_write_text",
+    "comparison_rows",
     "summary_stats",
+    "trial_record",
     "CheckpointStore",
     "FleetRunner",
     "FleetStop",
@@ -83,11 +91,14 @@ __all__ = [
     "churn",
     "edge_cache",
     "edge_cache_catalogue",
+    "expand_scenarios",
     "get_preset",
+    "get_scenario",
     "multihop_lossy",
     "powerline_multihop",
     "preset_names",
     "scalefree_p2p",
+    "scenario_groups",
     "sensor_grid",
     "smallworld_gossip",
     "sparse_rlnc",
@@ -96,7 +107,6 @@ __all__ = [
     "CatalogueSpec",
     "ContentSpec",
     "TopologySpec",
-    "TrialRunner",
     "TrialSpec",
     "parallel_map",
     "run_trial",

@@ -1,9 +1,11 @@
 """Streaming aggregation of Monte-Carlo trial results.
 
-The :class:`~repro.scenarios.runner.TrialRunner` produces one
+The :class:`~repro.scenarios.fleet.FleetRunner` produces one
 :class:`~repro.gossip.metrics.DisseminationResult` per (scenario, seed)
-trial; this module folds them into a :class:`ScenarioAggregate` of
-per-metric mean / 95 %-CI summaries plus the raw per-trial scalars.
+trial and flattens it with :func:`trial_record`; this module folds the
+records into a :class:`ScenarioAggregate` of per-metric mean / 95 %-CI
+summaries plus the raw per-trial scalars, and renders aggregates side
+by side as a comparison table (:func:`comparison_rows`).
 
 Aggregates are *mergeable*: two aggregates of the same scenario (for
 example from two machines each running half the seed grid) combine
@@ -23,7 +25,13 @@ from repro.errors import SimulationError
 from repro.gossip.metrics import DisseminationResult
 from repro.scenarios.spec import ScenarioSpec
 
-__all__ = ["ScenarioAggregate", "atomic_write_text", "summary_stats"]
+__all__ = [
+    "ScenarioAggregate",
+    "atomic_write_text",
+    "comparison_rows",
+    "summary_stats",
+    "trial_record",
+]
 
 
 def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
@@ -55,6 +63,16 @@ def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
             pass
     return path
 
+
+def trial_record(
+    trial_index: int, seed: int, result: DisseminationResult
+) -> dict[str, object]:
+    """One finished trial as the flat record aggregates and checkpoints store."""
+    record: dict[str, object] = {"trial_index": trial_index, "seed": seed}
+    record.update(result.key_metrics())
+    return record
+
+
 #: z-score of the two-sided 95 % confidence interval (normal approx.,
 #: matching the paper's 25-repetition averages).
 _Z95 = 1.96
@@ -85,6 +103,32 @@ def summary_stats(values: list[float]) -> dict[str, float | int | None]:
     }
 
 
+def comparison_rows(
+    aggregates: dict[str, "ScenarioAggregate"],
+    columns: tuple[tuple[str, str], ...],
+) -> tuple[list[str], list[list[str]]]:
+    """``(header, rows)`` of a sweep table, aggregates in run order.
+
+    *columns* lists ``(metrics_summary key, short header)`` pairs; each
+    cell renders ``mean±ci95``, or ``n/a`` where the metric does not
+    apply (absent key, or ``None`` mean — e.g. cache columns for a
+    single-content workload).
+    """
+    header = ["scenario"] + [short for _, short in columns]
+    rows = []
+    for name, aggregate in aggregates.items():
+        summary = aggregate.metrics_summary()
+        row = [name]
+        for key, _ in columns:
+            stats = summary.get(key)
+            mean = stats["mean"] if stats else None
+            row.append(
+                "n/a" if mean is None else f"{mean:.2f}±{stats['ci95']:.2f}"
+            )
+        rows.append(row)
+    return header, rows
+
+
 class ScenarioAggregate:
     """Accumulates per-trial key metrics for one scenario."""
 
@@ -94,21 +138,14 @@ class ScenarioAggregate:
         self.trials: list[dict[str, object]] = []
 
     # ------------------------------------------------------------------
-    def add(
-        self, trial_index: int, seed: int, result: DisseminationResult
-    ) -> None:
-        """Fold one finished trial into the aggregate."""
-        record: dict[str, object] = {"trial_index": trial_index, "seed": seed}
-        record.update(result.key_metrics())
-        self.trials.append(record)
-
     def add_record(self, record: dict[str, object]) -> None:
-        """Fold one already-flattened trial record into the aggregate.
+        """Fold one flattened trial record (:func:`trial_record`) in.
 
-        This is the resume path: checkpointed shards store the exact
-        per-trial records, so replaying them must not re-run the
-        simulation.  The record needs at least ``trial_index`` and
-        ``seed``; everything else is treated as a scalar metric.
+        Fresh trials and checkpoint replays take the same path:
+        checkpointed shards store the exact per-trial records, so
+        replaying them never re-runs the simulation.  The record needs
+        at least ``trial_index`` and ``seed``; everything else is
+        treated as a scalar metric.
         """
         if "trial_index" not in record or "seed" not in record:
             raise SimulationError(

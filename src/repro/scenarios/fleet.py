@@ -3,8 +3,7 @@
 The paper's headline numbers are 25-repetition averages of N = 1,000
 node simulations; reproducing them (and the 1000-trial sweeps the
 related LT-code systems run) needs sweeps that survive interruption.
-This module grows the :class:`~repro.scenarios.runner.TrialRunner`
-model into a fleet:
+This module is the one runner of scenario × seed grids:
 
 * :func:`plan_shards` partitions a scenario × seed grid into
   contiguous, balanced shards (the unit of checkpointing);
@@ -19,31 +18,36 @@ model into a fleet:
   shard, fingerprinted against the exact grid that produced it, never
   trusted when stale, corrupt or truncated).
 
-Contracts, pinned by ``tests/test_fleet.py``: the aggregated JSON is
-byte-identical across worker counts, shard counts, and
-interrupt/resume cycles — a resumed sweep serialises exactly like an
-uninterrupted one, because checkpoints store the exact per-trial
-records (plain JSON scalars, which round-trip losslessly) rather than
-re-running anything.
+Contracts, pinned by ``tests/test_fleet.py`` against the plain-loop
+oracle in ``tests/oracles.py``: the aggregated JSON is byte-identical
+across worker counts, shard counts, and interrupt/resume cycles — a
+resumed sweep serialises exactly like an uninterrupted one, because
+checkpoints store the exact per-trial records (plain JSON scalars,
+which round-trip losslessly) rather than re-running anything.
 
 Checkpoint file format (``shard-<scenario>-<index>.json``)::
 
     {
       "format": "ltnc-fleet-checkpoint",
-      "version": 1,
+      "version": 2,
       "fingerprint": "<sha256 of the canonical grid description>",
       "scenario": {<ScenarioSpec.to_dict()>},
       "master_seed": 7,
       "shard_index": 0,
       "n_shards": 4,
       "trial_indices": [0, 1, 2],
-      "trials": [{"trial_index": 0, "seed": ..., <key metrics>}, ...]
+      "trials": [{"trial_index": 0, "seed": ..., <key metrics>}, ...],
+      "telemetry": {"n_trials": 3, "counters": {...}, ...}
     }
+
+``telemetry`` is present only when the shard ran with telemetry
+collection on: the shard's merged in-worker telemetry section, the
+unit the fleet-wide ``telemetry.json`` is merged from.
 
 The fingerprint covers the scenario specs (order-insensitive), trial
 count, master seed and shard count, so a checkpoint is only ever
 replayed into the identical grid it was cut from; anything else is
-silently recomputed.
+recomputed, with a warning naming the file and the reason.
 """
 
 from __future__ import annotations
@@ -64,8 +68,12 @@ from repro.obs.progress import (
     ProgressTracker,
     write_progress,
 )
-from repro.obs.telemetry import TelemetryStore, write_telemetry
-from repro.scenarios.aggregate import ScenarioAggregate, atomic_write_text
+from repro.obs.telemetry import section_errors, write_telemetry
+from repro.scenarios.aggregate import (
+    ScenarioAggregate,
+    atomic_write_text,
+    trial_record,
+)
 from repro.scenarios.runner import (
     TrialSpec,
     merge_trial_snapshots,
@@ -89,7 +97,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "ltnc-fleet-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 logger = logging.getLogger(__name__)
 
@@ -199,22 +207,16 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name) or "scenario"
 
 
-def validate_checkpoint(
-    payload: object, source: str = "checkpoint"
-) -> dict[str, object]:
-    """Check one shard-checkpoint payload's shape; return it on success.
+def _is_metric(value: object) -> bool:
+    """A trial metric is a JSON number or null (``bool`` is neither)."""
+    return value is None or (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+    )
 
-    Raises ``ValueError`` listing every violation, prefixed with
-    *source* — the same shape as the trace/telemetry validators, and
-    the callable the :mod:`repro.analysis.schemas` registry pairs with
-    the ``ltnc-fleet-checkpoint`` writer.  This is the *schema* check
-    only; :meth:`CheckpointStore.load` additionally ties a checkpoint
-    to the live plan (fingerprint, shard identity, trial indices),
-    which no standalone validator can do.
-    """
+
+def _checkpoint_errors(payload: dict[str, object]) -> list[str]:
+    """Every schema violation of one checkpoint payload object."""
     errors: list[str] = []
-    if not isinstance(payload, dict):
-        raise ValueError(f"{source}: checkpoint payload is not a JSON object")
     if payload.get("format") != CHECKPOINT_FORMAT:
         errors.append(
             f"format {payload.get('format')!r} != {CHECKPOINT_FORMAT!r}"
@@ -241,6 +243,29 @@ def validate_checkpoint(
         isinstance(t, dict) for t in trials
     ):
         errors.append("trials is not a list of objects")
+    elif not all(_is_metric(v) for t in trials for v in t.values()):
+        errors.append("a trial value is not a number or null")
+    if "telemetry" in payload:
+        errors.extend(section_errors(payload["telemetry"], "telemetry"))
+    return errors
+
+
+def validate_checkpoint(
+    payload: object, source: str = "checkpoint"
+) -> dict[str, object]:
+    """Check one shard-checkpoint payload's shape; return it on success.
+
+    Raises ``ValueError`` listing every violation, prefixed with
+    *source* — the same shape as the trace/telemetry validators, and
+    the callable the :mod:`repro.analysis.schemas` registry pairs with
+    the ``ltnc-fleet-checkpoint`` writer.  This is the *schema* check
+    only; :meth:`CheckpointStore.load` additionally ties a checkpoint
+    to the live plan (fingerprint, shard identity, trial seeds), which
+    no standalone validator can do.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{source}: checkpoint payload is not a JSON object")
+    errors = _checkpoint_errors(payload)
     if errors:
         raise ValueError(f"{source}: invalid checkpoint: " + "; ".join(errors))
     return payload
@@ -250,9 +275,9 @@ class CheckpointStore:
     """One JSON file per finished shard, written atomically.
 
     ``load`` is paranoid by design: a checkpoint is replayed only when
-    its format, version, fingerprint, shard identity and trial indices
-    all match the live plan — a truncated, hand-edited or stale file
-    simply means the shard is recomputed.
+    its format, version, fingerprint, shard identity, trial records and
+    telemetry section all match the live plan — a truncated,
+    hand-edited or stale file means the shard is recomputed.
     """
 
     def __init__(self, directory: str | pathlib.Path) -> None:
@@ -269,6 +294,7 @@ class CheckpointStore:
         shard: ShardSpec,
         fingerprint: str,
         records: list[dict[str, object]],
+        telemetry: dict[str, object] | None = None,
     ) -> pathlib.Path:
         payload = {
             "format": CHECKPOINT_FORMAT,
@@ -281,20 +307,25 @@ class CheckpointStore:
             "trial_indices": list(shard.trial_indices),
             "trials": records,
         }
+        if telemetry is not None:
+            payload["telemetry"] = telemetry
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         return atomic_write_text(self.path_for(shard), text)
 
     def load(
         self, shard: ShardSpec, fingerprint: str
-    ) -> list[dict[str, object]] | None:
-        """The shard's trial records, or ``None`` if not reusable.
+    ) -> tuple[list[dict[str, object]], dict[str, object] | None] | None:
+        """``(trial records, telemetry section)``, or ``None`` if not reusable.
 
+        The section is ``None`` when the shard ran without telemetry.
         A missing file is the normal first-run case and stays silent;
         every other reason to recompute — corrupt JSON, a format or
         version from another fleet generation, a fingerprint cut from a
-        different grid, mismatched shard identity or malformed trial
-        records — is logged as a warning naming the file, so a resumed
-        fleet never *silently* throws checkpointed work away.
+        different grid, mismatched shard identity, trial records whose
+        indices, seeds or metric values do not fit the plan, or a
+        malformed telemetry section — is logged as a warning naming the
+        file, so a resumed fleet never *silently* throws checkpointed
+        work away.
         """
         path = self.path_for(shard)
         try:
@@ -345,22 +376,35 @@ class CheckpointStore:
                 "checkpoint %s: shard identity mismatch; recomputing", path
             )
             return None
-        trials = payload.get("trials")
-        if not isinstance(trials, list) or not all(
-            isinstance(t, dict) for t in trials
-        ):
+        errors = _checkpoint_errors(payload)
+        if errors:
             logger.warning(
-                "checkpoint %s: malformed trial records; recomputing", path
+                "checkpoint %s: malformed trial records or telemetry "
+                "(%s); recomputing",
+                path,
+                "; ".join(errors),
             )
             return None
-        if [t.get("trial_index") for t in trials] != list(shard.trial_indices):
+        trials = payload["trials"]
+        planned = [(t.trial_index, t.seed) for t in shard.trials()]
+        if [(t.get("trial_index"), t.get("seed")) for t in trials] != planned:
             logger.warning(
-                "checkpoint %s: trial indices do not match the plan; "
-                "recomputing",
+                "checkpoint %s: trial indices or seeds do not match the "
+                "plan; recomputing",
                 path,
             )
             return None
-        return trials
+        telemetry = payload.get("telemetry")
+        if telemetry is not None and telemetry["n_trials"] != len(trials):
+            logger.warning(
+                "checkpoint %s: telemetry section covers %d trials, the "
+                "shard %d; recomputing",
+                path,
+                telemetry["n_trials"],
+                len(trials),
+            )
+            return None
+        return trials, telemetry
 
     def sweep_stale_tmp(self) -> int:
         """Best-effort unlink of stray atomic-write temp files.
@@ -380,20 +424,21 @@ class CheckpointStore:
 
 
 class FleetRunner:
-    """Sharded, checkpointing counterpart of :class:`TrialRunner`.
+    """Runs a scenario × seed grid shard by shard over worker processes.
 
     Shards run sequentially; within a shard, trials fan out over the
     worker pool with chunked dispatch.  With ``checkpoint_dir`` set,
     every finished shard is persisted atomically; with ``resume=True``
     matching checkpoints are replayed instead of recomputed.  The
-    aggregated JSON is byte-identical to a serial
-    :class:`TrialRunner` run for any ``(n_workers, n_shards)`` and any
+    aggregated JSON is byte-identical to a serial in-process loop over
+    the trials for any ``(n_workers, n_shards)`` and any
     interrupt/resume history.
 
-    ``n_shards=None`` picks 1 without checkpointing (one pool dispatch,
-    like :class:`TrialRunner`) and ``min(n_trials, max(4, n_workers))``
-    with it, so shards are coarse enough to keep the pool busy but fine
-    enough that an interrupt loses little work.
+    ``n_shards=None`` picks one shard per scenario without
+    checkpointing or progress (one pool dispatch per scenario) and
+    ``min(n_trials, max(4, n_workers))`` with either, so shards are
+    coarse enough to keep the pool busy but fine enough that an
+    interrupt loses little work.
 
     ``stop_after_shards`` is a deterministic interruption hook (used by
     the CI resume smoke): after *executing* that many shards (replayed
@@ -409,17 +454,17 @@ class FleetRunner:
     feeds back into scheduling or seeding — results are byte-identical
     with and without it.
 
-    ``telemetry_dir`` (or ``collect_telemetry=True`` for in-memory
-    collection only) switches workers to the telemetry-collecting trial
-    function: per-trial metric snapshots are merged per shard, persisted
-    next to the checkpoints (``telemetry-<scenario>-<index>.json``) when
+    ``telemetry_dir`` switches workers to the telemetry-collecting
+    trial function: per-trial metric snapshots are merged per shard,
+    stored in the shard's checkpoint (its ``telemetry`` section) when
     checkpointing, and — once the whole grid finished — merged shard by
-    shard into an atomic fleet-wide ``telemetry.json``.  A resumed shard
-    replays its saved telemetry; a checkpoint whose telemetry file is
-    missing or stale is recomputed whole, so the merged telemetry (like
-    the aggregates) is byte-identical across worker counts, shard counts
-    and interrupt/resume cycles.  The merged sections stay readable on
-    :attr:`last_telemetry` after a completed run.
+    shard into an atomic fleet-wide ``telemetry.json`` in that
+    directory.  A resumed shard replays its saved section; a checkpoint
+    without one is recomputed whole (with a warning), so the merged
+    telemetry (like the aggregates) is byte-identical across worker
+    counts, shard counts and interrupt/resume cycles.  The merged
+    sections stay readable on :attr:`last_telemetry` after a completed
+    run.
     """
 
     def __init__(
@@ -431,7 +476,6 @@ class FleetRunner:
         stop_after_shards: int | None = None,
         progress=None,
         telemetry_dir: str | pathlib.Path | None = None,
-        collect_telemetry: bool = False,
     ) -> None:
         if n_workers < 1:
             raise SimulationError(f"n_workers must be >= 1, got {n_workers}")
@@ -455,14 +499,6 @@ class FleetRunner:
         self.progress = progress
         self.telemetry_dir = (
             pathlib.Path(telemetry_dir) if telemetry_dir is not None else None
-        )
-        self.collect_telemetry = (
-            collect_telemetry or telemetry_dir is not None
-        )
-        self.telemetry_store = (
-            TelemetryStore(checkpoint_dir)
-            if checkpoint_dir is not None and self.collect_telemetry
-            else None
         )
         #: Scenario name -> merged telemetry section, from the last
         #: *completed* run (``None`` after an interrupted one).
@@ -507,44 +543,27 @@ class FleetRunner:
             trials_total=sum(len(s.trial_indices) for s in shards),
         )
         self.last_telemetry = None
-        telemetry: dict[str, MetricsCollector] | None = None
-        telemetry_trials: dict[str, int] | None = None
-        if self.collect_telemetry:
-            telemetry = {s.name: MetricsCollector() for s in scenario_list}
-            telemetry_trials = {s.name: 0 for s in scenario_list}
+        collect = self.telemetry_dir is not None
+        telemetry = {s.name: MetricsCollector() for s in scenario_list}
+        telemetry_trials = {s.name: 0 for s in scenario_list}
         executed = 0
         for position, shard in enumerate(shards):
-            records = None
-            section = None
-            replayed = False
             started = time.monotonic()
-            if self.store is not None and self.resume:
-                records = self.store.load(shard, fingerprint)
-                if records is not None and self.collect_telemetry:
-                    # A checkpoint is replayable into a telemetry run
-                    # only together with its telemetry file; otherwise
-                    # the whole shard is recomputed so the merged
-                    # telemetry stays resume-invariant.
-                    section = (
-                        self.telemetry_store.load(shard, fingerprint)
-                        if self.telemetry_store is not None
-                        else None
-                    )
-                    if section is None:
-                        records = None
-                replayed = records is not None
-            if records is None:
-                records, section = self._execute_shard(shard, fingerprint)
+            loaded = self._replay(shard, fingerprint, collect)
+            replayed = loaded is not None
+            if loaded is None:
+                loaded = self._execute_shard(shard, fingerprint, collect)
                 executed += 1
+            records, section = loaded
+            name = shard.scenario.name
             for record in records:
-                aggregates[shard.scenario.name].add_record(record)
-            if telemetry is not None and section is not None:
-                name = shard.scenario.name
+                aggregates[name].add_record(record)
+            if collect:
                 telemetry[name].merge_snapshot(section)
-                telemetry_trials[name] += int(section.get("n_trials", 0))
+                telemetry_trials[name] += section["n_trials"]
             self._heartbeat(
                 tracker.shard_finished(
-                    shard.scenario.name,
+                    name,
                     shard.shard_index,
                     len(shard.trial_indices),
                     time.monotonic() - started,
@@ -557,20 +576,34 @@ class FleetRunner:
                 and position + 1 < len(shards)
             ):
                 raise FleetStop(position + 1, len(shards))
-        if telemetry is not None:
-            sections = {
-                name: {
-                    "n_trials": telemetry_trials[name],
-                    **collector.snapshot(),
-                }
+        if collect:
+            self.last_telemetry = {
+                name: {"n_trials": telemetry_trials[name], **collector.snapshot()}
                 for name, collector in telemetry.items()
             }
-            self.last_telemetry = sections
-            if self.telemetry_dir is not None:
-                write_telemetry(
-                    self.telemetry_dir / "telemetry.json", sections
-                )
+            write_telemetry(
+                self.telemetry_dir / "telemetry.json", self.last_telemetry
+            )
         return aggregates
+
+    def _replay(self, shard: ShardSpec, fingerprint: str, collect: bool):
+        """The shard's checkpointed ``(records, section)``, if reusable.
+
+        A telemetry run replays a checkpoint only together with its
+        telemetry section; one without is recomputed whole, so the
+        merged telemetry stays resume-invariant.
+        """
+        if self.store is None or not self.resume:
+            return None
+        loaded = self.store.load(shard, fingerprint)
+        if loaded is not None and collect and loaded[1] is None:
+            logger.warning(
+                "checkpoint %s: no telemetry section for a telemetry "
+                "run; recomputing",
+                self.store.path_for(shard),
+            )
+            return None
+        return loaded
 
     def _heartbeat(self, beat: FleetProgress) -> None:
         """Fan one progress snapshot out to the callback and the disk."""
@@ -580,7 +613,7 @@ class FleetRunner:
             write_progress(self.store.directory / "progress.json", beat)
 
     def _execute_shard(
-        self, shard: ShardSpec, fingerprint: str
+        self, shard: ShardSpec, fingerprint: str, collect: bool
     ) -> tuple[list[dict[str, object]], dict[str, object] | None]:
         """Run one shard on the pool; checkpoint before returning.
 
@@ -589,22 +622,16 @@ class FleetRunner:
         """
         trials = shard.trials()
         section: dict[str, object] | None = None
-        if self.collect_telemetry:
+        if collect:
             pairs = parallel_map(run_trial_telemetry, trials, self.n_workers)
             results = [result for result, _ in pairs]
             section = merge_trial_snapshots([snap for _, snap in pairs])
         else:
             results = parallel_map(run_trial, trials, self.n_workers)
-        records: list[dict[str, object]] = []
-        for trial, result in zip(trials, results):
-            record: dict[str, object] = {
-                "trial_index": trial.trial_index,
-                "seed": trial.seed,
-            }
-            record.update(result.key_metrics())
-            records.append(record)
+        records = [
+            trial_record(trial.trial_index, trial.seed, result)
+            for trial, result in zip(trials, results)
+        ]
         if self.store is not None:
-            self.store.save(shard, fingerprint, records)
-            if section is not None and self.telemetry_store is not None:
-                self.telemetry_store.save(shard, fingerprint, section)
+            self.store.save(shard, fingerprint, records, section)
         return records, section

@@ -73,17 +73,24 @@ And one exercises the round loop at scale:
 Add a scenario by writing a ``def my_scenario(profile) -> ScenarioSpec``
 factory and registering it in :data:`PRESETS`; everything downstream
 (CLI, runner, benches, golden tests) picks it up by name.
+
+Sweeps name their scenarios with :func:`expand_scenarios`, which
+accepts, besides preset names, the groups of :func:`scenario_groups`
+(``all``, ``topology``, ``content``, ``schemes``) and
+``<preset>[<scheme>]``: the preset re-pointed at a registered coding
+scheme with that scheme's default node knobs (:func:`get_scenario`).
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import re
+from typing import Callable, Iterable
 
 from repro.content.spec import CatalogueSpec
 from repro.errors import SimulationError
 from repro.scenarios.spec import ScenarioSpec
 from repro.gossip.channel import ChurnPhase
-from repro.schemes import LTNC_AGGRESSIVENESS
+from repro.schemes import LTNC_AGGRESSIVENESS, available_schemes, get_scheme
 from repro.topology.spec import TopologySpec
 
 __all__ = [
@@ -103,8 +110,11 @@ __all__ = [
     "striped_vod",
     "sparse_rlnc",
     "large_overlay",
+    "expand_scenarios",
     "get_preset",
+    "get_scenario",
     "preset_names",
+    "scenario_groups",
 ]
 
 #: §IV-A: aggressiveness minimising completion time, "typically 1 %".
@@ -441,7 +451,7 @@ PRESETS: dict[str, Callable[..., ScenarioSpec]] = {
     "large_overlay": large_overlay,
 }
 
-#: The graph-structured subset (the ``topo_compare`` sweep's default).
+#: The graph-structured subset (with ``baseline``, the ``topology`` group).
 TOPOLOGY_PRESETS: tuple[str, ...] = (
     "powerline_multihop",
     "scalefree_p2p",
@@ -449,7 +459,7 @@ TOPOLOGY_PRESETS: tuple[str, ...] = (
     "smallworld_gossip",
 )
 
-#: The catalogue subset (the ``content_compare`` sweep's default).
+#: The catalogue subset (with ``baseline``, the ``content`` group).
 CONTENT_PRESETS: tuple[str, ...] = (
     "zipf_catalogue",
     "edge_cache_catalogue",
@@ -470,3 +480,61 @@ def get_preset(name: str, profile=None) -> ScenarioSpec:
             f"unknown scenario {name!r}; expected one of {preset_names()}"
         ) from None
     return factory(profile)
+
+
+def scenario_groups() -> dict[str, tuple[str, ...]]:
+    """The named scenario groups and the scenario names each expands to.
+
+    ``all`` is every preset; ``topology`` and ``content`` put the
+    uniform ``baseline`` next to the graph-structured and catalogue
+    presets; ``schemes`` races every registered scheme over the
+    baseline workload (so registering a scheme enters it).
+    """
+    return {
+        "all": preset_names(),
+        "topology": ("baseline",) + TOPOLOGY_PRESETS,
+        "content": ("baseline",) + CONTENT_PRESETS,
+        "schemes": tuple(f"baseline[{s}]" for s in available_schemes()),
+    }
+
+
+_SCHEMED = re.compile(r"(?P<preset>[^\[\]]+)\[(?P<scheme>[^\[\]]+)\]")
+
+
+def get_scenario(name: str, profile=None) -> ScenarioSpec:
+    """A preset, or ``<preset>[<scheme>]``, at the given (or active) profile.
+
+    ``<preset>[<scheme>]`` is the preset re-pointed at the scheme with
+    the descriptor's ``default_node_kwargs`` (LTNC's 1 % aggressiveness,
+    sparse RLNC's density, ...) and named exactly that, so each
+    scheme's trial seeds (derived from the name) stay distinct.
+    """
+    match = _SCHEMED.fullmatch(name)
+    preset = match["preset"] if match else name
+    if preset not in PRESETS:
+        raise SimulationError(
+            f"unknown scenario {name!r}; expected a preset "
+            f"({', '.join(preset_names())}), a group "
+            f"({', '.join(scenario_groups())}) or '<preset>[<scheme>]'"
+        )
+    spec = PRESETS[preset](profile)
+    if match is None:
+        return spec
+    scheme = get_scheme(match["scheme"])
+    return spec.with_(
+        name=name,
+        scheme=scheme.name,
+        node_kwargs=dict(scheme.default_node_kwargs),
+    )
+
+
+def expand_scenarios(names: Iterable[str], profile=None) -> list[ScenarioSpec]:
+    """The specs a list of scenario names and groups stands for.
+
+    Groups expand in place (see :func:`scenario_groups`), everything
+    else goes through :func:`get_scenario`; a scenario named twice runs
+    once, where it first appears.
+    """
+    groups = scenario_groups()
+    expanded = [member for name in names for member in groups.get(name, (name,))]
+    return [get_scenario(name, profile) for name in dict.fromkeys(expanded)]

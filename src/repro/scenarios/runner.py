@@ -1,9 +1,12 @@
-"""Parallel Monte-Carlo trial execution over scenario × seed grids.
+"""The trial cell, its seed and the worker-process map under every sweep.
 
 The paper averages 25 repetitions of an N = 1,000-node simulation —
-embarrassingly parallel work the seed ran serially.  The
-:class:`TrialRunner` fans trials out across worker processes with
-:mod:`concurrent.futures`, while keeping three guarantees:
+embarrassingly parallel work.  This module holds the pieces the
+:class:`~repro.scenarios.fleet.FleetRunner` fans out across worker
+processes with :mod:`concurrent.futures`: the :class:`TrialSpec` cell,
+the worker functions :func:`run_trial` / :func:`run_trial_telemetry`,
+and the order-preserving :func:`parallel_map`.  Together they keep
+three guarantees:
 
 * **bit-reproducibility** — every trial's seed is an integer derived
   from the master seed and the (scenario name, trial index) path via
@@ -19,22 +22,18 @@ embarrassingly parallel work the seed ran serially.  The
 
 from __future__ import annotations
 
-import pathlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from repro.errors import SimulationError
 from repro.gossip.metrics import DisseminationResult
 from repro.obs.metrics import MetricsCollector
-from repro.obs.telemetry import write_telemetry
 from repro.rng import derive_seed
-from repro.scenarios.aggregate import ScenarioAggregate
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
     "TrialSpec",
-    "TrialRunner",
     "default_chunksize",
     "merge_trial_snapshots",
     "parallel_map",
@@ -154,94 +153,3 @@ def parallel_map(
             # final shutdown(wait=True) then only joins in-flight work.
             executor.shutdown(wait=False, cancel_futures=True)
             raise
-
-
-class TrialRunner:
-    """Fans a scenario × seed grid out across worker processes.
-
-    With ``telemetry_dir`` set, every trial runs through
-    :func:`run_trial_telemetry`, per-trial snapshots are merged in
-    trial order, and a fleet-shaped ``telemetry.json`` is written to
-    that directory after each :meth:`run` / :meth:`run_grid`.  The
-    merged telemetry (and the aggregates) are byte-identical whatever
-    ``n_workers`` is; the last run's sections stay readable on
-    :attr:`last_telemetry`.
-    """
-
-    def __init__(
-        self,
-        n_workers: int = 1,
-        telemetry_dir: str | pathlib.Path | None = None,
-    ) -> None:
-        if n_workers < 1:
-            raise SimulationError(f"n_workers must be >= 1, got {n_workers}")
-        self.n_workers = n_workers
-        self.telemetry_dir = (
-            pathlib.Path(telemetry_dir) if telemetry_dir is not None else None
-        )
-        #: Scenario name -> merged telemetry section, from the last run.
-        self.last_telemetry: dict[str, dict[str, object]] | None = None
-
-    # ------------------------------------------------------------------
-    def trials_for(
-        self, scenario: ScenarioSpec, n_trials: int, master_seed: int
-    ) -> list[TrialSpec]:
-        """The reproducible trial grid for one scenario."""
-        if n_trials < 1:
-            raise SimulationError(f"n_trials must be >= 1, got {n_trials}")
-        return [
-            TrialSpec(scenario, i, trial_seed(master_seed, scenario.name, i))
-            for i in range(n_trials)
-        ]
-
-    def run(
-        self, scenario: ScenarioSpec, n_trials: int, master_seed: int = 0
-    ) -> ScenarioAggregate:
-        """Run ``n_trials`` Monte-Carlo repetitions of one scenario."""
-        return self.run_grid([scenario], n_trials, master_seed)[scenario.name]
-
-    def run_grid(
-        self,
-        scenarios: Iterable[ScenarioSpec],
-        n_trials: int,
-        master_seed: int = 0,
-    ) -> dict[str, ScenarioAggregate]:
-        """Run a whole scenario catalogue; one aggregate per scenario.
-
-        The full scenario × seed grid is flattened before dispatch so
-        late scenarios don't wait for early ones to drain the pool.
-        """
-        scenario_list = list(scenarios)
-        names = [s.name for s in scenario_list]
-        if len(set(names)) != len(names):
-            raise SimulationError(f"duplicate scenario names in grid: {names}")
-        grid: list[TrialSpec] = []
-        for scenario in scenario_list:
-            grid.extend(self.trials_for(scenario, n_trials, master_seed))
-        collect = self.telemetry_dir is not None
-        if collect:
-            pairs = parallel_map(run_trial_telemetry, grid, self.n_workers)
-            results = [result for result, _ in pairs]
-        else:
-            results = parallel_map(run_trial, grid, self.n_workers)
-        aggregates = {
-            s.name: ScenarioAggregate(s, master_seed) for s in scenario_list
-        }
-        for trial, result in zip(grid, results):
-            aggregates[trial.scenario.name].add(
-                trial.trial_index, trial.seed, result
-            )
-        if collect:
-            by_scenario: dict[str, list[dict[str, object]]] = {
-                s.name: [] for s in scenario_list
-            }
-            # grid is in trial order per scenario, so these lists are too.
-            for trial, (_, snapshot) in zip(grid, pairs):
-                by_scenario[trial.scenario.name].append(snapshot)
-            sections = {
-                name: merge_trial_snapshots(snaps)
-                for name, snaps in by_scenario.items()
-            }
-            self.last_telemetry = sections
-            write_telemetry(self.telemetry_dir / "telemetry.json", sections)
-        return aggregates

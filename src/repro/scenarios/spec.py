@@ -12,8 +12,9 @@ node caches, generation striping).  It compiles down to a fully
 configured :class:`~repro.gossip.simulator.EpidemicSimulator` (or
 :class:`~repro.content.simulator.CatalogueSimulator`) via
 :meth:`build`, so a trial is reproducible from nothing but the spec
-dict and an integer seed — which is exactly what the parallel
-:class:`~repro.scenarios.runner.TrialRunner` ships to its workers.
+dict and an integer seed — which is exactly what the
+:class:`~repro.scenarios.fleet.FleetRunner` ships to its workers (as
+a :class:`~repro.scenarios.runner.TrialSpec`).
 """
 
 from __future__ import annotations

@@ -19,6 +19,11 @@ block, so anything built inside it — a bare
 ``spec.run`` — runs on the oracle.  The production paths must match it
 draw for draw: same results, same ``OpCounter`` totals.
 
+:func:`serial_grid` and :func:`serial_telemetry` are the sweep as a
+plain in-process loop — every trial in order, ``spec.run(seed)`` per
+trial seed — which the fleet's aggregates and merged telemetry must
+match byte for byte, whatever its worker and shard counts.
+
 :func:`assert_conserved` checks the counter conservation laws every
 dissemination result obeys.
 """
@@ -39,6 +44,9 @@ from repro.core.reachability import ReachabilityOracle
 from repro.core.refiner import RefineResult, pair_payload
 from repro.errors import DimensionError, RecodingError
 from repro.gossip.simulator import EpidemicSimulator
+from repro.obs.metrics import MetricsCollector
+from repro.scenarios.aggregate import ScenarioAggregate
+from repro.scenarios.runner import trial_seed
 from repro.schemes import registry
 
 __all__ = [
@@ -47,6 +55,8 @@ __all__ = [
     "reference_paths",
     "reference_refine",
     "scalar_step",
+    "serial_grid",
+    "serial_telemetry",
 ]
 
 
@@ -289,6 +299,38 @@ def reference_paths():
     finally:
         EpidemicSimulator._step = saved_step
         registry._REGISTRY.update(saved)
+
+
+# ----------------------------------------------------------------------
+# The sweep as a plain loop
+# ----------------------------------------------------------------------
+def serial_grid(specs, n_trials: int, master_seed: int) -> dict:
+    """``{name: ScenarioAggregate}`` of every trial, run in order here."""
+    aggregates = {}
+    for spec in specs:
+        aggregate = ScenarioAggregate(spec, master_seed)
+        for i in range(n_trials):
+            seed = trial_seed(master_seed, spec.name, i)
+            aggregate.add_record(
+                {"trial_index": i, "seed": seed, **spec.run(seed).key_metrics()}
+            )
+        aggregates[spec.name] = aggregate
+    return aggregates
+
+
+def serial_telemetry(specs, n_trials: int, master_seed: int) -> dict:
+    """``{name: merged telemetry section}`` of the same loop."""
+    sections = {}
+    for spec in specs:
+        merged = MetricsCollector()
+        for i in range(n_trials):
+            collector = MetricsCollector()
+            spec.build(
+                trial_seed(master_seed, spec.name, i), metrics=collector
+            ).run()
+            merged.merge_snapshot(collector.snapshot())
+        sections[spec.name] = {"n_trials": n_trials, **merged.snapshot()}
+    return sections
 
 
 # ----------------------------------------------------------------------

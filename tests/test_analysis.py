@@ -250,7 +250,7 @@ def test_validate_progress_rejects(mutate):
 def good_checkpoint() -> dict:
     return {
         "format": "ltnc-fleet-checkpoint",
-        "version": 1,
+        "version": 2,
         "fingerprint": "abc123",
         "scenario": {"name": "fig3-ltnc"},
         "shard_index": 0,
@@ -262,6 +262,8 @@ def good_checkpoint() -> dict:
 
 def test_validate_checkpoint_accepts_real_payload():
     assert validate_checkpoint(good_checkpoint())
+    section = {"n_trials": 3, "counters": {"rounds": 30}}
+    assert validate_checkpoint({**good_checkpoint(), "telemetry": section})
 
 
 @pytest.mark.parametrize(
@@ -273,6 +275,8 @@ def test_validate_checkpoint_accepts_real_payload():
         {"n_shards": -2},
         {"trial_indices": [0, "1"]},
         {"trials": [["not", "a", "dict"]]},
+        {"trials": [{"rounds": [1, 2]}]},
+        {"telemetry": {"n_trials": 0, "counters": {}}},
     ],
 )
 def test_validate_checkpoint_rejects(mutate):

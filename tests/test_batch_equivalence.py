@@ -34,7 +34,7 @@ from repro.gossip.channel import ChannelModel
 from repro.gossip.peer_sampling import UniformSampler, ViewSampler
 from repro.gossip.simulator import EpidemicSimulator, Feedback
 from repro.rng import derive
-from repro.scenarios import TrialRunner, get_preset
+from repro.scenarios import FleetRunner, get_preset
 from repro.schemes import get_scheme
 
 QUICK = PROFILES["quick"]
@@ -103,7 +103,7 @@ def test_worker_split_invariance_at_scale_out_size():
     )
     aggs = []
     for workers in (1, 4):
-        agg = TrialRunner(n_workers=workers).run_grid(
+        agg = FleetRunner(n_workers=workers).run_grid(
             [spec], 2, master_seed=2010
         )["n1024"]
         aggs.append(agg.to_json())

@@ -17,11 +17,15 @@ from repro.experiments.scale import PROFILES
 from repro.rng import derive
 from repro.scenarios import (
     CONTENT_PRESETS,
+    FleetRunner,
     ScenarioAggregate,
     ScenarioSpec,
-    TrialRunner,
     get_preset,
+    trial_record,
+    trial_seed,
 )
+
+from oracles import serial_grid
 
 QUICK = PROFILES["quick"]
 
@@ -269,7 +273,7 @@ def test_scenario_content_builds_catalogue_simulator():
 
 def test_content_trial_is_deterministic_and_reruns_standalone():
     spec = get_preset("zipf_catalogue", QUICK)
-    agg = TrialRunner(1).run(spec, 2, master_seed=9)
+    agg = FleetRunner(1).run(spec, 2, master_seed=9)
     trial = agg.trials[1]
     rerun = spec.run(trial["seed"])
     for key, value in rerun.key_metrics().items():
@@ -279,8 +283,8 @@ def test_content_trial_is_deterministic_and_reruns_standalone():
 @pytest.mark.parametrize("name", CONTENT_PRESETS)
 def test_content_presets_are_worker_count_invariant(name):
     spec = get_preset(name, QUICK)
-    serial = TrialRunner(n_workers=1).run(spec, 4, master_seed=7)
-    parallel = TrialRunner(n_workers=4).run(spec, 4, master_seed=7)
+    serial = serial_grid([spec], 4, 7)[spec.name]
+    parallel = FleetRunner(n_workers=4).run(spec, 4, master_seed=7)
     assert serial.to_json() == parallel.to_json()
 
 
@@ -290,13 +294,13 @@ def test_merged_content_aggregates_equal_single_process():
     # to the byte-identical JSON of a single pass, per-content
     # ``content:<name>:*`` keys included.
     spec = get_preset("edge_cache_catalogue", QUICK)
-    runner = TrialRunner(1)
-    whole = runner.run(spec, 4, master_seed=9)
+    whole = FleetRunner(1).run(spec, 4, master_seed=9)
     first = ScenarioAggregate(spec, 9)
     second = ScenarioAggregate(spec, 9)
-    for trial in runner.trials_for(spec, 4, 9):
-        target = first if trial.trial_index % 2 == 0 else second
-        target.add(trial.trial_index, trial.seed, spec.run(trial.seed))
+    for i in range(4):
+        seed = trial_seed(9, spec.name, i)
+        target = first if i % 2 == 0 else second
+        target.add_record(trial_record(i, seed, spec.run(seed)))
     first.merge(second)
     assert first.to_json() == whole.to_json()
     merged_metrics = first.metrics_summary()

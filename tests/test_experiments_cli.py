@@ -1,20 +1,24 @@
-"""CLI argument guards for the experiment sweep drivers.
+"""CLI contract of the sweep CLI, ``python -m repro.scenarios``.
 
-The sweeps share the runner knobs of ``python -m repro.scenarios`` and
-must reject bad values with argparse's short error message — never a
-traceback — via :mod:`repro.experiments.cliutil`.  Parametrised over
-both drivers so a future sweep copying the helper inherits the
-contract.
+Bad arguments must exit 2 with argparse's short usage + error message
+— never a traceback, never a bare exit 1.  The table runs against each
+comparison sweep (topology, catalogue, schemes), so every group
+invocation carries the contract; the fleet and observability flags
+must leave the aggregated JSON on stdout unchanged.
 """
+
+import json
 
 import pytest
 
-from repro.experiments import content_compare, scheme_compare, topo_compare
+from repro.scenarios.__main__ import main
+from repro.schemes import available_schemes
 
+#: The comparison sweeps: test id -> the ``--scenario`` arguments.
 DRIVERS = {
-    "topo_compare": topo_compare.main,
-    "content_compare": content_compare.main,
-    "scheme_compare": scheme_compare.main,
+    "topo_compare": ["--scenario", "topology"],
+    "content_compare": ["--scenario", "content"],
+    "scheme_compare": ["--scenario", "schemes"],
 }
 
 BAD_ARGS = [
@@ -36,16 +40,25 @@ BAD_ARGS = [
     ),
     (["--trace-dir", "x", "--trace-detail", "packet"], "invalid choice"),
     (["--trace-compress"], "--trace-compress requires --trace-dir"),
+    (["--scenario", "nope"], "unknown scenario 'nope'"),
+    (["--scenario", "baseline", "topologies"], "unknown scenario 'topologies'"),
+    (["--scenario", "baseline[nope]"], "unknown scheme 'nope'"),
 ]
+
+
+def _run(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    return excinfo.value.code
 
 
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 @pytest.mark.parametrize("argv, fragment", BAD_ARGS)
 def test_sweep_cli_rejects_bad_arguments(capsys, driver, argv, fragment):
-    with pytest.raises(SystemExit) as excinfo:
-        DRIVERS[driver](argv)
-    assert excinfo.value.code == 2
+    # A later --scenario replaces the sweep's own.
+    assert _run(DRIVERS[driver] + argv) == 2
     err = capsys.readouterr().err
+    assert "usage:" in err
     assert fragment in err
     assert "Traceback" not in err
 
@@ -54,45 +67,53 @@ def test_sweep_cli_rejects_bad_arguments(capsys, driver, argv, fragment):
 def test_sweep_cli_rejects_bad_ltnc_scale_env(capsys, driver, monkeypatch):
     # An invalid LTNC_SCALE environment surfaces as a parser error too.
     monkeypatch.setenv("LTNC_SCALE", "huge")
-    with pytest.raises(SystemExit) as excinfo:
-        DRIVERS[driver]([])
-    assert excinfo.value.code == 2
+    assert _run(DRIVERS[driver]) == 2
     err = capsys.readouterr().err
+    assert "usage:" in err
     assert "LTNC_SCALE" in err
     assert "Traceback" not in err
 
 
 def test_scheme_compare_rejects_unknown_scheme(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        scheme_compare.main(["--schemes", "nope"])
-    assert excinfo.value.code == 2
+    # Every name is checked, and the error names what is registered.
+    assert _run(["--scenario", "baseline[wc]", "churn[nope]"]) == 2
     err = capsys.readouterr().err
     assert "unknown scheme 'nope'" in err
+    assert all(repr(name) in err for name in available_schemes())
     assert "Traceback" not in err
+
+
+def _sweep(driver):
+    """A quick two-trial sweep; the scheme race on two schemes only."""
+    base = ["--trials", "2", "--seed", "7"]
+    if driver == "scheme_compare":
+        return base + ["--scenario", "baseline[wc]", "baseline[rlnc]"]
+    return base + DRIVERS[driver]
 
 
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_sweep_cli_checkpoint_stop_and_resume(
     capsys, driver, tmp_path, monkeypatch
 ):
-    # Every sweep driver supports the fleet flags: stopping early exits
-    # with status 3 and leaves checkpoints; resuming completes and
-    # prints the same table as an uninterrupted run.
+    # Stopping early exits with status 3 and leaves checkpoints;
+    # resuming completes and prints the same JSON as an uninterrupted
+    # run.
     monkeypatch.setenv("LTNC_SCALE", "quick")
-    base = ["--trials", "2", "--seed", "7"]
-    if driver == "scheme_compare":
-        base += ["--schemes", "wc", "rlnc"]
-    assert DRIVERS[driver](base) == 0
-    golden = capsys.readouterr().out
+    base = _sweep(driver)
+    assert main(base) == 0
+    captured = capsys.readouterr()
+    golden = captured.out
+    assert len(json.loads(golden)) > 1  # keyed by scenario name
+    assert "avg_complete" in captured.err  # the comparison table
 
     ckpt = str(tmp_path / driver)
     fleet = base + ["--shards", "2", "--checkpoint-dir", ckpt]
-    assert DRIVERS[driver](fleet + ["--stop-after-shards", "1"]) == 3
+    assert main(fleet + ["--stop-after-shards", "1"]) == 3
     captured = capsys.readouterr()
     assert "rerun with --resume" in captured.err
     assert len(list((tmp_path / driver).glob("shard-*.json"))) == 1
 
-    assert DRIVERS[driver](fleet + ["--resume"]) == 0
+    assert main(fleet + ["--resume"]) == 0
     assert capsys.readouterr().out == golden
 
 
@@ -100,10 +121,10 @@ def test_sweep_cli_tracing_and_progress_leave_table_unchanged(
     capsys, tmp_path, monkeypatch
 ):
     # Observability flags are free: the traced + progress run prints
-    # the same table, and drops its artifacts where asked.
+    # the same JSON, and drops its artifacts where asked.
     monkeypatch.setenv("LTNC_SCALE", "quick")
-    base = ["--trials", "2", "--seed", "7", "--schemes", "wc"]
-    assert scheme_compare.main(base) == 0
+    base = ["--trials", "2", "--seed", "7", "--scenario", "baseline[wc]"]
+    assert main(base) == 0
     golden = capsys.readouterr().out
 
     traces = tmp_path / "traces"
@@ -113,12 +134,11 @@ def test_sweep_cli_tracing_and_progress_leave_table_unchanged(
         "--progress",
         "--checkpoint-dir", str(ckpt),
     ]
-    assert scheme_compare.main(observed) == 0
+    assert main(observed) == 0
     captured = capsys.readouterr()
     assert captured.out == golden
     assert "trials/s" in captured.err  # the live progress lines
     assert len(list(traces.glob("trace-*.jsonl"))) == 2  # one per trial
-    import json
 
     payload = json.loads((ckpt / "progress.json").read_text())
     assert payload["shards_done"] == payload["shards_total"]
@@ -132,11 +152,11 @@ def test_sweep_cli_tracing_and_progress_leave_table_unchanged(
 def test_sweep_cli_telemetry_and_compressed_traces(
     capsys, tmp_path, monkeypatch
 ):
-    # --telemetry-dir and --trace-compress are free too: same table,
+    # --telemetry-dir and --trace-compress are free too: same JSON,
     # plus a validating telemetry.json and .jsonl.gz traces.
     monkeypatch.setenv("LTNC_SCALE", "quick")
-    base = ["--trials", "2", "--seed", "7", "--schemes", "wc"]
-    assert scheme_compare.main(base) == 0
+    base = ["--trials", "2", "--seed", "7", "--scenario", "baseline[wc]"]
+    assert main(base) == 0
     golden = capsys.readouterr().out
 
     traces = tmp_path / "traces"
@@ -146,7 +166,7 @@ def test_sweep_cli_telemetry_and_compressed_traces(
         "--trace-compress",
         "--telemetry-dir", str(telemetry),
     ]
-    assert scheme_compare.main(observed) == 0
+    assert main(observed) == 0
     assert capsys.readouterr().out == golden
     assert len(list(traces.glob("trace-*.jsonl.gz"))) == 2
 

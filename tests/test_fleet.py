@@ -1,12 +1,14 @@
 """Tests for the sharded trial fleet: planning, checkpoints, resume.
 
-The contracts under test (ISSUE 6):
+The contracts under test:
 
-* shard-count invariance — 1 shard, 4 shards and the serial
-  ``TrialRunner`` serialise to byte-identical JSON, for 1 and 4
-  workers;
+* shard-count invariance — 1 shard, 4 shards and the plain-loop
+  oracle (``tests/oracles.py``) serialise to byte-identical JSON, for
+  1 and 4 workers;
 * checkpoint → kill → resume produces JSON byte-identical to an
   uninterrupted run, without re-running checkpointed shards;
+* a checkpoint is replayed only when its records fit the plan —
+  trial indices, trial seeds and numeric (or null) metric values;
 * ``ScenarioAggregate.metrics_summary`` summarises the union of metric
   keys across heterogeneous shards, not just trial 0's keys;
 * ``write_json`` / checkpoint writes are atomic — a crash mid-write
@@ -27,14 +29,17 @@ from repro.scenarios import (
     FleetStop,
     ScenarioAggregate,
     ScenarioSpec,
-    TrialRunner,
+    TrialSpec,
     atomic_write_text,
     default_chunksize,
     grid_fingerprint,
     parallel_map,
     plan_shards,
+    trial_seed,
 )
 from repro.scenarios import fleet as fleet_module
+
+from oracles import serial_grid
 
 SPEC = ScenarioSpec(name="fleet-x", n_nodes=8, k=16, loss_rate=0.1)
 OTHER = ScenarioSpec(name="fleet-y", n_nodes=8, k=16)
@@ -77,7 +82,7 @@ def test_plan_shards_validates():
 
 def test_shard_trials_match_runner_seed_tree():
     shards = plan_shards([SPEC], 6, master_seed=9, n_shards=2)
-    grid = TrialRunner(1).trials_for(SPEC, 6, 9)
+    grid = [TrialSpec(SPEC, i, trial_seed(9, SPEC.name, i)) for i in range(6)]
     fleet_trials = [t for s in shards for t in s.trials()]
     assert fleet_trials == grid
 
@@ -208,16 +213,25 @@ def _one_shard(n_trials=4, n_shards=2):
     return shards, fp
 
 
+def _records(shard, **metrics):
+    """Plan-consistent trial records for *shard*."""
+    return [
+        {"trial_index": t.trial_index, "seed": t.seed, **metrics}
+        for t in shard.trials()
+    ]
+
+
 def test_checkpoint_roundtrip_and_paranoia(tmp_path):
     shards, fp = _one_shard()
     store = CheckpointStore(tmp_path)
-    records = [
-        {"trial_index": i, "seed": 100 + i, "rounds": 3.5}
-        for i in shards[0].trial_indices
-    ]
+    records = _records(shards[0], rounds=3.5)
     path = store.save(shards[0], fp, records)
     assert path.exists()
-    assert store.load(shards[0], fp) == records
+    assert store.load(shards[0], fp) == (records, None)
+    # The telemetry section rides in the same file.
+    section = {"n_trials": 2, "counters": {"rounds": 7}}
+    store.save(shards[0], fp, records, section)
+    assert store.load(shards[0], fp) == (records, section)
     # Wrong fingerprint (different grid) is never replayed.
     assert store.load(shards[0], "0" * 64) is None
     # Absent shard.
@@ -230,14 +244,42 @@ def test_checkpoint_roundtrip_and_paranoia(tmp_path):
 def test_checkpoint_rejects_tampered_trial_indices(tmp_path):
     shards, fp = _one_shard()
     store = CheckpointStore(tmp_path)
-    records = [
-        {"trial_index": i, "seed": 100 + i} for i in shards[0].trial_indices
-    ]
-    path = store.save(shards[0], fp, records)
+    path = store.save(shards[0], fp, _records(shards[0]))
     payload = json.loads(path.read_text())
     payload["trials"] = payload["trials"][:-1]
     path.write_text(json.dumps(payload))
     assert store.load(shards[0], fp) is None
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda record: record.pop("seed"),
+        lambda record: record.update(seed=record["seed"] + 1),
+        lambda record: record.update(rounds=[1, 2]),
+        lambda record: record.update(rounds="12"),
+        lambda record: record.update(rounds=True),
+    ],
+    ids=["no-seed", "foreign-seed", "list-metric", "string-metric", "bool-metric"],
+)
+def test_checkpoint_rejects_malformed_trial_records(tmp_path, caplog, tamper):
+    # Such a record used to pass load() and crash the resume later, in
+    # add_record (no seed) or metrics_summary (non-numeric metric).
+    shards, fp = _one_shard()
+    store = CheckpointStore(tmp_path)
+    path = store.save(shards[0], fp, _records(shards[0], rounds=4))
+    payload = json.loads(path.read_text())
+    tamper(payload["trials"][0])
+    path.write_text(json.dumps(payload))
+    with caplog.at_level("WARNING", logger="repro.scenarios.fleet"):
+        assert store.load(shards[0], fp) is None
+    assert "recomputing" in caplog.text
+    # A resume over the bad checkpoint recomputes the shard and still
+    # matches the oracle.
+    resumed = FleetRunner(
+        1, n_shards=2, checkpoint_dir=tmp_path, resume=True
+    ).run(SPEC, 4, master_seed=7)
+    assert resumed.to_json() == serial_grid([SPEC], 4, 7)[SPEC.name].to_json()
 
 
 def test_checkpoint_filenames_are_filesystem_safe(tmp_path):
@@ -263,16 +305,16 @@ def test_fleet_runner_validates_arguments(tmp_path):
 
 @pytest.mark.parametrize("n_workers", [1, 4])
 def test_shard_count_invariance_matches_serial(n_workers):
-    # 1 shard == 4 shards == serial TrialRunner, byte for byte — the
+    # 1 shard == 4 shards == the plain-loop oracle, byte for byte — the
     # shard-level extension of the workers-1==4 property tests.
-    serial = TrialRunner(1).run(SPEC, 4, master_seed=7).to_json()
+    serial = serial_grid([SPEC], 4, 7)[SPEC.name].to_json()
     for n_shards in (1, 4):
         fleet = FleetRunner(n_workers=n_workers, n_shards=n_shards)
         assert fleet.run(SPEC, 4, master_seed=7).to_json() == serial
 
 
 def test_fleet_grid_matches_trial_runner_grid():
-    serial = TrialRunner(1).run_grid([SPEC, OTHER], 3, master_seed=5)
+    serial = serial_grid([SPEC, OTHER], 3, 5)
     fleet = FleetRunner(n_workers=2, n_shards=3).run_grid(
         [SPEC, OTHER], 3, master_seed=5
     )
@@ -282,7 +324,7 @@ def test_fleet_grid_matches_trial_runner_grid():
 
 
 def test_stop_resume_is_byte_identical_to_uninterrupted(tmp_path):
-    golden = TrialRunner(1).run_grid([SPEC, OTHER], 4, master_seed=7)
+    golden = serial_grid([SPEC, OTHER], 4, 7)
     with pytest.raises(FleetStop) as excinfo:
         FleetRunner(
             n_workers=1,
@@ -327,7 +369,7 @@ def test_resume_does_not_rerun_checkpointed_shards(tmp_path, monkeypatch):
     resumed = FleetRunner(
         1, n_shards=4, checkpoint_dir=tmp_path, resume=True
     ).run(SPEC, 4, master_seed=7)
-    assert resumed.to_json() == TrialRunner(1).run(SPEC, 4, 7).to_json()
+    assert resumed.to_json() == serial_grid([SPEC], 4, 7)[SPEC.name].to_json()
 
 
 def test_resume_recomputes_when_grid_changed(tmp_path):
@@ -340,7 +382,7 @@ def test_resume_recomputes_when_grid_changed(tmp_path):
     resumed = FleetRunner(
         1, n_shards=4, checkpoint_dir=tmp_path, resume=True
     ).run(SPEC, 4, master_seed=8)
-    assert resumed.to_json() == TrialRunner(1).run(SPEC, 4, 8).to_json()
+    assert resumed.to_json() == serial_grid([SPEC], 4, 8)[SPEC.name].to_json()
 
 
 def test_stop_after_only_counts_executed_shards(tmp_path):
@@ -357,7 +399,7 @@ def test_stop_after_only_counts_executed_shards(tmp_path):
         resume=True,
         stop_after_shards=2,
     ).run(SPEC, 4, master_seed=7)
-    assert resumed.to_json() == TrialRunner(1).run(SPEC, 4, 7).to_json()
+    assert resumed.to_json() == serial_grid([SPEC], 4, 7)[SPEC.name].to_json()
 
 
 # -- CLI ------------------------------------------------------------------

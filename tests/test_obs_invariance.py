@@ -24,11 +24,13 @@ from repro.scenarios import (
     CheckpointStore,
     FleetRunner,
     ScenarioSpec,
-    TrialRunner,
     grid_fingerprint,
     plan_shards,
 )
+from repro.scenarios.fleet import CHECKPOINT_VERSION
 from repro.schemes import available_schemes, get_scheme
+
+from oracles import serial_grid
 
 SEED = 314159
 
@@ -145,7 +147,7 @@ def test_wireless_tracing_changes_nothing(tmp_path):
 # -- fleet progress ------------------------------------------------------
 def test_fleet_with_progress_is_byte_identical_and_tmp_free(tmp_path):
     spec = ScenarioSpec(name="obs-fleet", n_nodes=8, k=16)
-    plain = TrialRunner(n_workers=1).run_grid([spec], 4, master_seed=3)
+    plain = serial_grid([spec], 4, 3)
     beats = []
     runner = FleetRunner(
         n_workers=1,
@@ -228,7 +230,7 @@ def test_checkpoint_load_warns_with_file_and_reason(tmp_path, caplog):
         json.dumps(
             {
                 "format": "ltnc-fleet-checkpoint",
-                "version": 1,
+                "version": CHECKPOINT_VERSION,
                 "fingerprint": fingerprint,
                 "scenario": spec.to_dict(),
                 "master_seed": 1,

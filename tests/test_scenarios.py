@@ -10,13 +10,15 @@ from repro.gossip.channel import ChannelModel, ChurnPhase, HeterogeneousChannel
 from repro.gossip.peer_sampling import ViewSampler
 from repro.scenarios import (
     PRESETS,
+    FleetRunner,
     ScenarioAggregate,
     ScenarioSpec,
     TopologySpec,
-    TrialRunner,
     get_preset,
     preset_names,
+    scenario_groups,
     summary_stats,
+    trial_record,
     trial_seed,
 )
 from repro.topology import TopologyChannel, TopologySampler
@@ -182,14 +184,14 @@ def test_summary_stats_handles_none_and_singletons():
 
 def test_aggregate_merge_matches_single_pass():
     spec = ScenarioSpec(name="x", n_nodes=8, k=16)
-    runner = TrialRunner(1)
-    whole = runner.run(spec, 4, master_seed=9)
+    whole = FleetRunner(1).run(spec, 4, master_seed=9)
 
     first = ScenarioAggregate(spec, 9)
     second = ScenarioAggregate(spec, 9)
-    for trial in runner.trials_for(spec, 4, 9):
-        target = first if trial.trial_index < 2 else second
-        target.add(trial.trial_index, trial.seed, spec.run(trial.seed))
+    for i in range(4):
+        seed = trial_seed(9, spec.name, i)
+        target = first if i < 2 else second
+        target.add_record(trial_record(i, seed, spec.run(seed)))
     first.merge(second)
     assert first.to_json() == whole.to_json()
 
@@ -220,15 +222,15 @@ def test_trial_seeds_are_stable_and_distinct():
 
 def test_runner_validates_arguments():
     with pytest.raises(SimulationError):
-        TrialRunner(0)
+        FleetRunner(0)
     with pytest.raises(SimulationError):
-        TrialRunner(1).run(ScenarioSpec(name="x"), 0)
+        FleetRunner(1).run(ScenarioSpec(name="x"), 0)
 
 
 def test_run_grid_rejects_duplicate_names():
     spec = ScenarioSpec(name="x", n_nodes=8, k=16)
     with pytest.raises(SimulationError):
-        TrialRunner(1).run_grid([spec, spec], 1)
+        FleetRunner(1).run_grid([spec, spec], 1)
 
 
 def test_run_grid_produces_one_aggregate_per_scenario():
@@ -236,7 +238,7 @@ def test_run_grid_produces_one_aggregate_per_scenario():
         ScenarioSpec(name="a", n_nodes=8, k=16),
         ScenarioSpec(name="b", n_nodes=8, k=16, loss_rate=0.2),
     ]
-    aggregates = TrialRunner(1).run_grid(specs, 2, master_seed=5)
+    aggregates = FleetRunner(1).run_grid(specs, 2, master_seed=5)
     assert set(aggregates) == {"a", "b"}
     for name, agg in aggregates.items():
         assert agg.n_trials == 2
@@ -250,7 +252,7 @@ def test_grid_trial_matches_standalone_rerun():
     # Any cell of the grid is bit-reproducible from its integer seed
     # alone — the property that makes failures debuggable in isolation.
     spec = ScenarioSpec(name="x", n_nodes=8, k=16, churn_rate=0.05)
-    agg = TrialRunner(1).run(spec, 3, master_seed=11)
+    agg = FleetRunner(1).run(spec, 3, master_seed=11)
     trial = agg.trials[1]
     rerun = spec.run(trial["seed"])
     for key, value in rerun.key_metrics().items():
@@ -333,6 +335,8 @@ def test_cli_list_exits_zero(capsys):
     out = capsys.readouterr().out
     for name in preset_names():
         assert name in out
+    for group in scenario_groups():
+        assert f"{group} " in out
 
 
 def test_cli_schemes_lists_registry(capsys):

@@ -12,7 +12,7 @@ asserted exactly.
 import pytest
 
 from repro.experiments.scale import PROFILES
-from repro.scenarios import TrialRunner, get_preset
+from repro.scenarios import FleetRunner, get_preset
 
 QUICK = PROFILES["quick"]
 SEED = 2010
@@ -38,7 +38,7 @@ GOLDEN = {
 
 @pytest.fixture(scope="module")
 def aggregates():
-    runner = TrialRunner(n_workers=1)
+    runner = FleetRunner(n_workers=1)
     specs = [get_preset(name, QUICK) for name in GOLDEN]
     return runner.run_grid(specs, TRIALS, master_seed=SEED)
 

@@ -4,8 +4,9 @@ Two contracts:
 
 * any :class:`ScenarioSpec` — however exotic — round-trips losslessly
   through its dict and JSON serialisations (hypothesis-generated);
-* a :class:`TrialRunner` with ``n_workers=1`` produces bitwise-identical
-  aggregated JSON to ``n_workers=4`` for the same master seed.
+* a :class:`FleetRunner` with ``n_workers=4`` produces bitwise-identical
+  aggregated JSON to the plain-loop oracle (``tests/oracles.py``) for
+  the same master seed.
 """
 
 import json
@@ -19,13 +20,15 @@ from repro.content.spec import CatalogueSpec
 from repro.gossip.channel import ChurnPhase
 from repro.scenarios import (
     TOPOLOGY_PRESETS,
+    FleetRunner,
     ScenarioSpec,
-    TrialRunner,
     get_preset,
 )
 from repro.schemes import get_scheme
 from repro.topology.spec import TopologySpec
 from repro.experiments.scale import PROFILES
+
+from oracles import serial_grid
 
 _probability = st.floats(
     min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False
@@ -217,15 +220,15 @@ def test_parallel_runner_bitwise_matches_serial():
         loss_rate=0.1,
         node_kwargs={"aggressiveness": 0.01},
     )
-    serial = TrialRunner(n_workers=1).run(spec, 4, master_seed=7)
-    parallel = TrialRunner(n_workers=4).run(spec, 4, master_seed=7)
+    serial = serial_grid([spec], 4, 7)[spec.name]
+    parallel = FleetRunner(n_workers=4).run(spec, 4, master_seed=7)
     assert serial.to_json() == parallel.to_json()
 
 
 def test_parallel_grid_bitwise_matches_serial_on_preset():
     spec = get_preset("churn", PROFILES["quick"])
-    serial = TrialRunner(n_workers=1).run_grid([spec], 4, master_seed=7)
-    parallel = TrialRunner(n_workers=4).run_grid([spec], 4, master_seed=7)
+    serial = serial_grid([spec], 4, 7)
+    parallel = FleetRunner(n_workers=4).run_grid([spec], 4, master_seed=7)
     assert serial["churn"].to_json() == parallel["churn"].to_json()
 
 
@@ -234,6 +237,6 @@ def test_topology_presets_are_worker_count_invariant(name):
     # The graph is grown inside each worker from the trial seed; the
     # aggregated JSON must stay byte-identical for any worker count.
     spec = get_preset(name, PROFILES["quick"])
-    serial = TrialRunner(n_workers=1).run(spec, 4, master_seed=7)
-    parallel = TrialRunner(n_workers=4).run(spec, 4, master_seed=7)
+    serial = serial_grid([spec], 4, 7)[spec.name]
+    parallel = FleetRunner(n_workers=4).run(spec, 4, master_seed=7)
     assert serial.to_json() == parallel.to_json()

@@ -5,10 +5,10 @@ The promises under test:
 * enabling telemetry changes nothing — the aggregate JSON of a
   telemetry-collecting run is byte-identical to a plain run;
 * the merged ``telemetry.json`` is byte-identical across worker counts
-  × shard counts × interrupt/resume cycles, and the serial
-  ``TrialRunner`` agrees with the sharded ``FleetRunner``;
+  × shard counts × interrupt/resume cycles, and to the plain-loop
+  oracle (``tests/oracles.py``);
 * resume only replays a checkpoint into a telemetry run together with
-  its telemetry shard file — a missing/corrupt/mismatched shard file
+  its telemetry section — a missing/corrupt/mismatched section
   recomputes the shard (with a logged warning) instead of silently
   dropping its telemetry;
 * ``validate_telemetry`` rejects malformed artifacts with named
@@ -23,16 +23,15 @@ import pytest
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT,
     TELEMETRY_VERSION,
-    TelemetryStore,
     read_telemetry,
     validate_telemetry,
     write_telemetry,
 )
 from repro.scenarios import (
+    CheckpointStore,
     FleetRunner,
     FleetStop,
     ScenarioSpec,
-    TrialRunner,
 )
 from repro.scenarios.runner import (
     TrialSpec,
@@ -41,6 +40,8 @@ from repro.scenarios.runner import (
     run_trial_telemetry,
     trial_seed,
 )
+
+from oracles import serial_grid, serial_telemetry
 
 SPEC = ScenarioSpec(name="tel-x", n_nodes=8, k=16, loss_rate=0.1)
 OTHER = ScenarioSpec(name="tel-y", n_nodes=8, k=16)
@@ -80,21 +81,28 @@ def test_merge_trial_snapshots_counts_trials():
 
 # -- invariance ----------------------------------------------------------
 def test_telemetry_collection_leaves_aggregates_byte_identical(tmp_path):
-    plain = TrialRunner(n_workers=1).run_grid([SPEC, OTHER], TRIALS, SEED)
-    with_telemetry = TrialRunner(
+    plain = FleetRunner(n_workers=1).run_grid([SPEC, OTHER], TRIALS, SEED)
+    with_telemetry = FleetRunner(
         n_workers=1, telemetry_dir=tmp_path
     ).run_grid([SPEC, OTHER], TRIALS, SEED)
     assert _agg_json(plain) == _agg_json(with_telemetry)
+    assert _agg_json(plain) == _agg_json(
+        serial_grid([SPEC, OTHER], TRIALS, SEED)
+    )
     payload = read_telemetry(tmp_path / "telemetry.json")
     validate_telemetry(payload)
     assert set(payload["scenarios"]) == {SPEC.name, OTHER.name}
 
 
 def test_telemetry_is_worker_and_shard_count_invariant(tmp_path):
-    texts = []
+    oracle = write_telemetry(
+        tmp_path / "oracle" / "telemetry.json",
+        serial_telemetry([SPEC, OTHER], TRIALS, SEED),
+    )
+    reference = oracle.read_bytes()
     for name, runner in (
-        ("serial", TrialRunner(n_workers=1, telemetry_dir=tmp_path / "a")),
-        ("pooled", TrialRunner(n_workers=3, telemetry_dir=tmp_path / "b")),
+        ("serial", FleetRunner(n_workers=1, telemetry_dir=tmp_path / "a")),
+        ("pooled", FleetRunner(n_workers=3, telemetry_dir=tmp_path / "b")),
         (
             "fleet",
             FleetRunner(
@@ -109,11 +117,7 @@ def test_telemetry_is_worker_and_shard_count_invariant(tmp_path):
         ),
     ):
         runner.run_grid([SPEC, OTHER], TRIALS, SEED)
-        texts.append(
-            (name, (runner.telemetry_dir / "telemetry.json").read_bytes())
-        )
-    reference = texts[0][1]
-    for name, text in texts[1:]:
+        text = (runner.telemetry_dir / "telemetry.json").read_bytes()
         assert text == reference, f"{name} telemetry diverged"
     validate_telemetry(json.loads(reference))
 
@@ -157,15 +161,15 @@ def test_resume_without_telemetry_shards_recomputes(tmp_path, caplog):
     FleetRunner(
         n_workers=1, n_shards=2, telemetry_dir=golden_dir
     ).run_grid([SPEC], TRIALS, SEED)
+    # Checkpoints written by a telemetry-free run carry no telemetry
+    # section, so a telemetry run cannot replay them.
     FleetRunner(
-        n_workers=1, n_shards=2, checkpoint_dir=ckpt, telemetry_dir=out
+        n_workers=1, n_shards=2, checkpoint_dir=ckpt
     ).run_grid([SPEC], TRIALS, SEED)
-    # A checkpoint written by a telemetry-free (or older) run: the
-    # checkpoints stay but the telemetry shard files vanish.
-    removed = list(ckpt.glob("telemetry-*.json"))
-    assert len(removed) == 2
-    for path in removed:
-        path.unlink()
+    assert not any(
+        "telemetry" in json.loads(p.read_text())
+        for p in ckpt.glob("shard-*.json")
+    )
     with caplog.at_level(logging.WARNING):
         resumed = FleetRunner(
             n_workers=1,
@@ -175,10 +179,21 @@ def test_resume_without_telemetry_shards_recomputes(tmp_path, caplog):
             telemetry_dir=out,
         )
         resumed.run_grid([SPEC], TRIALS, SEED)
-    assert "recomputing" in caplog.text
+    assert caplog.text.count("no telemetry section") == 2
     assert (out / "telemetry.json").read_bytes() == (
         golden_dir / "telemetry.json"
     ).read_bytes()
+    # The recomputed shards were checkpointed with their sections, and
+    # only shard files and progress.json sit beside them.
+    assert all(
+        "telemetry" in json.loads(p.read_text())
+        for p in ckpt.glob("shard-*.json")
+    )
+    assert sorted(p.name for p in ckpt.iterdir()) == [
+        "progress.json",
+        "shard-tel-x-0000.json",
+        "shard-tel-x-0001.json",
+    ]
 
 
 def test_resume_with_telemetry_shards_replays_without_rerun(tmp_path):
@@ -211,29 +226,46 @@ def test_resume_with_telemetry_shards_replays_without_rerun(tmp_path):
     assert (out / "telemetry.json").read_bytes() == golden
 
 
-# -- TelemetryStore paranoia ---------------------------------------------
+# -- stored telemetry paranoia -------------------------------------------
 def test_telemetry_store_rejects_corrupt_and_mismatched(tmp_path, caplog):
+    # A shard's telemetry is stored in its checkpoint and replayed only
+    # under the checkpoint's paranoia, section checks included.
     from repro.scenarios.fleet import grid_fingerprint, plan_shards
 
     shards = plan_shards([SPEC], 4, master_seed=SEED, n_shards=2)
     fingerprint = grid_fingerprint([SPEC], 4, SEED, n_shards=2)
-    store = TelemetryStore(tmp_path)
+    store = CheckpointStore(tmp_path)
+    records = [
+        {"trial_index": t.trial_index, "seed": t.seed} for t in shards[0].trials()
+    ]
     section = {"n_trials": 2, "counters": {"rounds": 7}}
-    store.save(shards[0], fingerprint, section)
-    assert store.load(shards[0], fingerprint) == section
-    # Wrong fingerprint -> stale workload, recompute.
-    with caplog.at_level(logging.WARNING):
-        assert store.load(shards[0], "deadbeef") is None
-    assert "fingerprint" in caplog.text
+    path = store.save(shards[0], fingerprint, records, section)
+    assert store.load(shards[0], fingerprint) == (records, section)
+    good = json.loads(path.read_text())
+    for telemetry, reason in [
+        ({"n_trials": 0, "counters": {}}, "n_trials"),
+        ({"n_trials": 2, "counters": {"rounds": -1}}, "counter"),
+        ({"n_trials": 2}, "counters missing"),
+        ("not a section", "not an object"),
+        ({"n_trials": 3, "counters": {"rounds": 7}}, "covers 3 trials"),
+    ]:
+        path.write_text(json.dumps(dict(good, telemetry=telemetry)))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert store.load(shards[0], fingerprint) is None
+        assert reason in caplog.text
     # Corrupt JSON -> recompute.
-    path = store.path_for(shards[0])
     path.write_text("{not json")
     with caplog.at_level(logging.WARNING):
         assert store.load(shards[0], fingerprint) is None
     # Another shard's file is never accepted for this shard.
-    store.save(shards[1], fingerprint, section)
-    data = json.loads(store.path_for(shards[1]).read_text())
-    path.write_text(json.dumps(data))  # shard 1 payload at shard 0 path
+    other = store.save(
+        shards[1],
+        fingerprint,
+        [{"trial_index": t.trial_index, "seed": t.seed} for t in shards[1].trials()],
+        section,
+    )
+    path.write_text(other.read_text())  # shard 1 payload at shard 0 path
     assert store.load(shards[0], fingerprint) is None
 
 
