@@ -32,6 +32,11 @@ tests drive random operation sequences through this kernel, the int
 kernel and ``repro.gf2.reference`` and assert identical results *and*
 identical counter totals.
 
+Like the int kernel, this one keeps its last reduction and replays it
+for an insert of the same value at the same rank (the receiver's
+innovation check, then its insert), and :meth:`BatchRref.load_identity`
+builds the content source's identity basis in one block write.
+
 :func:`make_rref` picks the kernel per code length: the int kernel
 below :data:`BATCH_RREF_MIN_COLS` columns, this one at or above (the
 paper-scale profile's ``k = 2048`` lands here).
@@ -46,7 +51,7 @@ import numpy as np
 from repro.costmodel.counters import OpCounter
 from repro.errors import DecodingError, DimensionError
 from repro.gf2.bitvec import BitVector
-from repro.gf2.matrix import IncrementalRref
+from repro.gf2.matrix import IncrementalRref, charge_row_xors
 
 __all__ = ["BATCH_RREF_MIN_COLS", "BatchRref", "make_rref"]
 
@@ -111,6 +116,9 @@ class BatchRref:
         self._row_of_col = np.full(ncols, -1, dtype=np.int64)
         self._pivot_mask = np.zeros(self._nwords, dtype=np.uint64)
         self._pivot_cols: list[int] = []
+        # The last reduction: (value, rank, (residual, used rows,
+        # lookups, row XORs)); see _reduce_vec.
+        self._last: tuple[int, int, tuple] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -143,19 +151,19 @@ class BatchRref:
         return np.flatnonzero(bits)
 
     def _reduce_words(
-        self, words: np.ndarray, payload: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray | None, int, int]:
+        self, words: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, int, int]:
         """Partial reduction of one word row; returns charges unapplied.
 
-        Returns ``(residual_words, residual_payload, n_lookups,
-        n_xors)`` replicating the sequential lead walk: rows are
-        eliminated for every pivot hit below the first non-pivot lead of
-        the *fully* eliminated vector (see module docstring).
+        Returns ``(residual_words, used_rows, n_lookups, n_xors)``
+        replicating the sequential lead walk: rows are eliminated for
+        every pivot hit below the first non-pivot lead of the *fully*
+        eliminated vector (see module docstring).
         """
         hit_cols = self._hit_columns(words)
         if hit_cols.size == 0:
             # No pivot hit: the walk looks at the lead once (if any).
-            return words.copy(), payload, (1 if words.any() else 0), 0
+            return words.copy(), hit_cols, (1 if words.any() else 0), 0
         rows = self._row_of_col[hit_cols]
         block = self._basis[rows]
         full = np.bitwise_xor.reduce(block, axis=0)
@@ -175,11 +183,47 @@ class BatchRref:
                 )
                 np.bitwise_xor(residual, full, out=residual)
         n_xors = int(used.size)
-        n_lookups = n_xors + (1 if lead >= 0 else 0)
-        if payload is not None and n_xors:
-            pay = np.bitwise_xor.reduce(self._payload_rows[used], axis=0)
-            payload = np.bitwise_xor(payload, pay)
-        return residual, payload, n_lookups, n_xors
+        return residual, used, n_xors + (1 if lead >= 0 else 0), n_xors
+
+    def _charged(self, outcome: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """Apply a :meth:`_reduce_words` outcome's charges; return
+        ``(residual_words, used_rows)``."""
+        residual, used, n_lookups, n_xors = outcome
+        self.counter.add("table_op", n_lookups)
+        charge_row_xors(self.counter, n_xors, self.ncols)
+        return residual, used
+
+    def _reduce_vec(self, vec: BitVector) -> tuple[np.ndarray, np.ndarray]:
+        """``(residual_words, used_rows)`` of *vec*, charged.
+
+        Reuses the last outcome when the value and the rank match (the
+        basis changes only when the rank grows), replaying its charges.
+        """
+        if vec.nbits != self.ncols:
+            raise DimensionError(
+                f"vector of length {vec.nbits} vs ncols {self.ncols}"
+            )
+        x = vec._x
+        last = self._last
+        if last is not None and last[0] == x and last[1] == self._rank:
+            outcome = last[2]
+        else:
+            outcome = self._reduce_words(_vec_to_words(vec, self._nwords))
+            self._last = (x, self._rank, outcome)
+        return self._charged(outcome)
+
+    def _reduced_payload(
+        self, payload: np.ndarray | None, used: np.ndarray
+    ) -> np.ndarray | None:
+        """A copy of *payload* XOR-ed with the *used* rows' payloads;
+        ``None`` in symbolic mode."""
+        if payload is None or self._payload_rows is None:
+            return None
+        if not used.size:
+            return payload.copy()
+        return np.bitwise_xor(
+            payload, np.bitwise_xor.reduce(self._payload_rows[used], axis=0)
+        )
 
     def reduce(
         self, vec: BitVector, payload: np.ndarray | None = None
@@ -188,26 +232,12 @@ class BatchRref:
 
         Same partial-reduction contract (and charges) as
         :meth:`IncrementalRref.reduce`: the walk stops at the first
-        non-pivot lead.
+        non-pivot lead, and symbolic mode returns no payload.
         """
-        if vec.nbits != self.ncols:
-            raise DimensionError(
-                f"vector of length {vec.nbits} vs ncols {self.ncols}"
-            )
-        words = _vec_to_words(vec, self._nwords)
-        res_payload = payload.copy() if payload is not None else None
-        residual, res_payload, n_lookups, n_xors = self._reduce_words(
-            words, res_payload
-        )
-        counter = self.counter
-        counter.add("table_op", n_lookups)
-        if n_xors:
-            counter.add("gauss_row_xor", n_xors)
-            counter.add("vec_word_xor", n_xors * self._nwords)
-            counter.add("payload_xor", n_xors)
+        residual, used = self._reduce_vec(vec)
         return (
             BitVector._from_int(self.ncols, _words_to_int(residual)),
-            res_payload,
+            self._reduced_payload(payload, used),
         )
 
     def contains(self, vec: BitVector) -> bool:
@@ -220,10 +250,45 @@ class BatchRref:
         return not self.contains(vec)
 
     # ------------------------------------------------------------------
+    def load_identity(self, payloads: np.ndarray | None = None) -> None:
+        """Make an empty basis the identity, row *i* carrying ``payloads[i]``.
+
+        The basis, payloads and charges (three ``table_op`` per row) are
+        those of inserting the ``ncols`` unit vectors in order, without
+        reducing each one: the content source's starting state.
+        """
+        if self._rank:
+            raise DimensionError(
+                f"load_identity needs an empty basis, got rank {self._rank}"
+            )
+        n = self.ncols
+        if self._payload_rows is not None and payloads is not None:
+            payloads = np.asarray(payloads, dtype=np.uint8)
+            if payloads.shape != self._payload_rows.shape:
+                raise DimensionError(
+                    f"payloads shape {payloads.shape} vs expected "
+                    f"{self._payload_rows.shape}"
+                )
+            self._payload_rows[:] = payloads
+        cols = np.arange(n)
+        self._basis[cols, cols >> 6] = np.left_shift(
+            np.uint64(1), (cols & 63).astype(np.uint64)
+        )
+        self._row_of_col[:] = cols
+        self._pivot_mask[:] = _vec_to_words(
+            BitVector._from_int(n, (1 << n) - 1), self._nwords
+        )
+        self._pivot_cols = list(range(n))
+        self._rank = n
+        self.counter.add("table_op", 3 * n)
+
     def insert(
         self, vec: BitVector, payload: np.ndarray | None = None
     ) -> bool:
-        """Insert a row; returns True iff it was innovative."""
+        """Insert a row; returns True iff it was innovative.
+
+        Symbolic mode drops *payload*.
+        """
         if self.payload_nbytes is not None and payload is not None:
             payload = np.asarray(payload, dtype=np.uint8)
             if payload.shape != (self.payload_nbytes,):
@@ -231,30 +296,21 @@ class BatchRref:
                     f"payload shape {payload.shape} vs "
                     f"expected ({self.payload_nbytes},)"
                 )
-        if vec.nbits != self.ncols:
-            raise DimensionError(
-                f"vector of length {vec.nbits} vs ncols {self.ncols}"
-            )
-        words = _vec_to_words(vec, self._nwords)
-        return self._insert_words(
-            words, payload.copy() if payload is not None else None
-        )
+        residual, used = self._reduce_vec(vec)
+        return self._register(residual, used, payload)
 
-    def _insert_words(
-        self, words: np.ndarray, res_payload: np.ndarray | None
+    def _register(
+        self,
+        residual: np.ndarray,
+        used: np.ndarray,
+        payload: np.ndarray | None,
     ) -> bool:
-        counter = self.counter
-        residual, res_payload, n_lookups, n_xors = self._reduce_words(
-            words, res_payload
-        )
-        counter.add("table_op", n_lookups)
-        if n_xors:
-            counter.add("gauss_row_xor", n_xors)
-            counter.add("vec_word_xor", n_xors * self._nwords)
-            counter.add("payload_xor", n_xors)
+        """Add a reduced row to the basis if it is non-zero."""
         lead = _first_bit(residual)
         if lead < 0:
             return False
+        counter = self.counter
+        res_payload = self._reduced_payload(payload, used)
         # Canonicalize: clear the remaining pivot overlaps (all above
         # the lead — basis rows carry no other pivot columns, so the
         # overlap set is fixed and processed in ascending order, exactly
@@ -279,15 +335,11 @@ class BatchRref:
                 )
         canon_ops += int(np.bitwise_count(state).sum())
         counter.add("table_op", canon_ops)
-        n_over = int(overlaps.size)
-        if n_over:
-            counter.add("gauss_row_xor", n_over)
-            counter.add("vec_word_xor", n_over * self._nwords)
-            counter.add("payload_xor", n_over)
+        charge_row_xors(counter, int(overlaps.size), self.ncols)
         # Register the canonical row.
         row_idx = self._rank
         self._basis[row_idx] = state
-        if self._payload_rows is not None and res_payload is not None:
+        if res_payload is not None:
             self._payload_rows[row_idx] = res_payload
         self._rank = row_idx + 1
         self._pivot_cols.append(lead)
@@ -300,14 +352,11 @@ class BatchRref:
         active = self._basis[:row_idx]
         col_bits = (active[:, lead >> 6] >> np.uint64(lead & 63)) & np.uint64(1)
         subs = np.flatnonzero(col_bits)
-        n_subs = int(subs.size)
-        if n_subs:
+        if subs.size:
             active[subs] ^= state
-            if self._payload_rows is not None and res_payload is not None:
+            if res_payload is not None:
                 self._payload_rows[subs] ^= res_payload
-            counter.add("gauss_row_xor", n_subs)
-            counter.add("vec_word_xor", n_subs * self._nwords)
-            counter.add("payload_xor", n_subs)
+            charge_row_xors(counter, int(subs.size), self.ncols)
         return True
 
     # ------------------------------------------------------------------
@@ -350,8 +399,9 @@ class BatchRref:
         for i in range(len(matrix)):
             payload = None
             if payloads is not None:
-                payload = np.asarray(payloads[i], dtype=np.uint8).copy()
-            out.append(self._insert_words(matrix[i], payload))
+                payload = np.asarray(payloads[i], dtype=np.uint8)
+            residual, used = self._charged(self._reduce_words(matrix[i]))
+            out.append(self._register(residual, used, payload))
         return out
 
     def batch_reduce(
@@ -363,18 +413,9 @@ class BatchRref:
         charges identical); the basis is not modified.
         """
         matrix = self._as_word_matrix(vectors)
-        counter = self.counter
         out = np.zeros_like(matrix)
         for i in range(len(matrix)):
-            residual, _, n_lookups, n_xors = self._reduce_words(
-                matrix[i], None
-            )
-            counter.add("table_op", n_lookups)
-            if n_xors:
-                counter.add("gauss_row_xor", n_xors)
-                counter.add("vec_word_xor", n_xors * self._nwords)
-                counter.add("payload_xor", n_xors)
-            out[i] = residual
+            out[i], _ = self._charged(self._reduce_words(matrix[i]))
         return out
 
     # ------------------------------------------------------------------

@@ -25,6 +25,12 @@ kernel (``repro.gf2.reference``): the reference loop charges one
 ``table_op`` per column it walks, and the closed-form
 ``popcount(residual & mask)`` expressions below charge the same walk
 without taking it — the differential property tests pin this down.
+
+A receiver checks a packet's innovation and then inserts it, reducing
+the same vector against the same basis twice.  The kernel keeps its
+last reduction (value, rank, residual, charges) and replays it when
+the value and the rank match: the basis changes only when the rank
+grows, so the replay is the same computation, charged the same.
 """
 
 from __future__ import annotations
@@ -38,6 +44,15 @@ from repro.errors import DecodingError, DimensionError
 from repro.gf2.bitvec import BitVector
 
 __all__ = ["GF2Matrix", "IncrementalRref"]
+
+
+def charge_row_xors(counter: OpCounter, n: int, ncols: int) -> None:
+    """Charge *n* elementary row XORs of width *ncols*: the row step,
+    its packed-word XORs and the payload XOR that travels with it."""
+    if n:
+        counter.add("gauss_row_xor", n)
+        counter.add("vec_word_xor", n * ((ncols + 63) >> 6))
+        counter.add("payload_xor", n)
 
 
 class GF2Matrix:
@@ -132,7 +147,8 @@ class IncrementalRref:
         If not ``None``, each inserted row carries an ``m``-byte payload
         and payload rows are XOR-ed alongside vector rows, so decoding
         produces the native packets.  ``None`` runs in symbolic mode
-        (vectors only; payload XORs are still *counted*).
+        (vectors only: payloads passed in are dropped, and payload XORs
+        are still *counted*).
     counter:
         Destination for cost accounting; a private counter is created
         when omitted.
@@ -156,6 +172,8 @@ class IncrementalRref:
         self._rows: list[BitVector] = []
         self._payloads: list[np.ndarray | None] = []
         self._pivot_cols: list[int] = []
+        # The last reduction: (value, rank, residual, lookups, row XORs).
+        self._last: tuple[int, int, int, int, int] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -176,6 +194,33 @@ class IncrementalRref:
         return list(self._pivot_cols)
 
     # ------------------------------------------------------------------
+    def load_identity(self, payloads: np.ndarray | None = None) -> None:
+        """Make an empty basis the identity, row *i* carrying ``payloads[i]``.
+
+        The basis, payloads and charges (three ``table_op`` per row) are
+        those of inserting the ``ncols`` unit vectors in order, without
+        reducing each one: the content source's starting state.
+        """
+        if self._rows:
+            raise DimensionError(
+                f"load_identity needs an empty basis, got rank {self.rank}"
+            )
+        n = self.ncols
+        rows = None
+        if self.payload_nbytes is not None and payloads is not None:
+            rows = np.array(payloads, dtype=np.uint8)
+            if rows.shape != (n, self.payload_nbytes):
+                raise DimensionError(
+                    f"payloads shape {rows.shape} vs expected "
+                    f"({n}, {self.payload_nbytes})"
+                )
+        self._rows = [BitVector._from_int(n, 1 << i) for i in range(n)]
+        self._payloads = list(rows) if rows is not None else [None] * n
+        self._pivot_cols = list(range(n))
+        self._pivot_of_col = {i: i for i in range(n)}
+        self._pivot_mask = (1 << n) - 1
+        self.counter.add("table_op", 3 * n)
+
     def _xor_row(
         self,
         vec: BitVector,
@@ -184,10 +229,7 @@ class IncrementalRref:
     ) -> np.ndarray | None:
         """XOR basis row *row_idx* into (vec, payload), with accounting."""
         vec._x ^= self._rows[row_idx]._x
-        counter = self.counter
-        counter.add("gauss_row_xor")
-        counter.add("vec_word_xor", (self.ncols + 63) >> 6)
-        counter.add("payload_xor")
+        charge_row_xors(self.counter, 1, self.ncols)
         other = self._payloads[row_idx]
         if payload is not None and other is not None:
             payload = payload.copy() if payload.base is not None else payload
@@ -200,41 +242,53 @@ class IncrementalRref:
         """Reduce (vec, payload) against the basis; inputs untouched.
 
         Returns the residual vector (zero iff *vec* is in the span) and
-        the correspondingly reduced payload.
+        the correspondingly reduced payload (``None`` in symbolic mode).
+        Reducing the last value again at the same rank (the receiver's
+        innovation check, then its insert) replays the last walk and its
+        charges: the basis changes only when the rank grows.
         """
         if vec.nbits != self.ncols:
             raise DimensionError(
                 f"vector of length {vec.nbits} vs ncols {self.ncols}"
             )
-        res_payload = payload.copy() if payload is not None else None
         x = vec._x
-        pivot_mask = self._pivot_mask
-        pivot_of_col = self._pivot_of_col
-        rows = self._rows
-        payloads = self._payloads
-        n_lookups = 0
-        n_xors = 0
-        # Basis rows are canonical (no other pivot column set), so each
-        # XOR clears exactly the current lead among pivot columns and
-        # only ever touches bits above it: the loop walks leads upward.
-        while x:
-            lsb = x & -x
-            n_lookups += 1
-            if not (pivot_mask & lsb):
-                break
-            row_idx = pivot_of_col[lsb.bit_length() - 1]
-            x ^= rows[row_idx]._x
-            n_xors += 1
-            other = payloads[row_idx]
-            if res_payload is not None and other is not None:
-                np.bitwise_xor(res_payload, other, out=res_payload)
-        counter = self.counter
-        counter.add("table_op", n_lookups)
-        if n_xors:
-            counter.add("gauss_row_xor", n_xors)
-            counter.add("vec_word_xor", n_xors * ((self.ncols + 63) >> 6))
-            counter.add("payload_xor", n_xors)
-        return BitVector._from_int(self.ncols, x), res_payload
+        rank = len(self._rows)
+        last = self._last
+        if last is None or last[0] != x or last[1] != rank:
+            pivot_mask = self._pivot_mask
+            pivot_of_col = self._pivot_of_col
+            rows = self._rows
+            residual = x
+            n_lookups = 0
+            n_xors = 0
+            # Basis rows are canonical (no other pivot column set), so
+            # each XOR clears exactly the current lead among pivot
+            # columns and only ever touches bits above it: the loop
+            # walks leads upward.
+            while residual:
+                lsb = residual & -residual
+                n_lookups += 1
+                if not (pivot_mask & lsb):
+                    break
+                residual ^= rows[pivot_of_col[lsb.bit_length() - 1]]._x
+                n_xors += 1
+            last = self._last = (x, rank, residual, n_lookups, n_xors)
+        _, _, residual, n_lookups, n_xors = last
+        self.counter.add("table_op", n_lookups)
+        charge_row_xors(self.counter, n_xors, self.ncols)
+        res_payload = None
+        if payload is not None and self.payload_nbytes is not None:
+            res_payload = payload.copy()
+            # The rows the walk XOR-ed are the pivots where x and the
+            # residual differ: no row carries another's pivot column.
+            used = (x ^ residual) & self._pivot_mask
+            while used:
+                lsb = used & -used
+                other = self._payloads[self._pivot_of_col[lsb.bit_length() - 1]]
+                if other is not None:
+                    np.bitwise_xor(res_payload, other, out=res_payload)
+                used ^= lsb
+        return BitVector._from_int(self.ncols, residual), res_payload
 
     def contains(self, vec: BitVector) -> bool:
         """True iff *vec* is in the span of the inserted rows."""
@@ -252,7 +306,8 @@ class IncrementalRref:
 
         Keeps the basis in *reduced* echelon form: after the forward
         reduction of the new row, every existing row containing the new
-        pivot column is back-substituted.
+        pivot column is back-substituted.  Symbolic mode drops
+        *payload*.
         """
         if self.payload_nbytes is not None and payload is not None:
             payload = np.asarray(payload, dtype=np.uint8)
@@ -293,10 +348,7 @@ class IncrementalRref:
                 p = payloads[i]
                 if p is not None and res_payload is not None:
                     np.bitwise_xor(p, res_payload, out=p)
-        if n_subs:
-            counter.add("gauss_row_xor", n_subs)
-            counter.add("vec_word_xor", n_subs * ((self.ncols + 63) >> 6))
-            counter.add("payload_xor", n_subs)
+        charge_row_xors(counter, n_subs, self.ncols)
         return True
 
     def _next_pivot_overlap(self, vec: BitVector) -> int | None:

@@ -24,6 +24,7 @@ from repro.coding.packet import EncodedPacket
 from repro.costmodel.counters import OpCounter
 from repro.errors import DimensionError, RecodingError
 from repro.gf2.batch import make_rref
+from repro.gf2.bitvec import BitVector
 from repro.rng import make_rng
 
 __all__ = ["default_sparsity", "RlncNode"]
@@ -94,16 +95,27 @@ class RlncNode:
         cls,
         k: int,
         content: np.ndarray | None = None,
-        sparsity: int | None = None,
         rng: np.random.Generator | int | None = None,
         node_id: int = -1,
+        **kwargs: object,
     ) -> "RlncNode":
-        """A node pre-loaded with all *k* natives (the content source)."""
+        """A node pre-loaded with all *k* natives (the content source).
+
+        Builds what receiving the *k* natives in order builds (identity
+        basis, received packets, counters and charges) without reducing
+        each one.  *kwargs* go to the constructor: ``sparsity``, or a
+        subclass's own knob.
+        """
         m = int(content.shape[1]) if content is not None else None
-        node = cls(node_id, k, payload_nbytes=m, sparsity=sparsity, rng=rng)
-        for i in range(k):
-            payload = content[i] if content is not None else None
-            node.receive(EncodedPacket.native(k, i, payload))
+        node = cls(node_id, k, payload_nbytes=m, rng=rng, **kwargs)
+        node.rref.load_identity(content)
+        node.received = [
+            EncodedPacket.native(
+                k, i, content[i].copy() if content is not None else None
+            )
+            for i in range(k)
+        ]
+        node.innovative_count = k
         return node
 
     # ------------------------------------------------------------------
@@ -152,23 +164,30 @@ class RlncNode:
         t = min(self.sparsity, len(self.received))
         received = self.received
         counter = self.recode_counter
+        rng = self.rng
+        nwords = (self.k + 63) >> 6
         for _ in range(16):
             counter.add("rng_draw", 2)
-            picks = self.rng.choice(len(received), size=t, replace=False)
-            coeffs = self.rng.random(t) < 0.5
-            fresh: EncodedPacket | None = None
-            for j, keep in zip(picks.tolist(), coeffs.tolist()):
-                if not keep:
-                    continue
-                if fresh is None:
-                    fresh = received[j].copy()
-                    # The initial copy streams m payload bytes.
-                    counter.add("payload_xor")
-                else:
-                    fresh.ixor(received[j], counter)
-            if fresh is not None and not fresh.vector.is_zero():
+            picks = rng.choice(len(received), size=t, replace=False)
+            coeffs = rng.random(t) < 0.5
+            kept = [received[j] for j in picks[coeffs].tolist()]
+            if not kept:
+                continue
+            # Charged as packet-by-packet combining: one copy streaming
+            # m payload bytes, then one vector and one payload XOR per
+            # further packet.
+            counter.add("payload_xor", len(kept))
+            counter.add("vec_word_xor", (len(kept) - 1) * nwords)
+            x = 0
+            for packet in kept:
+                x ^= packet.vector._x
+            if x:
+                payloads = [p.payload for p in kept if p.payload is not None]
                 self.recoded_count += 1
-                return fresh
+                return EncodedPacket(
+                    BitVector._from_int(self.k, x),
+                    np.bitwise_xor.reduce(payloads) if payloads else None,
+                )
         # Fall back to forwarding a single packet: always non-zero.
         self.recoded_count += 1
         self.recode_counter.add("payload_xor")

@@ -27,7 +27,6 @@ import math
 
 import numpy as np
 
-from repro.coding.packet import EncodedPacket
 from repro.errors import DimensionError
 from repro.rlnc.node import RlncNode
 
@@ -67,23 +66,6 @@ class SparseRlncNode(RlncNode):
             node_id, k, payload_nbytes=payload_nbytes, sparsity=sparsity, rng=rng
         )
         self.density = density
-
-    @classmethod
-    def as_source(
-        cls,
-        k: int,
-        content: np.ndarray | None = None,
-        density: float = DEFAULT_DENSITY,
-        rng: np.random.Generator | int | None = None,
-        node_id: int = -1,
-    ) -> "SparseRlncNode":
-        """A node pre-loaded with all *k* natives (the content source)."""
-        m = int(content.shape[1]) if content is not None else None
-        node = cls(node_id, k, payload_nbytes=m, density=density, rng=rng)
-        for i in range(k):
-            payload = content[i] if content is not None else None
-            node.receive(EncodedPacket.native(k, i, payload))
-        return node
 
     def __repr__(self) -> str:
         return (

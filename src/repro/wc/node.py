@@ -3,7 +3,8 @@
 The uncoded epidemic reference scheme: nodes exchange only native
 packets.  Innovation detection is a set lookup; each node buffers up to
 *b* innovative packets (FIFO eviction) and, every gossip period, pushes
-the buffered packet it has forwarded the least to one random neighbour.
+the buffered packet it has forwarded the least (the oldest among ties)
+to one random neighbour.
 The fan-out *f* must exceed ``ln N`` for all natives to reach all nodes
 with high probability (Eugster et al., cited as [24]).
 """
@@ -11,7 +12,7 @@ with high probability (Eugster et al., cited as [24]).
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections import OrderedDict, deque
 
 import numpy as np
 
@@ -47,8 +48,10 @@ class WcNode:
         only stops a packet from being *forwarded*.
     fanout:
         Target number of times each buffered packet is forwarded (*f*).
-        Packets already sent *f* times lose forwarding priority but may
-        still be sent when nothing fresher is buffered.
+        Recorded for the scheme's configuration only: a forward always
+        picks the least-forwarded buffered packet, oldest first, so a
+        packet sent *f* times is already behind every packet sent fewer
+        times and *f* never changes a pick.
     """
 
     scheme = "wc"
@@ -77,6 +80,10 @@ class WcNode:
         self.received: dict[int, np.ndarray | None] = {}
         # index -> times forwarded; insertion order doubles as age.
         self._buffer: OrderedDict[int, int] = OrderedDict()
+        # _buckets[c]: the buffered indices forwarded c times, oldest
+        # first; _min_count is at most the lowest non-empty bucket.
+        self._buckets: list[deque[int]] = [deque()]
+        self._min_count = 0
         self.innovative_count = 0
         self.redundant_count = 0
 
@@ -130,8 +137,13 @@ class WcNode:
         self.received[index] = payload
         self.innovative_count += 1
         self._buffer[index] = 0
+        self._buckets[0].append(index)
+        self._min_count = 0
         if len(self._buffer) > self.buffer_size:
-            self._buffer.popitem(last=False)  # evict the oldest
+            # Evict the oldest: it is older than everything in its own
+            # bucket, so it sits at that bucket's head.
+            _, count = self._buffer.popitem(last=False)
+            self._buckets[count].popleft()
         return True
 
     def make_packet(self, receiver_state: object | None = None) -> EncodedPacket:
@@ -139,15 +151,27 @@ class WcNode:
         if not self._buffer:
             raise RecodingError("buffer empty; nothing to forward")
         self.recode_counter.add("table_op")
-        # Least-sent first; among ties prefer under the fan-out target,
-        # then older entries (insertion order of OrderedDict).
-        index = min(
-            self._buffer,
-            key=lambda i: (self._buffer[i] >= self.fanout, self._buffer[i]),
-        )
-        self._buffer[index] += 1
+        # Least-sent first, oldest among ties: the head of the lowest
+        # non-empty bucket.  Appending it to the next bucket up keeps
+        # that bucket oldest first.  Any index already there left this
+        # bucket earlier, as its head while it was the lowest; this
+        # index was then behind it in the same bucket (counts only
+        # rise) or not yet buffered.
+        buckets = self._buckets
+        count = self._min_count
+        while not buckets[count]:
+            count += 1
+        self._min_count = count
+        index = buckets[count].popleft()
+        count += 1
+        if count == len(buckets):
+            buckets.append(deque())
+        buckets[count].append(index)
+        self._buffer[index] = count
         self.recode_counter.add("payload_xor")  # copying m bytes to the wire
-        return EncodedPacket.native(self.k, index, self.received[index])
+        return EncodedPacket(
+            BitVector._from_int(self.k, 1 << index), self.received[index]
+        )
 
     def feedback_state(self) -> object | None:
         """The receiver's 'have' set; unused by plain WC senders."""

@@ -11,10 +11,13 @@ they replaced, for differential tests only:
   with per-step charges, the Algorithm-2 candidate walk over
   ``buckets_below``, per-native ``record_sent`` charges, unmemoized
   reachability bounds, ``np.searchsorted`` degree sampling and the
-  index-by-index header check.
+  index-by-index header check;
+* the reference baseline bodies — WC's ``min`` scan of the whole
+  buffer per forward, RLNC's packet-by-packet ``copy``/``ixor``
+  recode, and an RLNC source built by *k* native receptions.
 
-:func:`reference_paths` swaps them in for the duration of a ``with``
-block, so anything built inside it — a bare
+:func:`reference_paths` swaps them all in for the duration of a
+``with`` block, so anything built inside it — a bare
 :class:`~repro.gossip.simulator.EpidemicSimulator` or a preset's
 ``spec.run`` — runs on the oracle.  The production paths must match it
 draw for draw: same results, same ``OpCounter`` totals.
@@ -36,7 +39,7 @@ import dataclasses
 import numpy as np
 
 from repro.baselines.random_recode import RandomRecodeNode
-from repro.coding.packet import xor_payloads
+from repro.coding.packet import EncodedPacket, xor_payloads
 from repro.core.builder import BuildResult
 from repro.core.node import LtncNode
 from repro.core.occurrences import OccurrenceTracker
@@ -45,11 +48,17 @@ from repro.core.refiner import RefineResult, pair_payload
 from repro.errors import DimensionError, RecodingError
 from repro.gossip.simulator import EpidemicSimulator
 from repro.obs.metrics import MetricsCollector
+from repro.rlnc.node import RlncNode
+from repro.rlnc.sparse import SparseRlncNode
 from repro.scenarios.aggregate import ScenarioAggregate
 from repro.scenarios.runner import trial_seed
 from repro.schemes import registry
+from repro.wc.node import WcNode, default_fanout
 
 __all__ = [
+    "ReferenceRlncNode",
+    "ReferenceSparseRlncNode",
+    "ReferenceWcNode",
     "assert_conserved",
     "reference_build",
     "reference_paths",
@@ -246,7 +255,96 @@ class ReferenceRandomRecodeNode(_ReferenceBodies, RandomRecodeNode):
     """The ``rndlt`` baseline on the reference bodies."""
 
 
-def _reference_scheme(name: str, cls):
+# ----------------------------------------------------------------------
+# The baseline schemes
+# ----------------------------------------------------------------------
+class ReferenceWcNode(WcNode):
+    """:class:`WcNode` picking each forward by a ``min`` scan of the buffer."""
+
+    def receive(self, packet) -> bool:
+        if packet.degree != 1:
+            raise DimensionError(f"WC received a degree-{packet.degree} packet")
+        index = packet.vector.first_index()
+        self.decode_counter.add("table_op")
+        if index in self.received:
+            self.redundant_count += 1
+            return False
+        payload = packet.payload.copy() if packet.payload is not None else None
+        self.received[index] = payload
+        self.innovative_count += 1
+        self._buffer[index] = 0
+        if len(self._buffer) > self.buffer_size:
+            self._buffer.popitem(last=False)  # evict the oldest
+        return True
+
+    def make_packet(self, receiver_state=None):
+        if not self._buffer:
+            raise RecodingError("buffer empty; nothing to forward")
+        self.recode_counter.add("table_op")
+        index = min(
+            self._buffer,
+            key=lambda i: (self._buffer[i] >= self.fanout, self._buffer[i]),
+        )
+        self._buffer[index] += 1
+        self.recode_counter.add("payload_xor")
+        return EncodedPacket.native(self.k, index, self.received[index])
+
+
+class _ReferenceRlncBodies:
+    """Mixin putting the packet-by-packet recode and the k-reception
+    source build under an RLNC-family node."""
+
+    @classmethod
+    def as_source(cls, k, content=None, rng=None, node_id=-1, **kwargs):
+        m = int(content.shape[1]) if content is not None else None
+        node = cls(node_id, k, payload_nbytes=m, rng=rng, **kwargs)
+        for i in range(k):
+            payload = content[i] if content is not None else None
+            node.receive(EncodedPacket.native(k, i, payload))
+        return node
+
+    def make_packet(self, receiver_state=None):
+        if not self.received:
+            raise RecodingError("no packets received yet; cannot recode")
+        t = min(self.sparsity, len(self.received))
+        received = self.received
+        counter = self.recode_counter
+        for _ in range(16):
+            counter.add("rng_draw", 2)
+            picks = self.rng.choice(len(received), size=t, replace=False)
+            coeffs = self.rng.random(t) < 0.5
+            fresh = None
+            for j, keep in zip(picks.tolist(), coeffs.tolist()):
+                if not keep:
+                    continue
+                if fresh is None:
+                    fresh = received[j].copy()
+                    counter.add("payload_xor")
+                else:
+                    fresh.ixor(received[j], counter)
+            if fresh is not None and not fresh.vector.is_zero():
+                self.recoded_count += 1
+                return fresh
+        self.recoded_count += 1
+        self.recode_counter.add("payload_xor")
+        return self.received[int(self.rng.integers(len(self.received)))].copy()
+
+
+class ReferenceRlncNode(_ReferenceRlncBodies, RlncNode):
+    """:class:`RlncNode` on the reference recode and source build."""
+
+
+class ReferenceSparseRlncNode(_ReferenceRlncBodies, SparseRlncNode):
+    """:class:`SparseRlncNode` on the reference recode and source build."""
+
+
+def _reference_wc_node(node_id, k, payload_nbytes, n_nodes, rng, **kwargs):
+    if kwargs.get("fanout") is None:
+        kwargs["fanout"] = default_fanout(n_nodes)
+    return ReferenceWcNode(node_id, k, rng=rng, **kwargs)
+
+
+def _reference_scheme(name: str, cls, node_factory=None):
     def node(node_id, k, payload_nbytes, n_nodes, rng, **kwargs):
         return cls(node_id, k, payload_nbytes=payload_nbytes, rng=rng, **kwargs)
 
@@ -254,7 +352,9 @@ def _reference_scheme(name: str, cls):
         return cls.as_source(k, content, rng=rng, **kwargs)
 
     return dataclasses.replace(
-        registry.get_scheme(name), node_factory=node, source_factory=source
+        registry.get_scheme(name),
+        node_factory=node_factory or node,
+        source_factory=source,
     )
 
 
@@ -281,19 +381,23 @@ def scalar_step(sim: EpidemicSimulator, round_index: int) -> None:
 
 @contextlib.contextmanager
 def reference_paths():
-    """Run the scalar loop and the reference LTNC bodies inside the block.
+    """Run the scalar loop and the reference scheme bodies inside the block.
 
-    Swaps ``EpidemicSimulator._step`` and the ``ltnc``/``rndlt``
-    registry entries (in place, so registration order is kept), and
-    restores both on exit.
+    Swaps ``EpidemicSimulator._step`` and the ``ltnc``, ``rndlt``,
+    ``wc``, ``rlnc`` and ``sparse_rlnc`` registry entries (in place, so
+    registration order is kept), and restores both on exit.
     """
+    oracles = {
+        "ltnc": _reference_scheme("ltnc", ReferenceLtncNode),
+        "rndlt": _reference_scheme("rndlt", ReferenceRandomRecodeNode),
+        "wc": _reference_scheme("wc", ReferenceWcNode, _reference_wc_node),
+        "rlnc": _reference_scheme("rlnc", ReferenceRlncNode),
+        "sparse_rlnc": _reference_scheme("sparse_rlnc", ReferenceSparseRlncNode),
+    }
     saved_step = EpidemicSimulator._step
-    saved = {name: registry.get_scheme(name) for name in ("ltnc", "rndlt")}
+    saved = {name: registry.get_scheme(name) for name in oracles}
     EpidemicSimulator._step = scalar_step
-    registry._REGISTRY["ltnc"] = _reference_scheme("ltnc", ReferenceLtncNode)
-    registry._REGISTRY["rndlt"] = _reference_scheme(
-        "rndlt", ReferenceRandomRecodeNode
-    )
+    registry._REGISTRY.update(oracles)
     try:
         yield
     finally:

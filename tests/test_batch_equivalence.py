@@ -5,8 +5,8 @@ run of senders' targets in one sampler call — and the LTNC recoder one
 body per algorithm.  The determinism contract says a trial's *results*
 (completion trajectory, metrics, and every OpCounter total) are those
 of the straightforward implementations kept in ``tests/oracles.py``:
-the scalar loop and the reference LTNC bodies.  This suite pins that
-contract from three directions:
+the scalar loop, the reference LTNC bodies and the reference WC and
+RLNC bodies.  This suite pins that contract from four directions:
 
 * a hypothesis sweep over simulator configs (scheme, peer sampler,
   feedback mode, loss, duplication, churn) asserting production and
@@ -14,6 +14,8 @@ contract from three directions:
   to_dict`` embeds the recode and decode counter snapshots, so op
   accounting is covered, not just metrics — and that every result obeys
   the counter conservation laws;
+* RLNC at k = 1,024, where nodes run the numpy elimination kernel,
+  against the oracle;
 * the ``large_overlay`` preset re-run on the oracle;
 * the round loop under the parallel trial runner: a 1,024-node bounded
   workload aggregated with 1 worker and with 4 must produce
@@ -25,10 +27,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import assert_conserved, reference_paths
+from repro.coding import make_content
 from repro.experiments.scale import PROFILES
 from repro.gossip.channel import ChannelModel
 from repro.gossip.peer_sampling import UniformSampler, ViewSampler
@@ -81,6 +85,21 @@ def test_scalar_and_batched_runs_are_bit_identical(
     with reference_paths():
         oracle = _run_json(sampler, seed, **kw)
     assert _run_json(sampler, seed, **kw) == oracle
+
+
+@pytest.mark.parametrize("content", [None, make_content(1024, 4, rng=3)])
+def test_numpy_kernel_rlnc_matches_oracle(content):
+    kw = dict(
+        scheme="rlnc",
+        n_nodes=8,
+        k=1024,
+        content=content,
+        feedback=Feedback.BINARY,
+        max_rounds=150,
+    )
+    with reference_paths():
+        oracle = _run_json("uniform", 5, **kw)
+    assert _run_json("uniform", 5, **kw) == oracle
 
 
 def test_large_overlay_preset_is_scalar_identical():

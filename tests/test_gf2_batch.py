@@ -9,7 +9,9 @@ contract the Figure-8 benches rely on).  These tests make the claim
 executable three ways:
 
 * hypothesis drives random insert / reduce / is_innovative sequences
-  through all three kernels in lock-step;
+  through all three kernels in lock-step, including the receiver's
+  check-then-insert pattern whose second reduction the kernels replay
+  from the first;
 * the block API (:meth:`batch_insert` / :meth:`batch_reduce`) is pinned
   equivalent to sequential calls, charges included;
 * :func:`make_rref` heuristic selection is pinned (int kernel below
@@ -49,8 +51,27 @@ def _random_vec(rng, ncols):
     )
 
 
+def _vecs(ncols, cols):
+    return (
+        BitVector.from_indices(ncols, cols),
+        ReferenceBitVector.from_indices(ncols, cols),
+    )
+
+
 def _ref_int(ref_vec):
     return int.from_bytes(ref_vec.key(), "little")
+
+
+def _insert3(kernels, vecs, payload):
+    """Insert one row into (int, numpy, reference); the common result."""
+    (a, b, r), (vec, rvec) = kernels, vecs
+    outs = {
+        a.insert(vec, None if payload is None else payload.copy()),
+        b.insert(vec, None if payload is None else payload.copy()),
+        r.insert(rvec, None if payload is None else payload.copy()),
+    }
+    assert len(outs) == 1
+    return outs.pop()
 
 
 # ----------------------------------------------------------------------
@@ -73,14 +94,9 @@ def test_op_sequences_match_int_and_reference(ncols, nbytes, seed, n_ops):
             if nbytes
             else None
         )
-        op = int(rng.integers(0, 3))
+        op = int(rng.integers(0, 6))
         if op == 0:
-            outs = {
-                a.insert(vec, None if payload is None else payload.copy()),
-                b.insert(vec, None if payload is None else payload.copy()),
-                r.insert(rvec, None if payload is None else payload.copy()),
-            }
-            assert len(outs) == 1
+            _insert3((a, b, r), (vec, rvec), payload)
         elif op == 1:
             xa, pa = a.reduce(vec, payload)
             xb, pb = b.reduce(vec, payload)
@@ -89,13 +105,32 @@ def test_op_sequences_match_int_and_reference(ncols, nbytes, seed, n_ops):
             if payload is not None:
                 assert np.array_equal(pa, pb)
                 assert np.array_equal(pa, pr)
-        else:
+        elif op == 2:
             outs = {
                 a.is_innovative(vec),
                 b.is_innovative(vec),
                 r.is_innovative(rvec),
             }
             assert len(outs) == 1
+        else:
+            # The receiver's pattern: check, then insert the same row,
+            # with nothing in between (3), an innovative insert that
+            # grows the rank (4), or a non-innovative one (5).
+            checked = {
+                a.is_innovative(vec),
+                b.is_innovative(vec),
+                r.is_innovative(rvec),
+            }
+            assert len(checked) == 1
+            free = sorted(set(range(ncols)) - set(a.pivot_columns()))
+            if op == 4 and free:
+                unit = [int(rng.choice(free))]
+                assert _insert3((a, b, r), _vecs(ncols, unit), payload)
+            elif op == 5:
+                rows = a.basis_rows()
+                cols = rows[int(rng.integers(len(rows)))].indices_list() if rows else []
+                assert not _insert3((a, b, r), _vecs(ncols, cols), payload)
+            _insert3((a, b, r), (vec, rvec), payload)
         assert a.rank == b.rank == r.rank
         assert a.pivot_columns() == b.pivot_columns()
         assert [v.key() for v in a.basis_rows()] == [
@@ -121,6 +156,64 @@ def test_full_rank_decode_matches_int_kernel():
     assert ca.counts == cb.counts
     for x, y in zip(a.decode(), b.decode()):
         assert np.array_equal(x, y)
+
+
+def test_symbolic_kernels_drop_payloads():
+    ncols = 70
+    a, b, r, (ca, cb, cr) = _triple(ncols, None)
+    zeros, ones = np.zeros(4, np.uint8), np.ones(4, np.uint8)
+    held, probe = _vecs(ncols, [1, 5]), _vecs(ncols, [1, 5, 9])
+    assert _insert3((a, b, r), held, zeros)
+    for kernel in (a, b):
+        residual, payload = kernel.reduce(probe[0], ones)
+        assert payload is None
+        assert residual.indices_list() == [9]
+    r.reduce(probe[1], ones)
+    assert _insert3((a, b, r), probe, ones)
+    assert ca.counts == cb.counts == cr.counts
+
+
+@pytest.mark.parametrize("kernel", [IncrementalRref, BatchRref])
+@pytest.mark.parametrize("nbytes", [None, 3])
+@pytest.mark.parametrize("ncols", [1, 64, 70, 130])
+def test_load_identity_equals_unit_inserts(kernel, nbytes, ncols):
+    rng = np.random.default_rng(ncols)
+    payloads = (
+        rng.integers(0, 256, size=(ncols, nbytes), dtype=np.uint8)
+        if nbytes
+        else None
+    )
+    loaded = kernel(ncols, payload_nbytes=nbytes)
+    loaded.load_identity(payloads)
+    inserted = kernel(ncols, payload_nbytes=nbytes)
+    for i in range(ncols):
+        inserted.insert(
+            BitVector.from_indices(ncols, [i]),
+            None if payloads is None else payloads[i],
+        )
+    assert loaded.counter.counts == inserted.counter.counts == {
+        "table_op": 3 * ncols
+    }
+    assert loaded.pivot_columns() == inserted.pivot_columns()
+    assert [v.key() for v in loaded.basis_rows()] == [
+        v.key() for v in inserted.basis_rows()
+    ]
+    if nbytes:
+        payloads[0] ^= 0xFF  # the basis holds its own copy
+        for x, y in zip(loaded.decode(), inserted.decode()):
+            assert np.array_equal(x, y)
+    for _ in range(5):
+        vec, _rv = _random_vec(rng, ncols)
+        assert loaded.reduce(vec)[0].key() == inserted.reduce(vec)[0].key()
+        assert not loaded.insert(vec) and not inserted.insert(vec)
+    assert loaded.counter.counts == inserted.counter.counts
+    with pytest.raises(DimensionError):
+        loaded.load_identity()  # the basis is no longer empty
+    if nbytes:
+        with pytest.raises(DimensionError):
+            kernel(ncols, payload_nbytes=nbytes).load_identity(
+                np.zeros((ncols, nbytes + 1), np.uint8)
+            )
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import ReferenceRlncNode, ReferenceSparseRlncNode
 from repro.coding import EncodedPacket, make_content
 from repro.errors import DecodingError, DimensionError, RecodingError
 from repro.rlnc import RlncNode, default_sparsity
+from repro.rlnc.sparse import SparseRlncNode
 
 
 class TestSparsity:
@@ -138,3 +140,105 @@ class TestRecoding:
         small, large = decode_ops(16), decode_ops(64)
         # 4x k should be at least ~8x the row operations (quadratic-ish).
         assert large > 6 * small
+
+
+# ----------------------------------------------------------------------
+# Production bodies against the oracles in tests/oracles.py
+# ----------------------------------------------------------------------
+#: With k = 2 and sparsity 1 every attempt keeps its one candidate with
+#: probability 1/2, so zero draws are retried all the time; this seed's
+#: stream also exhausts all 16 attempts (the fallback) within 300 calls.
+_FALLBACK_SEED = 30
+
+
+def _natives(k, m, seed):
+    content = make_content(k, m, rng=seed) if m else None
+    return [
+        EncodedPacket.native(k, i, None if content is None else content[i])
+        for i in range(k)
+    ]
+
+
+def _twins(k, m, sparsity, seed, packets):
+    """A production node and its oracle, fed the same packets."""
+    nodes = (
+        RlncNode(0, k, payload_nbytes=m, sparsity=sparsity, rng=seed),
+        ReferenceRlncNode(0, k, payload_nbytes=m, sparsity=sparsity, rng=seed),
+    )
+    for packet in packets:
+        for node in nodes:
+            node.receive(packet.copy())
+    return nodes
+
+
+def _recode_both(node, oracle, n):
+    """*n* recodes from each; returns the per-call ``rng_draw`` charges."""
+    draws = []
+    for _ in range(n):
+        before = node.recode_counter.get("rng_draw")
+        got, want = node.make_packet(), oracle.make_packet()
+        draws.append(node.recode_counter.get("rng_draw") - before)
+        assert got == want
+        if want.payload is not None:
+            assert got.payload.dtype == want.payload.dtype
+    assert node.recode_counter.counts == oracle.recode_counter.counts
+    assert node.recoded_count == oracle.recoded_count
+    return draws
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("m", [None, 8])
+    def test_recode_matches_packet_by_packet_oracle(self, m):
+        content = make_content(48, m, rng=3) if m else None
+        feed = RlncNode.as_source(48, content, rng=3)
+        stream = [feed.make_packet() for _ in range(96)]
+        node, oracle = _twins(48, m, None, 4, stream)
+        assert node.received == oracle.received
+        _recode_both(node, oracle, 200)
+
+    @pytest.mark.parametrize("m", [None, 4])
+    def test_zero_retry_and_fallback_match_oracle(self, m):
+        node, oracle = _twins(2, m, 1, _FALLBACK_SEED, _natives(2, m, 1))
+        draws = _recode_both(node, oracle, 300)
+        assert any(2 < d < 32 for d in draws)  # a zero draw was retried
+        assert 32 in draws  # all 16 attempts drew zero: the fallback
+
+    @pytest.mark.parametrize("m", [None, 4])
+    def test_recoded_packets_own_their_bytes(self, m):
+        node, _ = _twins(2, m, 1, _FALLBACK_SEED, _natives(2, m, 1))
+        held = [p.copy() for p in node.received]
+        for _ in range(300):  # single picks, pairs and the fallback
+            packet = node.make_packet()
+            packet.vector.flip(0)
+            if packet.payload is not None:
+                packet.payload ^= 0xFF
+        assert node.received == held
+
+    @pytest.mark.parametrize("m", [None, 8])
+    @pytest.mark.parametrize("k", [16, 1024])
+    @pytest.mark.parametrize(
+        "cls, oracle_cls, knob",
+        [
+            (RlncNode, ReferenceRlncNode, {"sparsity": 5}),
+            (SparseRlncNode, ReferenceSparseRlncNode, {"density": 0.2}),
+        ],
+    )
+    def test_source_equals_k_receptions(self, cls, oracle_cls, knob, k, m):
+        content = make_content(k, m, rng=k) if m else None
+        src = cls.as_source(k, content, rng=9, **knob)
+        ref = oracle_cls.as_source(k, content, rng=9, **knob)
+        assert type(src) is cls and src.sparsity == ref.sparsity
+        assert [v.key() for v in src.rref.basis_rows()] == [
+            v.key() for v in ref.rref.basis_rows()
+        ]
+        assert src.rref.pivot_columns() == ref.rref.pivot_columns()
+        assert src.received == ref.received
+        assert src.decode_counter.counts == ref.decode_counter.counts
+        assert (src.innovative_count, src.redundant_count) == (
+            ref.innovative_count,
+            ref.redundant_count,
+        )
+        if content is not None:
+            assert np.array_equal(src.decoded_content(), content)
+            assert not np.shares_memory(src.received[0].payload, content)
+        _recode_both(src, ref, 50)

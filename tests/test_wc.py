@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import ReferenceWcNode
 from repro.coding import EncodedPacket, make_content
 from repro.errors import DecodingError, DimensionError, RecodingError
 from repro.wc import WcNode, default_fanout
@@ -79,6 +82,20 @@ class TestForwarding:
         assert node.buffered_indices() == [2, 3]  # oldest evicted
         assert node.innovative_count == 4  # storage unaffected
 
+    def test_fanout_never_changes_a_pick(self):
+        def picks(fanout):
+            node = WcNode(0, 16, buffer_size=6, fanout=fanout)
+            rng = np.random.default_rng(3)
+            out = []
+            for _ in range(200):
+                if node.can_send() and rng.random() < 0.7:
+                    out.append(node.make_packet().vector.first_index())
+                else:
+                    node.receive(EncodedPacket.native(16, int(rng.integers(16))))
+            return out
+
+        assert len({tuple(picks(f)) for f in (1, 2, 4, 7, 50, 10**6)}) == 1
+
     def test_buffer_validation(self):
         with pytest.raises(DimensionError):
             WcNode(0, 4, buffer_size=0)
@@ -117,3 +134,35 @@ class TestSourceAndContent:
         node.receive(EncodedPacket.native(2, 1))
         with pytest.raises(DecodingError):
             node.decoded_content()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(1, 24),
+    buffer_size=st.integers(1, 6),
+    fanout=st.integers(1, 6),
+    p_receive=st.sampled_from([0.2, 0.5, 0.8]),
+    seed=st.integers(0, 2**32 - 1),
+    n_ops=st.integers(1, 150),
+)
+def test_forwarding_matches_min_scan_oracle(
+    k, buffer_size, fanout, p_receive, seed, n_ops
+):
+    """Random receive / forward / eviction sequences pick as the oracle."""
+    rng = np.random.default_rng(seed)
+    node = WcNode(0, k, buffer_size=buffer_size, fanout=fanout)
+    oracle = ReferenceWcNode(0, k, buffer_size=buffer_size, fanout=fanout)
+    for _ in range(n_ops):
+        if not oracle.can_send() or rng.random() < p_receive:
+            packet = EncodedPacket.native(k, int(rng.integers(k)))
+            assert node.receive(packet) == oracle.receive(packet)
+        else:
+            assert node.make_packet().vector == oracle.make_packet().vector
+        assert node.can_send() == oracle.can_send()
+        assert node.buffered_indices() == oracle.buffered_indices()
+    assert node.recode_counter.counts == oracle.recode_counter.counts
+    assert node.decode_counter.counts == oracle.decode_counter.counts
+    assert (node.innovative_count, node.redundant_count) == (
+        oracle.innovative_count,
+        oracle.redundant_count,
+    )
