@@ -24,10 +24,13 @@ included — the bytes were spent), so per-pair overhead is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.gossip.driver import Counter
+from repro.gossip.metrics import SessionResult
 
 __all__ = ["CatalogueResult"]
 
@@ -35,7 +38,7 @@ Pair = tuple[int, int]  # (content index, node id)
 
 
 @dataclass
-class CatalogueResult:
+class CatalogueResult(SessionResult):
     """Outcome of one catalogue dissemination run."""
 
     n_nodes: int
@@ -43,8 +46,8 @@ class CatalogueResult:
     content_ks: tuple[int, ...]
     n_pairs: int
     #: interested nodes per content (the denominator of per-content
-    #: completion); filled by the simulator from the demand assignment.
-    pairs_per_content: tuple[int, ...] = ()
+    #: completion), from the demand assignment.
+    pairs_per_content: tuple[int, ...]
     rounds: int = 0
     completion_rounds: dict[Pair, int] = field(default_factory=dict)
     data_until_complete: dict[Pair, int] = field(default_factory=dict)
@@ -69,14 +72,40 @@ class CatalogueResult:
     # -- per-content session counters ---------------------------------
     content_data_transfers: dict[int, int] = field(default_factory=dict)
 
+    KIND: ClassVar[str] = "catalogue"
+    COUNTERS: ClassVar[tuple[Counter, ...]] = (
+        Counter("rounds"),
+        Counter("n_pairs", telemetry="pairs"),
+        Counter("completed_count", telemetry="completed_pairs"),
+        Counter("sessions", trace="sessions", closing=True),
+        Counter("aborted", trace="aborted", closing=True),
+        Counter("unwanted", trace="unwanted"),
+        Counter("data_transfers", closing=True),
+        Counter("useful_transfers", trace="useful"),
+        Counter("redundant_transfers", trace="redundant"),
+        Counter("lost_transfers", trace="lost"),
+        Counter("duplicated_transfers"),
+        Counter("cache_served", trace="cache_served", closing=True),
+        Counter("cache_stored", trace="cache_stored"),
+        Counter("cache_evictions", trace="cache_evictions"),
+        Counter("cache_rejects", trace="cache_rejects"),
+        Counter("edge_served"),
+        Counter("churn_events", closing=True),
+        Counter("recoded_packets"),
+        Counter("content_data_transfers", telemetry="content:*:data_transfers"),
+    )
+    LAWS: ClassVar[tuple[str, ...]] = (
+        *SessionResult.LAWS,
+        "unwanted <= aborted + redundant_transfers",
+        "cache_served <= edge_served",
+        "edge_served <= data_transfers",
+        "content_data_transfers = data_transfers",
+    )
+
     # ------------------------------------------------------------------
     @property
     def n_contents(self) -> int:
         return len(self.content_names)
-
-    @property
-    def completed_count(self) -> int:
-        return len(self.completion_rounds)
 
     @property
     def all_complete(self) -> bool:
@@ -86,12 +115,6 @@ class CatalogueResult:
         if self.n_pairs == 0:
             return 1.0
         return self.completed_count / self.n_pairs
-
-    def average_completion_round(self) -> float:
-        """Mean completion round over completed interest pairs."""
-        if not self.completion_rounds:
-            raise SimulationError("no pair completed; cannot average")
-        return float(np.mean(list(self.completion_rounds.values())))
 
     def overhead(self) -> float:
         """Mean per-pair ``(data - k) / k`` over completed pairs."""
@@ -103,11 +126,6 @@ class CatalogueResult:
             for pair in self.completion_rounds
         ]
         return float(np.mean(ratios))
-
-    def abort_rate(self) -> float:
-        if self.sessions == 0:
-            return 0.0
-        return self.aborted / self.sessions
 
     def cache_hit_ratio(self) -> float:
         """Fraction of data transfers served out of a sender's cache."""
@@ -122,12 +140,9 @@ class CatalogueResult:
         return self.edge_served / self.data_transfers
 
     # ------------------------------------------------------------------
-    def _content_pairs(self, content: int) -> list[Pair]:
-        return [p for p in self.completion_rounds if p[0] == content]
-
     def content_metrics(self, content: int, n_pairs: int) -> dict[str, object]:
         """The per-content scalar metrics (``n_pairs`` = interested nodes)."""
-        done = self._content_pairs(content)
+        done = [p for p in self.completion_rounds if p[0] == content]
         k = self.content_ks[content]
         fraction = (len(done) / n_pairs) if n_pairs else None
         average = (
@@ -152,52 +167,29 @@ class CatalogueResult:
     def key_metrics(self) -> dict[str, float | int | None]:
         """Scalar metrics of one run, flat and JSON-able.
 
-        The aggregate block carries the exact keys of
-        ``DisseminationResult.key_metrics`` plus the cache counters;
-        per-content metrics follow under ``content:<name>:<metric>``
-        keys (stable across the trials of a spec, so the mergeable
-        aggregates summarise them like any other scalar).
+        The session block of :meth:`SessionResult.key_metrics` plus the
+        cache counters; per-content metrics follow under
+        ``content:<name>:<metric>`` keys (stable across the trials of a
+        spec, so the mergeable aggregates summarise them like any other
+        scalar).
         """
-        completed = self.completed_count
-        metrics: dict[str, float | int | None] = {
-            "rounds": self.rounds,
-            "completed": completed,
-            "completed_fraction": self.completed_fraction(),
-            "average_completion_round": (
-                self.average_completion_round() if completed else None
-            ),
-            "overhead": self.overhead() if completed else None,
-            "sessions": self.sessions,
-            "aborted": self.aborted,
-            "abort_rate": self.abort_rate(),
-            "data_transfers": self.data_transfers,
-            "useful_transfers": self.useful_transfers,
-            "redundant_transfers": self.redundant_transfers,
-            "lost_transfers": self.lost_transfers,
-            "duplicated_transfers": self.duplicated_transfers,
-            "churn_events": self.churn_events,
-            "recoded_packets": self.recoded_packets,
+        metrics = super().key_metrics()
+        metrics.update({
             "unwanted": self.unwanted,
             "cache_hit_ratio": self.cache_hit_ratio(),
             "edge_served_fraction": self.edge_served_fraction(),
             "cache_stored": self.cache_stored,
             "cache_evictions": self.cache_evictions,
             "cache_rejects": self.cache_rejects,
-        }
-        per_content = self.pairs_per_content or self._completed_per_content()
+        })
         for content, name in enumerate(self.content_names):
-            per = self.content_metrics(content, per_content[content])
+            per = self.content_metrics(content, self.pairs_per_content[content])
             for key, value in per.items():
                 metrics[f"content:{name}:{key}"] = value
         return metrics
 
-    def _completed_per_content(self) -> tuple[int, ...]:
-        # Fallback when the interest index was not recorded: count
-        # completed pairs only (completion fractions degenerate to 1).
-        counts = [0] * self.n_contents
-        for content, _ in self.completion_rounds:
-            counts[content] += 1
-        return tuple(counts)
+    def completion_k(self) -> np.ndarray:
+        return np.array([self.content_ks[c] for c, _ in self.completion_rounds])
 
     # ------------------------------------------------------------------
     def record_round(self, round_index: int) -> None:

@@ -43,13 +43,10 @@ from repro.generations.manager import (
     GenerationSource,
 )
 from repro.gossip.channel import ChannelModel
+from repro.gossip.driver import drive
 from repro.gossip.peer_sampling import PeerSampler, UniformSampler
-from repro.obs.metrics import (
-    ROUND_BOUNDARIES,
-    MetricsCollector,
-)
+from repro.obs.metrics import MetricsCollector
 from repro.obs.profiler import phase_clock
-from repro.obs.spans import SpanRecorder
 from repro.obs.tracer import NULL_TRACER
 from repro.rng import derive
 from repro.schemes import resolve
@@ -57,26 +54,7 @@ from repro.schemes import resolve
 __all__ = ["CatalogueSimulator"]
 
 
-class _Endpoint:
-    """Uniform per-(node, content) coding interface for both packet kinds."""
-
-    def receive(self, packet) -> bool:
-        raise NotImplementedError
-
-    def innovative(self, packet) -> bool:
-        raise NotImplementedError
-
-    def can_send(self) -> bool:
-        raise NotImplementedError
-
-    def make_packet(self):
-        raise NotImplementedError
-
-    def is_complete(self) -> bool:
-        raise NotImplementedError
-
-
-class _PlainEndpoint(_Endpoint):
+class _PlainEndpoint:
     """A scheme node coding over the whole content at once."""
 
     def __init__(self, node) -> None:
@@ -98,7 +76,7 @@ class _PlainEndpoint(_Endpoint):
         return self.node.is_complete()
 
 
-class _StripedEndpoint(_Endpoint):
+class _StripedEndpoint:
     """A generation-striped LTNC node (packets carry a generation tag)."""
 
     def __init__(self, node: GenerationNode) -> None:
@@ -120,7 +98,7 @@ class _StripedEndpoint(_Endpoint):
         return self.node.is_complete()
 
 
-class _StripedSource(_Endpoint):
+class _StripedSource:
     """A generation source; emission only."""
 
     def __init__(self, source: GenerationSource) -> None:
@@ -134,6 +112,10 @@ class _StripedSource(_Endpoint):
 
     def is_complete(self) -> bool:
         return True
+
+
+#: Per-(node, content) coding state, one interface for both packet kinds.
+_Endpoint = _PlainEndpoint | _StripedEndpoint | _StripedSource
 
 
 class CatalogueSimulator:
@@ -278,24 +260,7 @@ class CatalogueSimulator:
         # chosen once, so the untraced loop only makes no-op calls.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        self._trace = bool(self.tracer.enabled)
         self._clock = phase_clock(tracer=self.tracer)
-        self._trace_completed: set[tuple[int, int]] = set()
-        self._trace_prev = dict.fromkeys(
-            (
-                "sessions",
-                "aborted",
-                "unwanted",
-                "useful_transfers",
-                "redundant_transfers",
-                "lost_transfers",
-                "cache_served",
-                "cache_stored",
-                "cache_evictions",
-                "cache_rejects",
-            ),
-            0,
-        )
 
     # ------------------------------------------------------------------
     def _make_source_endpoint(
@@ -356,10 +321,6 @@ class CatalogueSimulator:
         return content_index in self.interests[node_id]
 
     # ------------------------------------------------------------------
-    def _source_targets(self, content_index: int) -> tuple[int, ...]:
-        """Who the origin pushes *content* to: demand plus cache nodes."""
-        return self._content_targets[content_index]
-
     def _pick_source_content(self) -> int:
         if self.source_schedule == "round_robin":
             content = self._next_rr
@@ -514,8 +475,7 @@ class CatalogueSimulator:
             return
         victim = int(incomplete[self._fault_rng.integers(len(incomplete))])
         self.result.churn_events += 1
-        if self._trace:
-            self.tracer.event("churn", round=round_index, node=victim)
+        self.tracer.event("churn", round=round_index, node=victim)
         self._epoch[victim] += 1
         book = self._endpoints[victim]
         persisted = {
@@ -548,7 +508,7 @@ class CatalogueSimulator:
         for source in self._sources:
             for _ in range(self.source_pushes):
                 content = self._pick_source_content()
-                targets = self._source_targets(content)
+                targets = self._content_targets[content]
                 target = int(
                     targets[self._order_rng.integers(len(targets))]
                 )
@@ -579,98 +539,24 @@ class CatalogueSimulator:
             )
         self.result.record_round(round_index)
 
-    def _trace_round(self, round_index: int) -> None:
-        """Emit the per-round event and per-pair completion events."""
-        result = self.result
-        prev = self._trace_prev
-        self.tracer.event(
-            "round",
-            round=round_index,
-            completed_pairs=len(result.completion_rounds),
-            pairs_total=result.n_pairs,
-            sessions=result.sessions - prev["sessions"],
-            aborted=result.aborted - prev["aborted"],
-            unwanted=result.unwanted - prev["unwanted"],
-            useful=result.useful_transfers - prev["useful_transfers"],
-            redundant=(
-                result.redundant_transfers - prev["redundant_transfers"]
-            ),
-            lost=result.lost_transfers - prev["lost_transfers"],
-            cache_served=result.cache_served - prev["cache_served"],
-            cache_stored=result.cache_stored - prev["cache_stored"],
-            cache_evictions=(
-                result.cache_evictions - prev["cache_evictions"]
-            ),
-            cache_rejects=result.cache_rejects - prev["cache_rejects"],
-        )
-        for key in prev:
-            prev[key] = getattr(result, key)
-        for pair, completed_at in result.completion_rounds.items():
-            if pair not in self._trace_completed:
-                self._trace_completed.add(pair)
-                self.tracer.event(
-                    "complete",
-                    round=completed_at,
-                    content=pair[0],
-                    node=pair[1],
-                )
-
     def run(self) -> CatalogueResult:
         """Run rounds until every interest pair decoded, or the horizon."""
-        trace = self._trace
-        tracer = self.tracer
         result = self.result
-        spans = SpanRecorder(tracer) if trace else None
-        try:
-            if spans is not None:
-                spans.begin("run", contents=self.n_contents)
-            for round_index in range(self.max_rounds):
-                self.step(round_index)
-                if trace:
-                    self._trace_round(round_index)
-                if result.all_complete:
-                    break
-            if spans is not None:
-                spans.end(rounds=result.rounds)
-            if self.metrics is not None:
-                self._record_telemetry()
-            if trace:
-                tracer.counter("sessions", result.sessions)
-                tracer.counter("aborted", result.aborted)
-                tracer.counter("data_transfers", result.data_transfers)
-                tracer.counter("cache_served", result.cache_served)
-                tracer.counter("churn_events", result.churn_events)
-        finally:
-            tracer.close()
-        return result
+        return drive(
+            self,
+            self.step,
+            span={"contents": self.n_contents},
+            progress=lambda: {
+                "completed_pairs": result.completed_count,
+                "pairs_total": result.n_pairs,
+            },
+            complete=lambda pair: {"content": pair[0], "node": pair[1]},
+            telemetry=self._telemetry,
+        )
 
-    def _record_telemetry(self) -> None:
-        """Fold the finished run into the trial's metrics collector.
-
-        Pure result-state reads, deterministic given the workload and
-        seed — see the epidemic simulator's twin for the contract.
-        """
-        m = self.metrics
+    def _telemetry(self, m: MetricsCollector) -> None:
+        """Record this run's own telemetry: per-content counts, gauges."""
         result = self.result
-        m.label("kind", "catalogue")
-        m.count("rounds", result.rounds)
-        m.count("pairs", result.n_pairs)
-        m.count("completed_pairs", result.completed_count)
-        m.count("sessions", result.sessions)
-        m.count("aborted", result.aborted)
-        m.count("unwanted", result.unwanted)
-        m.count("data_transfers", result.data_transfers)
-        m.count("useful_transfers", result.useful_transfers)
-        m.count("redundant_transfers", result.redundant_transfers)
-        m.count("lost_transfers", result.lost_transfers)
-        m.count("duplicated_transfers", result.duplicated_transfers)
-        m.count("churn_events", result.churn_events)
-        m.count("recoded_packets", result.recoded_packets)
-        m.count("cache_served", result.cache_served)
-        m.count("cache_stored", result.cache_stored)
-        m.count("cache_evictions", result.cache_evictions)
-        m.count("cache_rejects", result.cache_rejects)
-        m.count("edge_served", result.edge_served)
         for content, value in sorted(result.content_data_transfers.items()):
             name = result.content_names[content]
             m.count(f"content:{name}:data_transfers", value)
@@ -678,9 +564,3 @@ class CatalogueSimulator:
         m.gauge("abort_rate", result.abort_rate())
         m.gauge("cache_hit_ratio", result.cache_hit_ratio())
         m.gauge("edge_served_fraction", result.edge_served_fraction())
-        for pair in sorted(result.completion_rounds):
-            m.observe(
-                "completion_round",
-                result.completion_rounds[pair],
-                boundaries=ROUND_BOUNDARIES,
-            )

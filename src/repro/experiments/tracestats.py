@@ -26,8 +26,9 @@ CLI use::
     python -m repro.experiments.tracestats --curve traces/trace-baseline-0.jsonl
     python -m repro.experiments.tracestats --json out.json traces/*.jsonl
 
-``--validate`` checks schema only (exit 1 on the first invalid file) —
-the CI smoke step runs it over every trace the workflow produced.
+``--validate`` checks each file's schema and that its counters
+reconcile (exit 1 on the first invalid file) — the CI smoke step runs
+it over every trace the workflow produced.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from repro.obs import (
 
 __all__ = [
     "validate_trace",
+    "reconcile_trace",
     "trace_summary",
     "rank_curve",
     "completion_wave",
@@ -122,6 +124,32 @@ def validate_trace(
             f"{source}: invalid trace: " + "; ".join(errors)
         )
     return header
+
+
+def reconcile_trace(
+    records: Sequence[dict[str, object]], source: str = "trace"
+) -> None:
+    """Raise ``ValueError`` unless the ``round`` events add up.
+
+    Per-round deltas of a name that is also a ``counter`` record
+    (``sessions``, ``aborted``, ...) sum to its value, and the
+    ``complete`` events number the last round's ``completed`` (or
+    ``completed_pairs``).
+    """
+    rounds = iter_events(records, "round")
+    errors = []
+    for name, value in sorted(counter_totals(records).items()):
+        if any(name in event for event in rounds):
+            total = sum(event.get(name, 0) for event in rounds)
+            if total != value:
+                errors.append(f"per-round {name} sums to {total}, counter to {value}")
+    last = rounds[-1] if rounds else {}
+    completed = last.get("completed", last.get("completed_pairs"))
+    completions = len(iter_events(records, "complete"))
+    if completed is not None and completions != completed:
+        errors.append(f"{completions} complete events, last round has {completed}")
+    if errors:
+        raise ValueError(f"{source}: counters do not reconcile: " + "; ".join(errors))
 
 
 # ----------------------------------------------------------------------
@@ -362,7 +390,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--validate",
         action="store_true",
-        help="schema-check only; exit 1 on the first invalid file",
+        help="check schema and counter reconciliation only; exit 1 on "
+        "the first invalid file",
     )
     parser.add_argument(
         "--curve",
@@ -423,6 +452,7 @@ def _run(args: argparse.Namespace) -> int:
         try:
             records = read_trace(path)
             validate_trace(records, source=str(path))
+            reconcile_trace(records, source=str(path))
         except (OSError, ValueError) as exc:
             print(f"INVALID {exc}", file=sys.stderr)
             return 1
@@ -441,12 +471,11 @@ def _run(args: argparse.Namespace) -> int:
         if args.spans:
             _print_spans(summary)
     if args.telemetry:
-        from repro.obs.telemetry import read_telemetry, validate_telemetry
+        from repro.obs.telemetry import read_telemetry
 
         path = pathlib.Path(args.telemetry)
         try:
             payload = read_telemetry(path)
-            validate_telemetry(payload, source=str(path))
         except (OSError, ValueError) as exc:
             print(f"INVALID {exc}", file=sys.stderr)
             return 1

@@ -18,17 +18,82 @@ also derive CPU-cost figures from the nodes' operation counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from repro.costmodel.counters import OpCounter
 from repro.errors import SimulationError
+from repro.gossip.driver import Counter, CountedResult
 
-__all__ = ["DisseminationResult"]
+__all__ = ["DisseminationResult", "SessionResult"]
+
+
+class SessionResult(CountedResult):
+    """What the push-session results (epidemic, catalogue) share.
+
+    Every session aborts at header time or ships its payload, which is
+    then useful, redundant or lost; every completed node (or pair) was
+    shipped at least the *k* its content needs.
+    """
+
+    LAWS: ClassVar[tuple[str, ...]] = (
+        "sessions = aborted + data_transfers",
+        "recoded_packets = sessions",
+        "data_transfers = useful_transfers + redundant_transfers + lost_transfers",
+        "duplicated_transfers + lost_transfers <= data_transfers",
+    )
+    COMPLETION_LAWS: ClassVar[tuple[str, ...]] = (
+        *CountedResult.COMPLETION_LAWS,
+        "data_until_complete >= k",
+    )
+
+    def completion_columns(self) -> dict[str, object]:
+        """Adds ``data_until_complete`` and the subclass's ``completion_k()``."""
+        data = [self.data_until_complete.get(key, 0) for key in self.completion_rounds]
+        return {
+            **super().completion_columns(),
+            "data_until_complete": np.array(data),
+            "k": self.completion_k(),
+        }
+
+    def abort_rate(self) -> float:
+        """Fraction of sessions cut short by the binary feedback check."""
+        if self.sessions == 0:
+            return 0.0
+        return self.aborted / self.sessions
+
+    def key_metrics(self) -> dict[str, float | int | None]:
+        """The scalar metrics of one run, as plain JSON-able values.
+
+        Undefined statistics (nothing completed) are ``None`` rather
+        than raised, so aggregation layers can stream summaries from
+        heterogeneous trials without special-casing stragglers.
+        """
+        completed = self.completed_count
+        return {
+            "rounds": self.rounds,
+            "completed": completed,
+            "completed_fraction": self.completed_fraction(),
+            "average_completion_round": (
+                self.average_completion_round() if completed else None
+            ),
+            "overhead": self.overhead() if completed else None,
+            "sessions": self.sessions,
+            "aborted": self.aborted,
+            "abort_rate": self.abort_rate(),
+            "data_transfers": self.data_transfers,
+            "useful_transfers": self.useful_transfers,
+            "redundant_transfers": self.redundant_transfers,
+            "lost_transfers": self.lost_transfers,
+            "duplicated_transfers": self.duplicated_transfers,
+            "churn_events": self.churn_events,
+            "recoded_packets": self.recoded_packets,
+        }
 
 
 @dataclass
-class DisseminationResult:
+class DisseminationResult(SessionResult):
     """Outcome of one epidemic dissemination run.
 
     ``data_until_complete[node]`` counts the data packets *shipped
@@ -69,23 +134,25 @@ class DisseminationResult:
     decode_ops: OpCounter = field(default_factory=OpCounter)
     recoded_packets: int = 0
 
+    KIND: ClassVar[str] = "epidemic"
+    COUNTERS: ClassVar[tuple[Counter, ...]] = (
+        Counter("rounds"),
+        Counter("n_nodes", telemetry="nodes"),
+        Counter("completed_count", telemetry="completed_nodes"),
+        Counter("sessions", trace="sessions", closing=True),
+        Counter("aborted", trace="aborted", closing=True),
+        Counter("data_transfers", closing=True),
+        Counter("useful_transfers", trace="useful"),
+        Counter("redundant_transfers", trace="redundant"),
+        Counter("lost_transfers", trace="lost"),
+        Counter("duplicated_transfers", trace="duplicated"),
+        Counter("churn_events", closing=True),
+        Counter("recoded_packets"),
+    )
+
     # ------------------------------------------------------------------
-    @property
-    def completed_count(self) -> int:
-        return len(self.completion_rounds)
-
-    @property
-    def all_complete(self) -> bool:
-        return self.completed_count == self.n_nodes
-
     def completed_fraction(self) -> float:
         return self.completed_count / self.n_nodes
-
-    def average_completion_round(self) -> float:
-        """Mean completion time over completed nodes (Fig. 7b metric)."""
-        if not self.completion_rounds:
-            raise SimulationError("no node completed; cannot average")
-        return float(np.mean(list(self.completion_rounds.values())))
 
     def completion_percentile(self, q: float) -> float:
         """q-th percentile of completion rounds over completed nodes."""
@@ -112,41 +179,10 @@ class DisseminationResult:
         ]
         return float(np.mean(extra)) / self.k
 
-    def abort_rate(self) -> float:
-        """Fraction of sessions cut short by the binary feedback check."""
-        if self.sessions == 0:
-            return 0.0
-        return self.aborted / self.sessions
+    def completion_k(self) -> int:
+        return self.k
 
     # ------------------------------------------------------------------
-    def key_metrics(self) -> dict[str, float | int | None]:
-        """The scalar metrics of one run, as plain JSON-able values.
-
-        Undefined statistics (no node completed) are ``None`` rather
-        than raised, so aggregation layers can stream summaries from
-        heterogeneous trials without special-casing stragglers.
-        """
-        completed = self.completed_count
-        return {
-            "rounds": self.rounds,
-            "completed": completed,
-            "completed_fraction": self.completed_fraction(),
-            "average_completion_round": (
-                self.average_completion_round() if completed else None
-            ),
-            "overhead": self.overhead() if completed else None,
-            "sessions": self.sessions,
-            "aborted": self.aborted,
-            "abort_rate": self.abort_rate(),
-            "data_transfers": self.data_transfers,
-            "useful_transfers": self.useful_transfers,
-            "redundant_transfers": self.redundant_transfers,
-            "lost_transfers": self.lost_transfers,
-            "duplicated_transfers": self.duplicated_transfers,
-            "churn_events": self.churn_events,
-            "recoded_packets": self.recoded_packets,
-        }
-
     def to_dict(self) -> dict[str, object]:
         """Full JSON-able dump: key metrics plus series and op counts."""
         payload = dict(self.key_metrics())

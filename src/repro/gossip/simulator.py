@@ -30,15 +30,11 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.gossip.channel import ChannelModel
+from repro.gossip.driver import drive
 from repro.gossip.metrics import DisseminationResult
 from repro.gossip.peer_sampling import PeerSampler, UniformSampler
-from repro.obs.metrics import (
-    ROUND_BOUNDARIES,
-    VOLUME_BOUNDARIES,
-    MetricsCollector,
-)
+from repro.obs.metrics import VOLUME_BOUNDARIES, MetricsCollector
 from repro.obs.profiler import PhaseProfiler, phase_clock
-from repro.obs.spans import SpanRecorder
 from repro.obs.tracer import NULL_TRACER, node_rank
 from repro.rng import derive, make_rng, spawn
 from repro.schemes import CodingScheme, SchemeNode, resolve
@@ -244,7 +240,6 @@ class EpidemicSimulator:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.profiler = profiler
         self.metrics = metrics
-        self._trace = bool(self.tracer.enabled)
         self._clock = phase_clock(profiler, self.tracer)
         for peer in (*self.sources, *self.nodes):
             self._observe(peer)
@@ -252,18 +247,6 @@ class EpidemicSimulator:
         # cache because can_send is monotone within a node's lifetime
         # (scheme-node contract); _churn drops the crashed identity.
         self._sendable: set[int] = set()
-        self._trace_completed: set[int] = set()
-        self._trace_prev = dict.fromkeys(
-            (
-                "sessions",
-                "aborted",
-                "useful_transfers",
-                "redundant_transfers",
-                "lost_transfers",
-                "duplicated_transfers",
-            ),
-            0,
-        )
 
     @property
     def source(self) -> SchemeNode:
@@ -410,16 +393,9 @@ class EpidemicSimulator:
         incomplete = sorted(self._incomplete)
         victim = int(incomplete[self._fault_rng.integers(len(incomplete))])
         self.result.churn_events += 1
-        if self._trace:
-            self.tracer.event("churn", round=round_index, node=victim)
+        self.tracer.event("churn", round=round_index, node=victim)
         # Fold the dying node's counters so its work is not forgotten.
-        old = self.nodes[victim]
-        recode = getattr(old, "recode_counter", None)
-        decode = getattr(old, "decode_counter", None)
-        if recode is not None:
-            self.result.recode_ops.merge(recode)
-        if decode is not None:
-            self.result.decode_ops.merge(decode)
+        self._fold_ops([self.nodes[victim]])
         self.nodes[victim] = self.coding_scheme.make_node(
             victim,
             self.k,
@@ -506,79 +482,22 @@ class EpidemicSimulator:
                     self._push([sender], targets, round_index)
         self.result.record_round(round_index)
 
-    def _trace_round(self, round_index: int) -> None:
-        """Emit the per-round event (+ completion events) for tracing."""
-        result = self.result
-        prev = self._trace_prev
-        ranks = [node_rank(node) for node in self.nodes]
-        known = [r for r in ranks if r is not None]
-        self.tracer.event(
-            "round",
-            round=round_index,
-            completed=result.completed_count,
-            sessions=result.sessions - prev["sessions"],
-            aborted=result.aborted - prev["aborted"],
-            useful=result.useful_transfers - prev["useful_transfers"],
-            redundant=(
-                result.redundant_transfers - prev["redundant_transfers"]
-            ),
-            lost=result.lost_transfers - prev["lost_transfers"],
-            duplicated=(
-                result.duplicated_transfers - prev["duplicated_transfers"]
-            ),
-            rank_total=sum(known) if known else None,
-            rank_min=min(known) if known else None,
-            rank_max=max(known) if known else None,
-        )
-        for key in prev:
-            prev[key] = getattr(result, key)
-        for node_id, completed_at in result.completion_rounds.items():
-            if node_id not in self._trace_completed:
-                self._trace_completed.add(node_id)
-                self.tracer.event(
-                    "complete", round=completed_at, node=node_id
-                )
-
     def run(self) -> DisseminationResult:
         """Run rounds until every node decoded or the horizon is hit."""
-        step = self._step
-        tracer = self.tracer
-        trace = self._trace
-        result = self.result
-        profiler = self.profiler
-        spans = SpanRecorder(tracer) if trace else None
-        try:
-            if spans is not None:
-                spans.begin("run", scheme=self.scheme)
-            for round_index in range(self.max_rounds):
-                step(round_index)
-                if trace:
-                    self._trace_round(round_index)
-                if result.all_complete:
-                    break
-            if spans is not None:
-                with spans.wrap("collect"):
-                    self._collect_counters()
-                spans.end(rounds=result.rounds)
-            else:
-                self._collect_counters()
-            if self.metrics is not None:
-                self._record_telemetry()
-            if trace:
-                tracer.counter("sessions", result.sessions)
-                tracer.counter("aborted", result.aborted)
-                tracer.counter("data_transfers", result.data_transfers)
-                tracer.counter("churn_events", result.churn_events)
-                if profiler is not None:
-                    tracer.event("phases", phases=profiler.snapshot())
-        finally:
-            tracer.close()
-        return result
+        return drive(
+            self,
+            self._step,
+            span={"scheme": self.scheme},
+            ranked=self.nodes,
+            collect=lambda: self._fold_ops(self.nodes),
+            telemetry=self._telemetry,
+            profiler=self.profiler,
+        )
 
     # ------------------------------------------------------------------
-    def _collect_counters(self) -> None:
-        """Fold every node's operation counters into the result."""
-        for node in self.nodes:
+    def _fold_ops(self, nodes: list[SchemeNode]) -> None:
+        """Fold *nodes*' operation counters into the result."""
+        for node in nodes:
             recode = getattr(node, "recode_counter", None)
             decode = getattr(node, "decode_counter", None)
             if recode is not None:
@@ -586,42 +505,16 @@ class EpidemicSimulator:
             if decode is not None:
                 self.result.decode_ops.merge(decode)
 
-    def _record_telemetry(self) -> None:
-        """Fold the finished run into the trial's metrics collector.
-
-        Pure result-state reads — deterministic given (scheme, seed),
-        so the merged fleet telemetry stays worker- and shard-count
-        invariant.  Runs after :meth:`_collect_counters` so the op
-        counters are complete.
-        """
-        m = self.metrics
+    def _telemetry(self, m: MetricsCollector) -> None:
+        """Record this run's own telemetry (after the collect step)."""
         result = self.result
-        m.label("kind", "epidemic")
         m.label("scheme", self.scheme)
-        m.count("rounds", result.rounds)
-        m.count("nodes", self.n_nodes)
-        m.count("completed_nodes", result.completed_count)
-        m.count("sessions", result.sessions)
-        m.count("aborted", result.aborted)
-        m.count("data_transfers", result.data_transfers)
-        m.count("useful_transfers", result.useful_transfers)
-        m.count("redundant_transfers", result.redundant_transfers)
-        m.count("lost_transfers", result.lost_transfers)
-        m.count("duplicated_transfers", result.duplicated_transfers)
-        m.count("churn_events", result.churn_events)
-        m.count("recoded_packets", result.recoded_packets)
-        for op, value in sorted(result.recode_ops.counts.items()):
-            m.count(f"ops:recode:{op}", value)
-        for op, value in sorted(result.decode_ops.counts.items()):
-            m.count(f"ops:decode:{op}", value)
+        for side, ops in (("recode", result.recode_ops), ("decode", result.decode_ops)):
+            for op, value in sorted(ops.counts.items()):
+                m.count(f"ops:{side}:{op}", value)
         m.gauge("completed_fraction", result.completed_fraction())
         m.gauge("abort_rate", result.abort_rate())
         for node_id in sorted(result.completion_rounds):
-            m.observe(
-                "completion_round",
-                result.completion_rounds[node_id],
-                boundaries=ROUND_BOUNDARIES,
-            )
             m.observe(
                 "data_until_complete",
                 result.data_until_complete.get(node_id, self.k),

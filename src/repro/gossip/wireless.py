@@ -32,15 +32,15 @@ because the inference invented knowledge.  Tests pin this down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from repro.core.components import ConnectedComponents
 from repro.core.feedback import FeedbackState
-from repro.errors import SimulationError
-from repro.obs.metrics import ROUND_BOUNDARIES, MetricsCollector
-from repro.obs.spans import SpanRecorder
-from repro.obs.tracer import NULL_TRACER, node_rank
+from repro.gossip.driver import Counter, CountedResult, drive
+from repro.obs.metrics import MetricsCollector
+from repro.obs.tracer import NULL_TRACER
 from repro.rng import make_rng, spawn
 from repro.schemes import CodingScheme, SchemeNode, resolve
 from repro.topology.generators import random_geometric
@@ -93,7 +93,7 @@ class WirelessTopology:
 
 
 @dataclass
-class WirelessResult:
+class WirelessResult(CountedResult):
     """Metrics of one wireless dissemination run."""
 
     scheme: str
@@ -106,18 +106,20 @@ class WirelessResult:
     completion_rounds: dict[int, int] = field(default_factory=dict)
     smart_targets: int = 0
 
-    @property
-    def completed_count(self) -> int:
-        return len(self.completion_rounds)
-
-    @property
-    def all_complete(self) -> bool:
-        return self.completed_count == self.n_nodes
-
-    def average_completion_round(self) -> float:
-        if not self.completion_rounds:
-            raise SimulationError("no node completed")
-        return float(np.mean(list(self.completion_rounds.values())))
+    KIND: ClassVar[str] = "wireless"
+    COUNTERS: ClassVar[tuple[Counter, ...]] = (
+        Counter("rounds"),
+        Counter("n_nodes", telemetry="nodes"),
+        Counter("completed_count", telemetry="completed_nodes"),
+        Counter("transmissions", trace="transmissions", closing=True),
+        Counter("receptions", trace="receptions", closing=True),
+        Counter("useful_receptions", trace="useful", closing=True),
+        Counter("smart_targets", closing=True),
+    )
+    LAWS: ClassVar[tuple[str, ...]] = (
+        "useful_receptions <= receptions",
+        "smart_targets <= transmissions",
+    )
 
     def broadcast_gain(self) -> float:
         """Receptions per transmission — the broadcast advantage."""
@@ -221,11 +223,6 @@ class WirelessSimulator:
         # the natural unit here); session detail degrades to rounds.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        self._trace = bool(self.tracer.enabled)
-        self._trace_completed: set[int] = set()
-        self._trace_prev = dict.fromkeys(
-            ("transmissions", "receptions", "useful_receptions"), 0
-        )
 
     # ------------------------------------------------------------------
     def _deliver(
@@ -285,85 +282,18 @@ class WirelessSimulator:
             )
         self.result.rounds = round_index + 1
 
-    def _trace_round(self, round_index: int) -> None:
-        """Emit the per-round event and node completion events."""
-        result = self.result
-        prev = self._trace_prev
-        ranks = [node_rank(node) for node in self.nodes]
-        known = [r for r in ranks if r is not None]
-        self.tracer.event(
-            "round",
-            round=round_index,
-            completed=result.completed_count,
-            transmissions=result.transmissions - prev["transmissions"],
-            receptions=result.receptions - prev["receptions"],
-            useful=(
-                result.useful_receptions - prev["useful_receptions"]
-            ),
-            rank_total=sum(known) if known else None,
-            rank_min=min(known) if known else None,
-            rank_max=max(known) if known else None,
-        )
-        for key in prev:
-            prev[key] = getattr(result, key)
-        for node_id, completed_at in result.completion_rounds.items():
-            if node_id not in self._trace_completed:
-                self._trace_completed.add(node_id)
-                self.tracer.event(
-                    "complete", round=completed_at, node=node_id
-                )
-
     def run(self) -> WirelessResult:
-        trace = self._trace
-        tracer = self.tracer
-        result = self.result
-        spans = SpanRecorder(tracer) if trace else None
-        try:
-            if spans is not None:
-                spans.begin("run", scheme=result.scheme, snoop=self.snoop)
-            for round_index in range(self.max_rounds):
-                self.step(round_index)
-                if trace:
-                    self._trace_round(round_index)
-                if result.all_complete:
-                    break
-            if spans is not None:
-                spans.end(rounds=result.rounds)
-            if self.metrics is not None:
-                self._record_telemetry()
-            if trace:
-                tracer.counter("transmissions", result.transmissions)
-                tracer.counter("receptions", result.receptions)
-                tracer.counter(
-                    "useful_receptions", result.useful_receptions
-                )
-                tracer.counter("smart_targets", result.smart_targets)
-        finally:
-            tracer.close()
-        return result
+        """Run rounds until every node decoded or the horizon is hit."""
+        return drive(
+            self,
+            self.step,
+            span={"scheme": self.result.scheme, "snoop": self.snoop},
+            ranked=self.nodes,
+            telemetry=self._telemetry,
+        )
 
-    def _record_telemetry(self) -> None:
-        """Fold the finished run into the trial's metrics collector.
-
-        Pure result-state reads, deterministic given the workload and
-        seed — see the epidemic simulator's twin for the contract.
-        """
-        m = self.metrics
-        result = self.result
-        m.label("kind", "wireless")
-        m.label("scheme", result.scheme)
-        m.count("rounds", result.rounds)
-        m.count("nodes", result.n_nodes)
-        m.count("completed_nodes", result.completed_count)
-        m.count("transmissions", result.transmissions)
-        m.count("receptions", result.receptions)
-        m.count("useful_receptions", result.useful_receptions)
-        m.count("smart_targets", result.smart_targets)
-        m.gauge("broadcast_gain", result.broadcast_gain())
-        m.gauge("usefulness", result.usefulness())
-        for node_id in sorted(result.completion_rounds):
-            m.observe(
-                "completion_round",
-                result.completion_rounds[node_id],
-                boundaries=ROUND_BOUNDARIES,
-            )
+    def _telemetry(self, m: MetricsCollector) -> None:
+        """Record this run's own telemetry: scheme label and gauges."""
+        m.label("scheme", self.result.scheme)
+        m.gauge("broadcast_gain", self.result.broadcast_gain())
+        m.gauge("usefulness", self.result.usefulness())

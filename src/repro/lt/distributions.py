@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import DistributionError
-from repro.rng import make_rng
 
 __all__ = [
     "DegreeDistribution",
@@ -215,15 +214,3 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise DistributionError(f"shape mismatch: {p.shape} vs {q.shape}")
     return float(0.5 * np.abs(p - q).sum())
-
-
-def sample_degree_capped(
-    dist: DegreeDistribution, cap: int, rng: np.random.Generator
-) -> int:
-    """Draw from *dist* conditioned on degree <= cap (rejection)."""
-    cap = max(1, min(cap, dist.k))
-    for _ in range(10_000):
-        d = dist.sample(make_rng(rng))
-        if d <= cap:
-            return d
-    return 1  # pragma: no cover - cap >= 1 always admits degree 1

@@ -19,8 +19,6 @@ This module provides the mutable structure with:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
 import numpy as np
 
 from repro.coding.packet import xor_payloads
@@ -159,21 +157,9 @@ class TannerGraph:
         """Copy of the current support of stored packet *pid*."""
         return set(self.packets[pid].support)
 
-    def packet_payload(self, pid: int) -> np.ndarray | None:
-        return self.packets[pid].payload
-
-    def stored_pids(self) -> Iterator[int]:
-        return iter(self.packets.keys())
-
     @property
     def stored_count(self) -> int:
         return len(self.packets)
-
-    def reduce_support(self, support: Iterable[int]) -> set[int]:
-        """Support minus already-decoded natives (header-check helper)."""
-        out = {i for i in support if i not in self.decoded}
-        self.counter.add("table_op", 1)
-        return out
 
     # ------------------------------------------------------------------
     # Mutation

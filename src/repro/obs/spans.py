@@ -37,24 +37,6 @@ __all__ = ["SpanRecorder"]
 _NULL_CONTEXT = contextlib.nullcontext()
 
 
-class _SpanContext:
-    """Balances one begin/end pair around a with-block (exception-safe)."""
-
-    __slots__ = ("_recorder", "_name", "_attrs")
-
-    def __init__(self, recorder: "SpanRecorder", name: str, attrs: dict) -> None:
-        self._recorder = recorder
-        self._name = name
-        self._attrs = attrs
-
-    def __enter__(self) -> "_SpanContext":
-        self._recorder.begin(self._name, **self._attrs)
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self._recorder.end()
-
-
 class SpanRecorder:
     """Named begin/end spans on the monotonic clock, nestable.
 
@@ -106,7 +88,15 @@ class SpanRecorder:
         """
         if not self.enabled:
             return _NULL_CONTEXT
-        return _SpanContext(self, name, attrs)
+        return self._wrapped(name, attrs)
+
+    @contextlib.contextmanager
+    def _wrapped(self, name: str, attrs: dict):
+        self.begin(name, **attrs)
+        try:
+            yield
+        finally:
+            self.end()
 
     @property
     def depth(self) -> int:

@@ -71,7 +71,11 @@ def telemetry_payload(
 
 
 def section_errors(section: object, label: str) -> list[str]:
-    """Every violation of one merged telemetry *section*, named by *label*."""
+    """Every violation of one merged telemetry *section*, named by *label*.
+
+    The summed counters must also obey the laws declared for the
+    section's ``labels.kind`` (see :mod:`repro.gossip.driver`).
+    """
     if not isinstance(section, dict):
         return [f"{label} is not an object"]
     errors: list[str] = []
@@ -83,6 +87,11 @@ def section_errors(section: object, label: str) -> list[str]:
         errors.append(f"{label}.counters missing")
     elif any(not isinstance(v, int) or v < 0 for v in counters.values()):
         errors.append(f"{label} has a negative/non-int counter")
+    else:
+        # Lazy: the simulators, which declare the laws, import obs.
+        from repro.gossip.driver import section_law_errors
+
+        errors.extend(f"{label} breaks {law}" for law in section_law_errors(section))
     for hist_name, hist in (section.get("histograms") or {}).items():
         try:
             Histogram.from_dict(hist)

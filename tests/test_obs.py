@@ -12,7 +12,8 @@ change nothing) live in ``tests/test_obs_invariance.py``:
   atomic ``progress.json``;
 * ``ObsSpec`` — validation, tracer/profiler construction, exclusion
   from workload identity;
-* ``tracestats`` — schema validation and the derived views.
+* ``tracestats`` — schema validation, counter reconciliation and the
+  derived views.
 """
 
 import json
@@ -371,6 +372,24 @@ def test_tracestats_cli_validates_and_summarises(tmp_path, capsys):
     assert "rank_total" in text and "completions" in text and "encode" in text
     payload = json.loads(out.read_text())
     assert payload[str(path)]["counters"] == {"sessions": 12}
+
+
+def test_tracestats_validate_reconciles_counters(tmp_path, capsys):
+    from repro.scenarios import ScenarioSpec
+
+    spec = ScenarioSpec(
+        name="reconcile", n_nodes=8, k=16, obs=ObsSpec(trace_dir=tmp_path)
+    )
+    spec.run(5)
+    (path,) = tmp_path.glob("trace-*.jsonl")
+    assert tracestats.main(["--validate", str(path)]) == 0
+    capsys.readouterr()
+    records = read_trace(path)
+    round_1 = [r for r in records if r.get("name") == "round"][1]
+    round_1["sessions"] += 1
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert tracestats.main(["--validate", str(path)]) == 1
+    assert "per-round sessions sums to" in capsys.readouterr().err
 
 
 def test_tracestats_cli_fails_on_invalid_trace(tmp_path, capsys):

@@ -12,7 +12,8 @@ The promises under test:
   recomputes the shard (with a logged warning) instead of silently
   dropping its telemetry;
 * ``validate_telemetry`` rejects malformed artifacts with named
-  violations.
+  violations, including summed counters that break their kind's
+  declared laws (so does a shard checkpoint's section).
 """
 
 import json
@@ -267,6 +268,44 @@ def test_telemetry_store_rejects_corrupt_and_mismatched(tmp_path, caplog):
     )
     path.write_text(other.read_text())  # shard 1 payload at shard 0 path
     assert store.load(shards[0], fingerprint) is None
+
+
+# -- counter laws --------------------------------------------------------
+def test_telemetry_breaking_a_law_fails_tracestats(tmp_path, capsys):
+    from repro.experiments import tracestats
+
+    FleetRunner(n_workers=1, telemetry_dir=tmp_path).run_grid([SPEC], 2, SEED)
+    path = tmp_path / "telemetry.json"
+    assert tracestats.main(["--telemetry", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["scenarios"][SPEC.name]["counters"]["sessions"] += 1
+    path.write_text(json.dumps(payload))
+    assert tracestats.main(["--telemetry", str(path)]) == 1
+    assert "sessions = aborted + data_transfers" in capsys.readouterr().err
+
+
+def test_checkpoint_section_breaking_a_law_is_recomputed(tmp_path, caplog):
+    ckpt = tmp_path / "ckpt"
+    out = tmp_path / "out"
+    FleetRunner(
+        n_workers=1, n_shards=2, checkpoint_dir=ckpt, telemetry_dir=out
+    ).run_grid([SPEC], TRIALS, SEED)
+    golden = (out / "telemetry.json").read_bytes()
+    shard = sorted(ckpt.glob("shard-*.json"))[0]
+    payload = json.loads(shard.read_text())
+    payload["telemetry"]["counters"]["aborted"] += 1
+    shard.write_text(json.dumps(payload))
+    with caplog.at_level(logging.WARNING):
+        FleetRunner(
+            n_workers=1,
+            n_shards=2,
+            checkpoint_dir=ckpt,
+            resume=True,
+            telemetry_dir=out,
+        ).run_grid([SPEC], TRIALS, SEED)
+    assert "sessions = aborted + data_transfers" in caplog.text
+    assert "recomputing" in caplog.text
+    assert (out / "telemetry.json").read_bytes() == golden
 
 
 # -- artifact schema -----------------------------------------------------
