@@ -57,7 +57,7 @@ from repro.errors import (
     SimulationError,
     StorageError,
 )
-from repro.gf2 import BitVector, GF2Matrix, IncrementalRref
+from repro.gf2 import BitVector, IncrementalRref
 from repro.gossip import EpidemicSimulator, Feedback, run_dissemination
 from repro.lt import (
     BeliefPropagationDecoder,
@@ -83,7 +83,6 @@ __all__ = [
     "StorageError",
     # gf2
     "BitVector",
-    "GF2Matrix",
     "IncrementalRref",
     # coding
     "EncodedPacket",

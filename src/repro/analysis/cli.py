@@ -19,12 +19,12 @@ from repro.analysis.engine import (
     REPORT_FORMAT,
     REPORT_VERSION,
     AnalysisResult,
-    atomic_write_text,
     baseline_payload,
     load_baseline,
     run_analysis,
 )
 from repro.analysis.rules import RULES, RULES_BY_CODE
+from repro.fileio import atomic_write_text
 
 __all__ = ["build_parser", "main", "report_payload"]
 

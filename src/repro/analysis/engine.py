@@ -10,11 +10,7 @@ Python sources with :mod:`ast` and applies the rules in
 instead of a golden-file archaeology session months later.
 
 Deliberately stdlib-only: the linter itself must never grow a
-dependency (or an import of the simulation stack) that makes it
-unrunnable in a bare checkout, which is also why it carries its own
-tiny atomic writer instead of importing
-:func:`repro.scenarios.aggregate.atomic_write_text` — same temp-file +
-``os.replace`` pattern, zero heavyweight imports.
+third-party dependency that makes it unrunnable in a bare checkout.
 
 Escape hatches, both auditable in review:
 
@@ -34,10 +30,8 @@ from __future__ import annotations
 import ast
 import dataclasses
 import json
-import os
 import pathlib
 import re
-import tempfile
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -50,7 +44,6 @@ __all__ = [
     "Finding",
     "Module",
     "Suppression",
-    "atomic_write_text",
     "baseline_payload",
     "iter_python_files",
     "lint_file",
@@ -87,29 +80,6 @@ SKIP_DIRS = {
 _SUPPRESS_RE = re.compile(
     r"#\s*ltnc:\s*allow\[(?P<codes>[A-Z0-9,\s]+)\]\s*(?P<reason>.*)$"
 )
-
-
-def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
-    """Temp-file + ``os.replace`` write, mirroring the scenarios layer.
-
-    Kept local so ``python -m repro.analysis`` stays importable without
-    the simulation stack (see module docstring).
-    """
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp_name, path)
-    finally:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-    return path
 
 
 @dataclasses.dataclass(frozen=True)

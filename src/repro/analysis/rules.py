@@ -221,8 +221,8 @@ class AtomicArtifactRule(Rule):
 
     A crash mid-write must not leave truncated JSON for a checkpoint
     resume or a progress poller to trust (PR 6); every artifact goes
-    through ``scenarios.aggregate.atomic_write_text`` (or the analysis
-    engine's import-light twin).
+    through :func:`repro.fileio.atomic_write_text`, whose temp-file
+    handle comes from ``os.fdopen`` and so needs no exemption.
     """
 
     code = "LTNC003"
@@ -232,11 +232,8 @@ class AtomicArtifactRule(Rule):
         "serialise with json.dumps and write via atomic_write_text"
     )
     #: tracer streams records line-by-line as they happen (an append-
-    #: only log, unreadable-tail-tolerant by design); aggregate.py IS
-    #: the sanctioned atomic writer.
-    allow = frozenset(
-        {"src/repro/obs/tracer.py", "src/repro/scenarios/aggregate.py"}
-    )
+    #: only log, unreadable-tail-tolerant by design).
+    allow = frozenset({"src/repro/obs/tracer.py"})
 
     _openers = frozenset({"open", "io.open", "gzip.open"})
 

@@ -137,6 +137,7 @@ SCHEMAS: tuple[SchemaContract, ...] = (
 
 
 def contract_for(artifact: str) -> SchemaContract:
+    """The registered contract of *artifact*; ``KeyError`` lists the known."""
     for contract in SCHEMAS:
         if contract.artifact == artifact:
             return contract

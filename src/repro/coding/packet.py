@@ -112,10 +112,6 @@ class EncodedPacket:
         """Participating native indices as a set (plain Python ints)."""
         return set(self.vector.indices_list())
 
-    def is_native(self) -> bool:
-        """True iff this is a degree-1 (native) packet."""
-        return self.degree == 1
-
     def header_nbytes(self) -> int:
         """Size of the code-vector header in bytes (bitmap, §IV-A)."""
         return (self.k + 7) // 8

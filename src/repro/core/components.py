@@ -97,10 +97,6 @@ class ConnectedComponents:
         """
         return self.cc.copy()
 
-    def edge_count(self) -> int:
-        """Stored degree-2 packets currently tracked as edges."""
-        return len(self._edge_of_pid)
-
     def has_edge_pid(self, pid: int) -> bool:
         return pid in self._edge_of_pid
 
@@ -252,5 +248,5 @@ class ConnectedComponents:
         return (
             f"ConnectedComponents(k={self.k}, "
             f"components={self.component_count()}, "
-            f"decoded={len(self._decoded)}, edges={self.edge_count()})"
+            f"decoded={len(self._decoded)}, edges={len(self._edge_of_pid)})"
         )

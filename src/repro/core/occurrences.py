@@ -16,7 +16,7 @@ least frequent one (the paper's argmin).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -88,35 +88,16 @@ class OccurrenceTracker:
             self._min_count += 1
 
     # ------------------------------------------------------------------
-    def frequency(self, x: int) -> int:
-        """Occurrences of native *x* in packets sent so far."""
-        self.counter.add("table_op")
-        return self._counts[x]
-
     def min_frequency(self) -> int:
         """Smallest occurrence count over all natives."""
         return self._min_count
-
-    def buckets_below(self, limit: int) -> Iterator[tuple[int, frozenset[int]]]:
-        """Yield ``(count, natives)`` for counts in ``[min, limit)``.
-
-        Buckets come in increasing count order, so the first candidate a
-        caller accepts is the global argmin under its extra constraints.
-        One ``table_op`` per count visited, empty counts included.
-        """
-        for count in range(self._min_count, limit):
-            bucket = self._buckets.get(count)
-            self.counter.add("table_op")
-            if bucket:
-                yield count, frozenset(bucket)
 
     def nonempty_counts(self) -> list[int]:
         """Ascending counts with a non-empty bucket, memoized.
 
         Lets the refinement scan step only through real buckets instead
-        of every integer in ``[min, limit)``; the scan reconstructs the
-        ``table_op`` charge :meth:`buckets_below` would make for the
-        skipped empty counts arithmetically.
+        of every integer in ``[min, limit)``; the scan charges the
+        skipped empty counts one ``table_op`` each, arithmetically.
         """
         counts = self._counts_sorted
         if counts is None:
@@ -126,10 +107,11 @@ class OccurrenceTracker:
     def bucket_tuple(self, count: int) -> tuple[int, ...]:
         """Bucket *count* as a memoized tuple, in frozenset order.
 
-        Candidate order matches what :meth:`buckets_below` yields, so
-        the refinement scan's result (and its ``examined`` charge) is
-        the one a frozenset walk would produce.  Charges nothing; the
-        scan accounts its own ``table_op`` per count visited.
+        Candidates come in the order a ``frozenset`` copy of the bucket
+        iterates, so the refinement scan's result (and its ``examined``
+        charge) is the one a frozenset walk would produce.  Charges
+        nothing; the scan accounts its own ``table_op`` per count
+        visited.
         """
         cached = self._bucket_cache.get(count)
         if cached is None:
@@ -139,14 +121,6 @@ class OccurrenceTracker:
         return cached
 
     # ------------------------------------------------------------------
-    def mean(self) -> float:
-        """Average occurrences per native."""
-        return float(self.counts.mean())
-
-    def variance(self) -> float:
-        """Variance of the per-native occurrence counts."""
-        return float(self.counts.var())
-
     def rsd(self) -> float:
         """Relative standard deviation (std / mean) — the §III-B3 metric.
 

@@ -53,18 +53,6 @@ class RedundancyDetector(DropPolicy):
         self.drops = 0
 
     # ------------------------------------------------------------------
-    def is_redundant(self, support: Iterable[int]) -> bool:
-        """Algorithm 3 on a raw (possibly unreduced) support.
-
-        Decoded natives are stripped first — XOR-ing out a decoded value
-        never changes innovativeness — then the reduced support is
-        classified.  Supports of reduced degree > 3 raise: the mechanism
-        is deliberately not defined there (high-degree packets are
-        rarely redundant and checking them is not worth the cost).
-        """
-        reduced = [x for x in support if not self.components.is_decoded(x)]
-        return self.is_redundant_reduced(reduced)
-
     def is_redundant_reduced(self, support: Iterable[int]) -> bool:
         """Algorithm 3 on a support already free of decoded natives."""
         sup = list(support)

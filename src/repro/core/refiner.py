@@ -70,8 +70,9 @@ def _find_replacement(
     qualifies within *scan_limit* candidates — and leaves the charging
     to the caller, which lands one add per counter for the whole
     Algorithm-2 loop.  The charges are those of a walk that probes
-    ``frequency(x)``, reads ``leader(x)`` and consumes
-    :meth:`OccurrenceTracker.buckets_below` candidate by candidate:
+    ``frequency(x)``, reads ``leader(x)`` and consumes the buckets
+    below it, count by count and candidate by candidate (the walk
+    ``tests/oracles.py`` keeps as the reference):
 
     * ``occ_table_ops`` — the frequency probe plus one per count
       visited, empty counts included, up to the count the walk stopped

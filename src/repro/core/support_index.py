@@ -75,6 +75,7 @@ class SupportIndex:
         return frozenset(self._pids_of.get(_key(support), ()))
 
     def indexed_count(self) -> int:
+        """Stored packets currently indexed (those of degree <= 3)."""
         return len(self._key_of)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

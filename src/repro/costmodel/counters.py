@@ -99,14 +99,6 @@ class OpCounter:
             return sum(self.counts.values())
         return sum(self.counts.get(op, 0) for op in ops)
 
-    def control_total(self) -> int:
-        """Sum over the canonical control-plane operations."""
-        return self.total(CONTROL_OPS)
-
-    def data_total(self) -> int:
-        """Sum over the canonical data-plane operations."""
-        return self.total(DATA_OPS)
-
     def __bool__(self) -> bool:
         return any(self.counts.values())
 

@@ -52,6 +52,7 @@ import statistics
 import sys
 
 from repro.experiments.perfbench import validate_bench
+from repro.fileio import atomic_write_text
 
 __all__ = [
     "diff_reports",
@@ -482,8 +483,6 @@ def main(argv: list[str] | None = None) -> int:
         for line in render_trend(trend, annotate=args.warn_only):
             print(line)
     if args.json:
-        from repro.scenarios.aggregate import atomic_write_text
-
         out = atomic_write_text(
             pathlib.Path(args.json),
             json.dumps(diff, sort_keys=True, indent=2) + "\n",

@@ -47,12 +47,6 @@ class ConvergenceCurve:
     completed_fraction: list[float] = field(default_factory=list)
     runs: int = 0
 
-    def fraction_at(self, round_index: int) -> float:
-        """Series value at a round (1.0 beyond the recorded horizon)."""
-        if round_index >= len(self.completed_fraction):
-            return 1.0 if self.completed_fraction else 0.0
-        return self.completed_fraction[round_index]
-
     def time_to_fraction(self, fraction: float) -> int:
         """First round where at least *fraction* of nodes completed."""
         for round_index, value in zip(self.rounds, self.completed_fraction):

@@ -9,10 +9,6 @@ diff against:
 * **kernel microbenches** — :class:`~repro.gf2.matrix.IncrementalRref`
   insert/reduce throughput, raw :class:`~repro.gf2.bitvec.BitVector`
   ops, and Gauss/BP decode throughput at k in {32, 64, 128, 256};
-* **baseline comparison** — the same insert/reduce bench on the
-  pre-optimization numpy kernel preserved in ``repro.gf2.reference``,
-  so the recorded speedup is measured on the *same machine* in the
-  *same run* rather than read off a stale note;
 * **end-to-end rounds/sec** — one seeded
   :class:`~repro.gossip.simulator.EpidemicSimulator` run per built-in
   scheme;
@@ -49,9 +45,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.fileio import atomic_write_text
 from repro.gf2.bitvec import BitVector
 from repro.gf2.matrix import IncrementalRref
-from repro.gf2.reference import ReferenceBitVector, ReferenceRref
 from repro.rng import make_rng
 
 __all__ = [
@@ -82,7 +78,11 @@ __all__ = [
 #: the scalar round loop's leg — ``n_scaling`` rows lose ``scalar`` and
 #: ``speedup_batched_vs_scalar`` (the one remaining loop keeps its
 #: ``batched`` key, so v5 and v6 rows align) and ``phases.ltnc_batched``
-#: goes, ``phases.ltnc`` now timing the same loop.
+#: goes, ``phases.ltnc`` now timing the same loop.  Reports up to the
+#: checked-in v6 one also carry a baseline column on the insert/reduce
+#: rows: the numpy kernel the int kernel replaced.  It was always
+#: optional and is no longer written; ``benchmarks/perf/
+#: test_kernel_perf.py`` times that kernel and enforces the speedup.
 SCHEMA_VERSION = 6
 DEFAULT_SEED = 2026
 KERNEL_KS: tuple[int, ...] = (32, 64, 128, 256)
@@ -93,7 +93,6 @@ DEFAULT_OUT = "BENCH_ltnc.json"
 _PROFILES = {
     "full": {
         "rref_vectors": 2000,
-        "baseline_vectors": 600,
         "bitvec_ops": 100_000,
         "decode_batches": 20,
         "e2e_nodes": 32,
@@ -112,7 +111,6 @@ _PROFILES = {
     },
     "quick": {
         "rref_vectors": 300,
-        "baseline_vectors": 120,
         "bitvec_ops": 10_000,
         "decode_batches": 3,
         "e2e_nodes": 10,
@@ -141,38 +139,27 @@ def _timed(fn: Callable[[], int]) -> tuple[int, float]:
 # ----------------------------------------------------------------------
 # Kernel microbenches
 # ----------------------------------------------------------------------
-def bench_rref_insert_reduce(
-    k: int, n_vectors: int, seed: int, kernel: str = "fast"
-) -> dict[str, float]:
+def bench_rref_insert_reduce(k: int, n_vectors: int, seed: int) -> dict[str, float]:
     """Insert/reduce throughput of the incremental Gauss basis.
 
     Each step runs one innovation check (a full :meth:`reduce`) plus
     one :meth:`insert`; the basis is restarted whenever it reaches full
     rank, so steady-state work per op is representative of a node
-    mid-dissemination.  ``kernel="reference"`` times the pre-PR numpy
-    implementation on the identical vector stream.
+    mid-dissemination.  The vectors are the first *n_vectors* rows of
+    ``make_rng(seed).random((n, k)) < 0.3``, a stream other kernels can
+    be timed on row for row.
     """
     rng = make_rng(seed)
     dense = rng.random((n_vectors, k)) < 0.3
-    if kernel == "fast":
-        vectors: list = [BitVector.from_bits(row) for row in dense]
-        make = lambda: IncrementalRref(k)  # noqa: E731
-    elif kernel == "reference":
-        vectors = [
-            ReferenceBitVector.from_indices(k, np.flatnonzero(row))
-            for row in dense
-        ]
-        make = lambda: ReferenceRref(k)  # noqa: E731
-    else:  # pragma: no cover - caller bug
-        raise ValueError(f"unknown kernel {kernel!r}")
+    vectors = [BitVector.from_bits(row) for row in dense]
 
     def work() -> int:
-        rref = make()
+        rref = IncrementalRref(k)
         for v in vectors:
             rref.is_innovative(v)
             rref.insert(v)
             if rref.is_full_rank():
-                rref = make()
+                rref = IncrementalRref(k)
         return n_vectors
 
     n_ops, seconds = _timed(work)
@@ -482,7 +469,6 @@ def run_perfbench(
     seed: int = DEFAULT_SEED,
     ks: Sequence[int] = KERNEL_KS,
     schemes: Sequence[str] | None = None,
-    include_baseline: bool = True,
 ) -> dict[str, object]:
     """Run the whole suite; return the JSON-able report."""
     if profile not in _PROFILES:
@@ -499,18 +485,7 @@ def run_perfbench(
     bitvec: dict[str, dict[str, float]] = {}
     decode: dict[str, dict[str, float]] = {}
     for k in ks:
-        entry = bench_rref_insert_reduce(
-            k, sizes["rref_vectors"], seed, kernel="fast"
-        )
-        if include_baseline:
-            base = bench_rref_insert_reduce(
-                k, sizes["baseline_vectors"], seed, kernel="reference"
-            )
-            entry["baseline_ops_per_sec"] = base["ops_per_sec"]
-            entry["speedup_vs_baseline"] = round(
-                entry["ops_per_sec"] / base["ops_per_sec"], 2
-            )
-        rref[f"k={k}"] = entry
+        rref[f"k={k}"] = bench_rref_insert_reduce(k, sizes["rref_vectors"], seed)
         bitvec[f"k={k}"] = bench_bitvector_ops(k, sizes["bitvec_ops"], seed)
         decode[f"k={k}"] = bench_decode(k, sizes["decode_batches"], seed)
 
@@ -558,9 +533,6 @@ def run_perfbench(
         "profile": profile,
         "seed": seed,
         "kernel": "python-int",
-        "baseline_kernel": (
-            "numpy-words (repro.gf2.reference)" if include_baseline else None
-        ),
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -731,11 +703,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--seed", type=int, default=DEFAULT_SEED, help="workload seed"
     )
     parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="skip timing the reference numpy kernel",
-    )
-    parser.add_argument(
         "--history-dir",
         default=None,
         metavar="DIR",
@@ -745,13 +712,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     report = run_perfbench(
-        profile="quick" if args.quick else "full",
-        seed=args.seed,
-        include_baseline=not args.no_baseline,
+        profile="quick" if args.quick else "full", seed=args.seed
     )
     validate_bench(report)
-    from repro.scenarios.aggregate import atomic_write_text
-
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     atomic_write_text(pathlib.Path(args.out), text)
     if args.history_dir:
@@ -761,11 +724,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"appended history copy {history}", file=sys.stderr)
     rref64 = report["microbench"]["rref_insert_reduce"].get("k=64", {})
     line = f"wrote {args.out}: rref k=64 {rref64.get('ops_per_sec', '?')} ops/s"
-    if "speedup_vs_baseline" in rref64:
-        line += (
-            f" ({rref64['speedup_vs_baseline']}x vs numpy baseline "
-            f"{rref64['baseline_ops_per_sec']} ops/s)"
-        )
     fleet = report["fleet"]
     line += (
         f"; fleet {fleet['trials_per_sec']} trials/s "

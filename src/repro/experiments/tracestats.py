@@ -39,6 +39,7 @@ import pathlib
 import sys
 from typing import Iterable, Sequence
 
+from repro.fileio import atomic_write_text
 from repro.obs import (
     PHASES,
     TRACE_DETAILS,
@@ -483,8 +484,6 @@ def _run(args: argparse.Namespace) -> int:
         for line in telemetry_overview(payload):
             print(f"  {line}")
     if args.json and not args.validate:
-        from repro.scenarios.aggregate import atomic_write_text
-
         out = atomic_write_text(
             pathlib.Path(args.json),
             json.dumps(summaries, indent=2, sort_keys=True) + "\n",

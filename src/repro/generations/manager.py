@@ -106,10 +106,6 @@ class GenerationSource:
             )
         self._next_rr = 0
 
-    @property
-    def n_generations(self) -> int:
-        return len(self.bounds)
-
     def next_packet(self) -> GenerationPacket:
         """Emit one packet from the scheduled generation."""
         if self.schedule == "round-robin":
@@ -149,10 +145,6 @@ class GenerationNode:
         self._distributions: dict[int, RobustSoliton] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def n_generations(self) -> int:
-        return len(self.bounds)
-
     def subnode(self, generation: int) -> LtncNode:
         """The lazily-created per-generation LTNC node."""
         if not 0 <= generation < len(self.bounds):
@@ -177,6 +169,7 @@ class GenerationNode:
         return node
 
     def generations_seen(self) -> list[int]:
+        """Generations this node holds coding state for, ascending."""
         return sorted(self._subnodes)
 
     # ------------------------------------------------------------------

@@ -2,15 +2,13 @@
 
 from repro.gf2.batch import BATCH_RREF_MIN_COLS, BatchRref, make_rref
 from repro.gf2.bitvec import BitVector, WORD_BITS
-from repro.gf2.matrix import GF2Matrix, IncrementalRref, rank_of
+from repro.gf2.matrix import IncrementalRref
 
 __all__ = [
     "BATCH_RREF_MIN_COLS",
     "BatchRref",
     "BitVector",
-    "GF2Matrix",
     "IncrementalRref",
     "WORD_BITS",
     "make_rref",
-    "rank_of",
 ]

@@ -29,8 +29,8 @@ fully eliminated vector, the sequential walk provably stops at
 that lead, so the walk's residual — and its per-step ``OpCounter``
 charges — can be reconstructed without running it.  The differential
 tests drive random operation sequences through this kernel, the int
-kernel and ``repro.gf2.reference`` and assert identical results *and*
-identical counter totals.
+kernel and the numpy-words oracle in ``tests/gf2_oracles.py`` and
+assert identical results *and* identical counter totals.
 
 Like the int kernel, this one keeps its last reduction and replays it
 for an insert of the same value at the same rank (the receiver's
@@ -44,7 +44,7 @@ paper-scale profile's ``k = 2048`` lands here).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,8 +88,8 @@ class BatchRref:
 
     Drop-in replacement for :class:`~repro.gf2.matrix.IncrementalRref`
     (same constructor, queries, ``reduce``/``insert``/``decode`` and
-    counter charges), plus :meth:`batch_insert` / :meth:`batch_reduce`
-    for processing word-matrix blocks without per-row conversions.
+    counter charges), plus :meth:`batch_insert` for processing
+    word-matrix blocks without per-row conversions.
     """
 
     def __init__(
@@ -402,20 +402,6 @@ class BatchRref:
                 payload = np.asarray(payloads[i], dtype=np.uint8)
             residual, used = self._charged(self._reduce_words(matrix[i]))
             out.append(self._register(residual, used, payload))
-        return out
-
-    def batch_reduce(
-        self, vectors: Sequence[BitVector] | np.ndarray
-    ) -> np.ndarray:
-        """Partial residuals of a block of rows, as a word matrix.
-
-        Equivalent to sequential :meth:`reduce` calls (results and
-        charges identical); the basis is not modified.
-        """
-        matrix = self._as_word_matrix(vectors)
-        out = np.zeros_like(matrix)
-        for i in range(len(matrix)):
-            out[i], _ = self._charged(self._reduce_words(matrix[i]))
         return out
 
     # ------------------------------------------------------------------

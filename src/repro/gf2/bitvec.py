@@ -7,8 +7,8 @@ the benches sweep (k <= a few thousand) CPython's int XOR,
 ``bit_count()`` and ``(x & -x).bit_length()`` beat numpy's per-call
 dispatch on 1-4 word buffers by an order of magnitude, which is where
 the Gauss-reduction and recoding hot loops spend their time (the
-``repro.gf2.reference`` module keeps the original numpy-words kernel
-as a differential-testing oracle and perf baseline).
+original numpy-words kernel survives as a differential-testing oracle
+in ``tests/gf2_oracles.py``).
 
 The bit layout is unchanged: bit *i* of the vector is bit ``i & 63`` of
 64-bit word ``i >> 6`` (little-endian within the word), and
@@ -41,8 +41,9 @@ def _pack_bits(bits: np.ndarray) -> int:
     """Pack a 1-D 0/1 array into the canonical int layout (bit i <- bits[i]).
 
     The single source of truth for the packing idiom; the batched 2-D
-    variant in :meth:`GF2Matrix.from_dense` packs with ``axis=1`` and
-    must keep the same ``bitorder="little"`` + little-endian bytes.
+    variant in the test oracle ``GF2Matrix.from_dense``
+    (``tests/gf2_oracles.py``) packs with ``axis=1`` and must keep the
+    same ``bitorder="little"`` + little-endian bytes.
     """
     packed = np.packbits(bits.astype(bool), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")

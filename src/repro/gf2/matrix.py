@@ -1,13 +1,10 @@
-"""Dense GF(2) matrices and incremental Gaussian reduction.
+"""Incremental Gaussian reduction over GF(2).
 
-Two consumers in the paper's system need GF(2) linear algebra:
-
-* the RLNC baseline (§IV-A) decodes with Gaussian reduction on the code
-  matrix and detects non-innovative packets through a partial reduction
-  at insertion time;
-* tests and ablations use an exact rank oracle as the ground truth for
-  innovation, against which LTNC's heuristic redundancy detection
-  (§III-C1) is compared.
+The RLNC baseline (§IV-A) decodes with Gaussian reduction on the code
+matrix and detects non-innovative packets through a partial reduction
+at insertion time.  Tests and the text-statistics experiment use the
+same reduction as the exact rank oracle for innovation, against which
+LTNC's heuristic redundancy detection (§III-C1) is compared.
 
 :class:`IncrementalRref` maintains a reduced row-echelon basis under
 row insertions, optionally carrying payload rows so that decoding falls
@@ -20,9 +17,10 @@ Hot-loop design: alongside the column->row dict the basis keeps a
 *pivot-column bitmask* (one int), so the forward reduction finds the
 next pivot overlap with a single ``&`` instead of re-scanning the
 residual's indices, and the back-substitution test is one bit probe
-per basis row.  Counter totals are provably identical to the reference
-kernel (``repro.gf2.reference``): the reference loop charges one
-``table_op`` per column it walks, and the closed-form
+per basis row.  Counter totals are provably identical to the numpy
+kernel this one replaced, kept as a test oracle in
+``tests/gf2_oracles.py``: its loop charges one ``table_op`` per column
+it walks, and the closed-form
 ``popcount(residual & mask)`` expressions below charge the same walk
 without taking it — the differential property tests pin this down.
 
@@ -35,15 +33,13 @@ grows, so the replay is the same computation, charged the same.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from repro.costmodel.counters import OpCounter
 from repro.errors import DecodingError, DimensionError
 from repro.gf2.bitvec import BitVector
 
-__all__ = ["GF2Matrix", "IncrementalRref"]
+__all__ = ["IncrementalRref"]
 
 
 def charge_row_xors(counter: OpCounter, n: int, ncols: int) -> None:
@@ -53,81 +49,6 @@ def charge_row_xors(counter: OpCounter, n: int, ncols: int) -> None:
         counter.add("gauss_row_xor", n)
         counter.add("vec_word_xor", n * ((ncols + 63) >> 6))
         counter.add("payload_xor", n)
-
-
-class GF2Matrix:
-    """An immutable-size list of GF(2) rows with batch reductions.
-
-    This is the offline companion of :class:`IncrementalRref`: build it
-    from a set of code vectors, then ask for rank or row-reduce it in
-    one pass.  Rows are :class:`BitVector` instances of equal length.
-    """
-
-    def __init__(self, rows: Iterable[BitVector]) -> None:
-        self.rows: list[BitVector] = [r.copy() for r in rows]
-        if self.rows:
-            ncols = self.rows[0].nbits
-            for r in self.rows:
-                if r.nbits != ncols:
-                    raise DimensionError("ragged rows in GF2Matrix")
-            self.ncols = ncols
-        else:
-            self.ncols = 0
-
-    @classmethod
-    def from_dense(cls, array: np.ndarray) -> "GF2Matrix":
-        """Build from a 2-D 0/1 array (row per vector).
-
-        Rows are packed with one :func:`numpy.packbits` call over the
-        whole matrix rather than a Python loop per bit.
-        """
-        array = np.asarray(array)
-        if array.ndim != 2:
-            raise DimensionError("from_dense expects a 2-D array")
-        nrows, ncols = array.shape
-        if ncols == 0:
-            return cls(BitVector(0) for _ in range(nrows))
-        packed = np.packbits(
-            (array % 2).astype(bool), axis=1, bitorder="little"
-        )
-        return cls(
-            BitVector._from_int(
-                ncols, int.from_bytes(packed[i].tobytes(), "little")
-            )
-            for i in range(nrows)
-        )
-
-    def to_dense(self) -> np.ndarray:
-        """Return the matrix as a 2-D uint8 0/1 array."""
-        out = np.zeros((len(self.rows), self.ncols), dtype=np.uint8)
-        for i, row in enumerate(self.rows):
-            out[i, row.indices()] = 1
-        return out
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def rank(self) -> int:
-        """Rank over GF(2) (does not modify the matrix)."""
-        if not self.rows:
-            return 0
-        rref = IncrementalRref(self.ncols)
-        for row in self.rows:
-            rref.insert(row)
-        return rref.rank
-
-    def row_reduce(self) -> "GF2Matrix":
-        """Return the reduced row-echelon form (pivot rows only)."""
-        if not self.rows:
-            return GF2Matrix([])
-        rref = IncrementalRref(self.ncols)
-        for row in self.rows:
-            rref.insert(row)
-        return GF2Matrix(rref.basis_rows())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GF2Matrix({self.nrows}x{self.ncols})"
 
 
 class IncrementalRref:
@@ -395,14 +316,3 @@ class IncrementalRref:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IncrementalRref(ncols={self.ncols}, rank={self.rank})"
-
-
-def rank_of(vectors: Sequence[BitVector], ncols: int | None = None) -> int:
-    """Convenience rank computation for a sequence of vectors."""
-    vecs = list(vectors)
-    if not vecs:
-        return 0
-    rref = IncrementalRref(ncols if ncols is not None else vecs[0].nbits)
-    for v in vecs:
-        rref.insert(v)
-    return rref.rank

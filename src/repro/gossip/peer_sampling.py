@@ -146,7 +146,7 @@ class ViewSampler(PeerSampler):
                 self._views[node_id] = merged
 
     def view_of(self, node_id: int) -> list[int]:
-        """Current partial view (for tests and introspection)."""
+        """Current partial view of *node_id* (a copy)."""
         return list(self._views[node_id])
 
     def peers(self, node_id: int, n: int, round_index: int) -> list[int]:

@@ -213,9 +213,11 @@ class WirelessSimulator:
         picks = rngs[-1].choice(n, size=source_degree, replace=False)
         self.source_neighbors = [int(i) for i in picks]
         self._order_rng = make_rng(int(master.integers(0, 2**63)))
-        # snoops[i][j]: what node i inferred about neighbour j.
+        # snoops[i][j]: what node i inferred about neighbour j; only
+        # snooping reads them, so only snooping builds them.
         self._snoops: list[dict[int, _Snoop]] = [
-            {j: _Snoop(k) for j in topology.neighbors(i)} for i in range(n)
+            {j: _Snoop(k) for j in topology.neighbors(i)} if snoop else {}
+            for i in range(n)
         ]
         self._smart_cursor = [0] * n
         self.result = WirelessResult(coding_scheme.name, n, k)

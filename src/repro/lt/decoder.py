@@ -89,10 +89,6 @@ class BeliefPropagationDecoder:
     def is_decoded(self, index: int) -> bool:
         return self.graph.is_decoded(index)
 
-    def decoded_set(self) -> set[int]:
-        """Currently decoded native indices (copy)."""
-        return set(self.graph.decoded.keys())
-
     def add_listener(self, listener: TannerListener) -> None:
         self.graph.add_listener(listener)
 

@@ -153,10 +153,6 @@ class TannerGraph:
         """Payload of a decoded native (KeyError if not decoded)."""
         return self.decoded[index]
 
-    def packet_support(self, pid: int) -> set[int]:
-        """Copy of the current support of stored packet *pid*."""
-        return set(self.packets[pid].support)
-
     @property
     def stored_count(self) -> int:
         return len(self.packets)

@@ -23,6 +23,8 @@ import pathlib
 import time
 from typing import Callable
 
+from repro.fileio import atomic_write_text
+
 __all__ = [
     "PROGRESS_FORMAT",
     "PROGRESS_VERSION",
@@ -216,11 +218,6 @@ def write_progress(
     place wall-clock time is allowed, because a poller needs staleness
     detection and never feeds this back into simulation state.
     """
-    # Lazy import: repro.scenarios.spec imports repro.obs, and
-    # scenarios.aggregate imports scenarios.spec — importing it at
-    # module level here would close the cycle.
-    from repro.scenarios.aggregate import atomic_write_text
-
     payload = dict(progress.to_dict())
     # ltnc: allow[LTNC002] host-side staleness stamp for pollers, never read back
     payload["updated_unix"] = round(time.time(), 3)

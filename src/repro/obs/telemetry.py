@@ -36,6 +36,7 @@ import json
 import pathlib
 
 from repro.errors import SimulationError
+from repro.fileio import atomic_write_text
 from repro.obs.metrics import Histogram
 
 __all__ = [
@@ -135,11 +136,6 @@ def write_telemetry(
     path: str | pathlib.Path, sections: dict[str, dict[str, object]]
 ) -> pathlib.Path:
     """Atomically write the fleet-wide telemetry file; return its path."""
-    # Lazy import: scenarios.aggregate imports scenarios.spec, which
-    # imports repro.obs — a module-level import here would close the
-    # cycle through the package __init__ (same pattern as progress.py).
-    from repro.scenarios.aggregate import atomic_write_text
-
     out = pathlib.Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     payload = telemetry_payload(sections)

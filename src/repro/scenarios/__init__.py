@@ -26,7 +26,6 @@ CLI (the one sweep CLI): ``python -m repro.scenarios --scenario churn
 from repro.content.spec import CatalogueSpec, ContentSpec
 from repro.scenarios.aggregate import (
     ScenarioAggregate,
-    atomic_write_text,
     comparison_rows,
     summary_stats,
     trial_record,
@@ -36,6 +35,7 @@ from repro.scenarios.fleet import (
     FleetRunner,
     FleetStop,
     ShardSpec,
+    WorkerLost,
     grid_fingerprint,
     plan_shards,
 )
@@ -73,7 +73,6 @@ from repro.topology.spec import TopologySpec
 
 __all__ = [
     "ScenarioAggregate",
-    "atomic_write_text",
     "comparison_rows",
     "summary_stats",
     "trial_record",
@@ -81,6 +80,7 @@ __all__ = [
     "FleetRunner",
     "FleetStop",
     "ShardSpec",
+    "WorkerLost",
     "grid_fingerprint",
     "plan_shards",
     "default_chunksize",

@@ -29,7 +29,10 @@ holds across shard counts and interrupt/resume cycles: with
 up from the last finished shard and still emits byte-identical JSON.
 A comparison table of the scenarios goes to stderr.  Bad arguments
 exit 2 with argparse's usage line; a ``--stop-after-shards`` stop
-exits 3 with its shards checkpointed.
+exits 3 with its shards checkpointed; a worker process that dies
+mid-shard exits 4 with one stderr line naming the shard (the shards
+finished before it stay checkpointed, and ``--resume`` recomputes the
+rest).
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ import sys
 
 from repro.errors import SimulationError
 from repro.experiments.scale import PROFILES, current_profile
+from repro.fileio import atomic_write_text
 from repro.obs import ObsSpec, render_progress
-from repro.scenarios.aggregate import atomic_write_text, comparison_rows
-from repro.scenarios.fleet import FleetRunner, FleetStop
+from repro.scenarios.aggregate import comparison_rows
+from repro.scenarios.fleet import FleetRunner, FleetStop, WorkerLost
 from repro.scenarios.presets import (
     PRESETS,
     expand_scenarios,
@@ -281,6 +285,15 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 3
+    except WorkerLost as lost:
+        where = (
+            f"finished shards are checkpointed under {args.checkpoint_dir} "
+            "— rerun with --resume to continue"
+            if args.checkpoint_dir is not None
+            else "no --checkpoint-dir, so no shard was kept"
+        )
+        print(f"fleet {lost}; {where}", file=sys.stderr)
+        return 4
     _print_table(*comparison_rows(aggregates, COLUMNS))
     if len(aggregates) == 1:
         payload = next(iter(aggregates.values())).to_dict()

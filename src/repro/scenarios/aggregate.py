@@ -17,51 +17,19 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import pathlib
-import tempfile
 
 from repro.errors import SimulationError
+from repro.fileio import atomic_write_text
 from repro.gossip.metrics import DisseminationResult
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
     "ScenarioAggregate",
-    "atomic_write_text",
     "comparison_rows",
     "summary_stats",
     "trial_record",
 ]
-
-
-def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
-    """Write *text* to *path* atomically (temp file + ``os.replace``).
-
-    A crash mid-write must never leave a truncated file behind: a
-    checkpoint resume (or any reader of ``benchmarks/out/``) would then
-    trust corrupt JSON.  The temp file lives in the destination
-    directory so the final rename is atomic on POSIX filesystems.
-
-    The temp file is unlinked best-effort in a ``finally`` — on success
-    ``os.replace`` already consumed it (the unlink is a no-op), and on
-    *any* failure, including ones raised by the replace itself, no
-    stray ``.*.tmp`` file survives.
-    """
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp_name, path)
-    finally:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-    return path
 
 
 def trial_record(

@@ -58,10 +58,12 @@ import logging
 import pathlib
 import re
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.errors import SimulationError
+from repro.fileio import atomic_write_text
 from repro.obs.metrics import MetricsCollector
 from repro.obs.progress import (
     FleetProgress,
@@ -69,11 +71,7 @@ from repro.obs.progress import (
     write_progress,
 )
 from repro.obs.telemetry import section_errors, write_telemetry
-from repro.scenarios.aggregate import (
-    ScenarioAggregate,
-    atomic_write_text,
-    trial_record,
-)
+from repro.scenarios.aggregate import ScenarioAggregate, trial_record
 from repro.scenarios.runner import (
     TrialSpec,
     merge_trial_snapshots,
@@ -91,6 +89,7 @@ __all__ = [
     "FleetRunner",
     "FleetStop",
     "ShardSpec",
+    "WorkerLost",
     "grid_fingerprint",
     "plan_shards",
     "validate_checkpoint",
@@ -115,6 +114,16 @@ class FleetStop(Exception):
         super().__init__(
             f"stopped after {completed_shards}/{total_shards} shards"
         )
+
+
+class WorkerLost(Exception):
+    """Raised when a worker process dies mid-shard (killed, crashed).
+
+    The pool cannot finish the shard, so the sweep stops there; the
+    message names the shard.  Shards finished before it are already
+    checkpointed (given a checkpoint directory), and a resume
+    recomputes only what is missing.
+    """
 
 
 @dataclass(frozen=True)
@@ -552,7 +561,14 @@ class FleetRunner:
             loaded = self._replay(shard, fingerprint, collect)
             replayed = loaded is not None
             if loaded is None:
-                loaded = self._execute_shard(shard, fingerprint, collect)
+                try:
+                    loaded = self._execute_shard(shard, fingerprint, collect)
+                except BrokenProcessPool as exc:
+                    raise WorkerLost(
+                        f"lost a worker in shard {shard.shard_index} of "
+                        f"{shard.scenario.name!r} after {position}/"
+                        f"{len(shards)} shards"
+                    ) from exc
                 executed += 1
             records, section = loaded
             name = shard.scenario.name

@@ -3,7 +3,7 @@
 import json
 import pathlib
 
-from repro.scenarios.aggregate import atomic_write_text
+from repro.fileio import atomic_write_text
 
 
 def load(path):

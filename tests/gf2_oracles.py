@@ -1,33 +1,39 @@
-"""The pre-optimization numpy-words GF(2) kernel, kept verbatim.
+"""GF(2) test oracles: the pre-int numpy kernel and offline rank helpers.
 
-This module preserves the original :class:`BitVector` /
-:class:`IncrementalRref` implementation (``uint64`` word arrays, one
-numpy call per elementary operation) exactly as it stood before the
-int-backed kernel replaced it in ``repro.gf2.bitvec`` /
-``repro.gf2.matrix``.  Two consumers keep it alive:
+:class:`ReferenceBitVector` / :class:`ReferenceRref` keep the original
+numpy-words implementation (``uint64`` word arrays, one numpy call per
+elementary operation) exactly as it stood before the int-backed kernel
+replaced it in ``repro.gf2.bitvec`` / ``repro.gf2.matrix``.  Three
+consumers keep it alive:
 
-* the differential property tests drive random operation sequences
-  through both kernels and assert bit-identical results *and*
-  identical :class:`~repro.costmodel.counters.OpCounter` totals, which
-  is the executable proof that the rewrite is behavior-free;
-* ``repro.experiments.perfbench`` times it as the in-repo baseline, so
-  the speedup recorded in ``BENCH_ltnc.json`` is measured on the same
-  machine as the optimized number rather than read off a stale note.
+* the differential property tests (``test_gf2_kernel_property.py``,
+  ``test_gf2_batch.py``) drive random operation sequences through the
+  int kernel, the numpy multi-row kernel and this one, and assert
+  bit-identical results *and* identical
+  :class:`~repro.costmodel.counters.OpCounter` totals, which is the
+  executable proof that the rewrites are behavior-free;
+* ``benchmarks/perf/test_kernel_perf.py`` times it on the vector stream
+  the perfbench insert/reduce row times the int kernel on, and enforces
+  the int kernel's speedup floor in the same process.
 
-It is **not** part of the production path — never import it from hot
-code.
+:class:`GF2Matrix` and :func:`rank_of` are the exact offline rank
+oracle: they insert whole row sets into a production
+:class:`~repro.gf2.matrix.IncrementalRref` and read off rank or the
+reduced basis.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.costmodel.counters import OpCounter
 from repro.errors import DecodingError, DimensionError
+from repro.gf2.bitvec import BitVector
+from repro.gf2.matrix import IncrementalRref
 
-__all__ = ["ReferenceBitVector", "ReferenceRref"]
+__all__ = ["GF2Matrix", "ReferenceBitVector", "ReferenceRref", "rank_of"]
 
 _WORD_SHIFT = 6
 _WORD_MASK = 63
@@ -307,3 +313,89 @@ class ReferenceRref:
             out[col] = payload
         return [p if p is not None else np.zeros(self.payload_nbytes, np.uint8)
                 for p in out]
+
+
+class GF2Matrix:
+    """An immutable-size list of GF(2) rows with batch reductions.
+
+    This is the offline companion of :class:`IncrementalRref`: build it
+    from a set of code vectors, then ask for rank or row-reduce it in
+    one pass.  Rows are :class:`BitVector` instances of equal length.
+    """
+
+    def __init__(self, rows: Iterable[BitVector]) -> None:
+        self.rows: list[BitVector] = [r.copy() for r in rows]
+        if self.rows:
+            ncols = self.rows[0].nbits
+            for r in self.rows:
+                if r.nbits != ncols:
+                    raise DimensionError("ragged rows in GF2Matrix")
+            self.ncols = ncols
+        else:
+            self.ncols = 0
+
+    @classmethod
+    def from_dense(cls, array: np.ndarray) -> "GF2Matrix":
+        """Build from a 2-D 0/1 array (row per vector).
+
+        Rows are packed with one :func:`numpy.packbits` call over the
+        whole matrix rather than a Python loop per bit.
+        """
+        array = np.asarray(array)
+        if array.ndim != 2:
+            raise DimensionError("from_dense expects a 2-D array")
+        nrows, ncols = array.shape
+        if ncols == 0:
+            return cls(BitVector(0) for _ in range(nrows))
+        packed = np.packbits(
+            (array % 2).astype(bool), axis=1, bitorder="little"
+        )
+        return cls(
+            BitVector._from_int(
+                ncols, int.from_bytes(packed[i].tobytes(), "little")
+            )
+            for i in range(nrows)
+        )
+
+    def to_dense(self) -> np.ndarray:
+        """Return the matrix as a 2-D uint8 0/1 array."""
+        out = np.zeros((len(self.rows), self.ncols), dtype=np.uint8)
+        for i, row in enumerate(self.rows):
+            out[i, row.indices()] = 1
+        return out
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    def rank(self) -> int:
+        """Rank over GF(2) (does not modify the matrix)."""
+        if not self.rows:
+            return 0
+        rref = IncrementalRref(self.ncols)
+        for row in self.rows:
+            rref.insert(row)
+        return rref.rank
+
+    def row_reduce(self) -> "GF2Matrix":
+        """Return the reduced row-echelon form (pivot rows only)."""
+        if not self.rows:
+            return GF2Matrix([])
+        rref = IncrementalRref(self.ncols)
+        for row in self.rows:
+            rref.insert(row)
+        return GF2Matrix(rref.basis_rows())
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"GF2Matrix({self.nrows}x{self.ncols})"
+
+
+def rank_of(vectors: Sequence[BitVector], ncols: int | None = None) -> int:
+    """Convenience rank computation for a sequence of vectors."""
+    vecs = list(vectors)
+    if not vecs:
+        return 0
+    rref = IncrementalRref(ncols if ncols is not None else vecs[0].nbits)
+    for v in vecs:
+        rref.insert(v)
+    return rref.rank

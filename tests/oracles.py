@@ -9,7 +9,7 @@ they replaced, for differential tests only:
   order, one transfer at a time;
 * the reference LTNC bodies — Algorithm 1 over fresh frozenset pools
   with per-step charges, the Algorithm-2 candidate walk over
-  ``buckets_below``, per-native ``record_sent`` charges, unmemoized
+  :func:`buckets_below`, per-native ``record_sent`` charges, unmemoized
   reachability bounds, ``np.searchsorted`` degree sampling and the
   index-by-index header check;
 * the reference baseline bodies — WC's ``min`` scan of the whole
@@ -60,6 +60,8 @@ __all__ = [
     "ReferenceSparseRlncNode",
     "ReferenceWcNode",
     "assert_conserved",
+    "buckets_below",
+    "frequency",
     "reference_build",
     "reference_paths",
     "reference_refine",
@@ -109,15 +111,35 @@ def reference_build(d, graph, index, rng, counter) -> BuildResult:
     return result
 
 
+def frequency(occurrences: OccurrenceTracker, x: int) -> int:
+    """Occurrences of native *x* in sent packets, one ``table_op``."""
+    occurrences.counter.add("table_op")
+    return occurrences._counts[x]
+
+
+def buckets_below(occurrences: OccurrenceTracker, limit: int):
+    """Yield ``(count, natives)`` for counts in ``[min, limit)``.
+
+    Buckets come in increasing count order, so the first candidate a
+    caller accepts is the global argmin under its extra constraints.
+    One ``table_op`` per count visited, empty counts included.
+    """
+    for count in range(occurrences.min_frequency(), limit):
+        bucket = occurrences._buckets.get(count)
+        occurrences.counter.add("table_op")
+        if bucket:
+            yield count, frozenset(bucket)
+
+
 def _reference_replacement(x, support, components, occurrences, counter, scan_limit):
-    """The candidate walk: ``buckets_below`` one candidate at a time."""
-    freq_x = occurrences.frequency(x)
+    """The candidate walk: :func:`buckets_below` one candidate at a time."""
+    freq_x = frequency(occurrences, x)
     if freq_x <= occurrences.min_frequency():
         return None, 0
     leader = components.leader(x)
     cc = components.cc
     examined = 0
-    for _, bucket in occurrences.buckets_below(freq_x):
+    for _, bucket in buckets_below(occurrences, freq_x):
         for candidate in bucket:
             examined += 1
             if cc[candidate] == leader and candidate not in support:

@@ -32,7 +32,6 @@ def report():
         seed=7,
         ks=(16,),
         schemes=("wc",),
-        include_baseline=False,
     )
 
 

@@ -129,7 +129,7 @@ class TestAgainstGaussOracle:
         # vector lies in the span of everything received.
         from repro.gf2 import BitVector
 
-        for idx in dec.decoded_set():
+        for idx in dec.graph.decoded:
             unit = BitVector.from_indices(k, [idx])
             assert oracle.contains(unit)
 

@@ -355,7 +355,7 @@ def test_striped_content_uses_generation_packets():
     assert result.all_complete
     endpoint = sim.endpoint(0, 0)
     assert isinstance(endpoint, _StripedEndpoint)
-    assert endpoint.node.n_generations == 4
+    assert len(endpoint.node.bounds) == 4
 
 
 def test_no_feedback_ships_unwanted_payloads():

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.costmodel import CONTROL_OPS, CostBreakdown, CycleModel, OpCounter
+from repro.costmodel import (
+    CONTROL_OPS,
+    DATA_OPS,
+    CostBreakdown,
+    CycleModel,
+    OpCounter,
+)
 
 
 class TestOpCounter:
@@ -40,8 +46,8 @@ class TestOpCounter:
 
     def test_totals(self):
         c = OpCounter({"bp_edge": 2, "payload_xor": 3, "custom": 7})
-        assert c.control_total() == 2
-        assert c.data_total() == 3
+        assert c.total(CONTROL_OPS) == 2
+        assert c.total(DATA_OPS) == 3
         assert c.total() == 12
         assert c.total(["custom"]) == 7
 

@@ -8,11 +8,16 @@ must leave the aggregated JSON on stdout unchanged.
 """
 
 import json
+import os
 
 import pytest
 
+from repro.scenarios import fleet as fleet_module
 from repro.scenarios.__main__ import main
+from repro.scenarios.runner import run_trial
 from repro.schemes import available_schemes
+
+_TEST_PID = os.getpid()
 
 #: The comparison sweeps: test id -> the ``--scenario`` arguments.
 DRIVERS = {
@@ -112,6 +117,42 @@ def test_sweep_cli_checkpoint_stop_and_resume(
     captured = capsys.readouterr()
     assert "rerun with --resume" in captured.err
     assert len(list((tmp_path / driver).glob("shard-*.json"))) == 1
+
+    assert main(fleet + ["--resume"]) == 0
+    assert capsys.readouterr().out == golden
+
+
+def _trial_3_kills_its_worker(trial):
+    """``run_trial``, except that trial 3 ends its worker process."""
+    if trial.trial_index == 3 and os.getpid() != _TEST_PID:
+        os._exit(1)
+    return run_trial(trial)
+
+
+def test_sweep_cli_lost_worker_exits_4_and_resumes(
+    capsys, tmp_path, monkeypatch
+):
+    # A worker dying mid-shard stops the sweep with status 4 and one
+    # stderr line naming the shard; the shard finished before it stays
+    # checkpointed, and a resume prints the uninterrupted run's JSON.
+    monkeypatch.setenv("LTNC_SCALE", "quick")
+    base = ["--scenario", "baseline", "--trials", "4", "--seed", "7"]
+    base += ["--workers", "2"]
+    assert main(base) == 0
+    golden = capsys.readouterr().out
+
+    ckpt = tmp_path / "ckpt"
+    fleet = base + ["--shards", "2", "--checkpoint-dir", str(ckpt)]
+    with monkeypatch.context() as patch:
+        patch.setattr(fleet_module, "run_trial", _trial_3_kills_its_worker)
+        assert main(fleet) == 4
+        line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "shard 1 of 'baseline'" in line and str(ckpt) in line
+        assert main(base) == 4
+        assert "no --checkpoint-dir" in capsys.readouterr().err
+    assert sorted(p.name for p in ckpt.glob("shard-*.json")) == [
+        "shard-baseline-0000.json"
+    ]
 
     assert main(fleet + ["--resume"]) == 0
     assert capsys.readouterr().out == golden

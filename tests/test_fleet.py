@@ -23,6 +23,7 @@ import os
 import pytest
 
 from repro.errors import SimulationError
+from repro.fileio import atomic_write_text
 from repro.scenarios import (
     CheckpointStore,
     FleetRunner,
@@ -30,7 +31,6 @@ from repro.scenarios import (
     ScenarioAggregate,
     ScenarioSpec,
     TrialSpec,
-    atomic_write_text,
     default_chunksize,
     grid_fingerprint,
     parallel_map,

@@ -96,7 +96,7 @@ def test_generation_bounds_cover_every_native_exactly_once(k, g):
 def test_generation_source_partitions_match_bounds(k, g):
     source = GenerationSource(k, g, rng=0)
     assert source.bounds == generation_bounds(k, g)
-    assert source.n_generations == len(source.bounds)
+    assert len(source.sources) == len(source.bounds)
     # Each sub-source codes over exactly its generation's width.
     for (_, size), sub in zip(source.bounds, source.sources):
         assert sub.k == size

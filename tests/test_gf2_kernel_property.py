@@ -2,7 +2,7 @@
 
 The fast kernel in ``repro.gf2`` (Python-int bit vectors, pivot-mask
 Gauss reduction) claims *zero* behavior change against the original
-numpy-words implementation preserved in ``repro.gf2.reference``.  These
+numpy-words implementation preserved in ``gf2_oracles``.  These
 tests make the claim executable:
 
 * hypothesis drives random operation sequences (set / flip / ixor /
@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 
 from repro.costmodel.counters import OpCounter
 from repro.gf2.bitvec import BitVector
-from repro.gf2.matrix import GF2Matrix, IncrementalRref
-from repro.gf2.reference import ReferenceBitVector, ReferenceRref
+from repro.gf2.matrix import IncrementalRref
+
+from gf2_oracles import GF2Matrix, ReferenceBitVector, ReferenceRref
 
 
 def _pair(nbits: int) -> tuple[BitVector, ReferenceBitVector]:

@@ -1,4 +1,5 @@
-"""Unit and property tests for repro.gf2.matrix (Gauss / RREF)."""
+"""Unit and property tests for repro.gf2.matrix (Gauss / RREF) and the
+offline rank oracle built on it (``gf2_oracles``)."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from repro.costmodel import OpCounter
 from repro.errors import DecodingError, DimensionError
-from repro.gf2 import BitVector, GF2Matrix, IncrementalRref
-from repro.gf2.matrix import rank_of
+from repro.gf2 import BitVector, IncrementalRref
+
+from gf2_oracles import GF2Matrix, rank_of
 
 
 def bv(n, idx):

@@ -37,7 +37,7 @@ class TestXorPayloads:
 class TestEncodedPacket:
     def test_native_constructor(self):
         p = EncodedPacket.native(8, 3)
-        assert p.degree == 1 and p.is_native()
+        assert p.degree == 1
         assert p.support() == {3}
         assert p.k == 8
 

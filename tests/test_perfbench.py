@@ -30,15 +30,6 @@ def test_microbench_units_report_positive_rates():
     assert dec["gauss_packets_per_sec"] > 0 and dec["bp_packets_per_sec"] > 0
 
 
-def test_fast_and_reference_kernels_do_identical_work():
-    # Same seed -> same vector stream -> the op counts agree; only the
-    # wall-clock rate may differ.  Guards against benching the two
-    # kernels on accidentally different workloads.
-    fast = bench_rref_insert_reduce(24, 40, seed=9, kernel="fast")
-    ref = bench_rref_insert_reduce(24, 40, seed=9, kernel="reference")
-    assert fast["n_ops"] == ref["n_ops"] == 40
-
-
 def test_end_to_end_bench_completes_scenario():
     entry = bench_end_to_end("rlnc", n_nodes=6, k=8, seed=5)
     assert entry["all_complete"]
@@ -91,9 +82,10 @@ def test_run_perfbench_quick_schema_and_validation(tmp_path):
     assert set(report["end_to_end"]) == {"wc", "rlnc"}
     assert set(report["phases"]) == {"wc", "rlnc"}
     entry = report["microbench"]["rref_insert_reduce"]["k=32"]
-    assert {"ops_per_sec", "baseline_ops_per_sec", "speedup_vs_baseline"} <= set(
-        entry
-    )
+    assert entry["ops_per_sec"] > 0
+    # The numpy kernel's column is timed by the perf floor test, not here.
+    assert "baseline_kernel" not in report
+    assert not {"baseline_ops_per_sec", "speedup_vs_baseline"} & set(entry)
     # v5: N-scaling rows and the numpy-kernel bench; v6: one round
     # loop, so no scalar leg.
     for label, row in report["n_scaling"].items():
@@ -115,7 +107,6 @@ def test_validate_bench_rejects_broken_reports():
         seed=7,
         ks=(16,),
         schemes=("wc",),
-        include_baseline=False,
     )
     validate_bench(report)
     broken = json.loads(json.dumps(report))
@@ -180,7 +171,6 @@ def test_validate_bench_accepts_v4_history_reports():
         seed=7,
         ks=(16,),
         schemes=("wc",),
-        include_baseline=False,
     )
     v5 = json.loads(json.dumps(report))
     v5["schema_version"] = 5

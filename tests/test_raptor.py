@@ -10,7 +10,6 @@ from repro.errors import DimensionError, DistributionError
 from repro.lt.decoder import BeliefPropagationDecoder
 from repro.lt.raptor import (
     Precode,
-    RaptorDecoder,
     RaptorDistribution,
     RaptorEncoder,
 )

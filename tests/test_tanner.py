@@ -50,7 +50,7 @@ class TestInsertion:
         g = TannerGraph(4)
         pid, decoded = g.insert({0, 1}, None)
         assert pid is not None and decoded == []
-        assert g.packet_support(pid) == {0, 1}
+        assert g.packets[pid].support == {0, 1}
         assert g.stored_count == 1
 
     def test_empty_support_is_noop(self):
@@ -90,7 +90,7 @@ class TestPeeling:
         g = TannerGraph(4)
         pid, _ = g.insert({0, 1, 2}, None)
         g.insert({0}, None)
-        assert g.packet_support(pid) == {1, 2}
+        assert g.packets[pid].support == {1, 2}
         g.insert({1}, None)
         assert g.is_decoded(2)
         assert g.stored_count == 0

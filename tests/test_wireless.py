@@ -101,6 +101,17 @@ def test_smart_targets_counted_only_when_snooping():
     assert snooping.result.smart_targets > 0
 
 
+def test_snoop_state_built_only_when_snooping():
+    # One _Snoop per directed radio link, and only for a snooping run:
+    # without snooping nothing reads them.
+    topo = WirelessTopology(12, radius=0.4, rng=3)
+    links = sum(len(topo.neighbors(i)) for i in range(topo.n_nodes))
+    silent = WirelessSimulator("ltnc", topo, 16, snoop=False, seed=1)
+    assert not any(silent._snoops)
+    snooping = WirelessSimulator("ltnc", topo, 16, snoop=True, seed=1)
+    assert sum(len(s) for s in snooping._snoops) == links > 0
+
+
 def test_result_guards():
     from repro.gossip.wireless import WirelessResult
 
