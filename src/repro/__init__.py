@@ -45,29 +45,54 @@ Package map
 ``repro.security``    homomorphic tags against pollution
 """
 
-from repro.coding import EncodedPacket, content_blocks, make_content
-from repro.core import LtncNode
-from repro.costmodel import CostBreakdown, CycleModel, OpCounter
-from repro.errors import (
-    DecodingError,
-    DimensionError,
-    DistributionError,
-    RecodingError,
-    ReproError,
-    SimulationError,
-    StorageError,
-)
-from repro.gf2 import BitVector, IncrementalRref
-from repro.gossip import EpidemicSimulator, Feedback, run_dissemination
-from repro.lt import (
-    BeliefPropagationDecoder,
-    IdealSoliton,
-    LTEncoder,
-    RobustSoliton,
-    TannerGraph,
-)
-from repro.rlnc import RlncNode
-from repro.wc import WcNode
+import importlib
+
+#: Public name -> the module it comes from.  The names load on first
+#: access (PEP 562), so importing a stdlib-only submodule such as
+#: ``repro.analysis`` or ``repro.fileio`` does not load numpy and the
+#: simulator.
+_EXPORTS = {
+    "ReproError": "repro.errors",
+    "DimensionError": "repro.errors",
+    "DecodingError": "repro.errors",
+    "DistributionError": "repro.errors",
+    "RecodingError": "repro.errors",
+    "SimulationError": "repro.errors",
+    "StorageError": "repro.errors",
+    "BitVector": "repro.gf2",
+    "IncrementalRref": "repro.gf2",
+    "EncodedPacket": "repro.coding",
+    "make_content": "repro.coding",
+    "content_blocks": "repro.coding",
+    "RobustSoliton": "repro.lt",
+    "IdealSoliton": "repro.lt",
+    "LTEncoder": "repro.lt",
+    "TannerGraph": "repro.lt",
+    "BeliefPropagationDecoder": "repro.lt",
+    "LtncNode": "repro.core",
+    "RlncNode": "repro.rlnc",
+    "WcNode": "repro.wc",
+    "EpidemicSimulator": "repro.gossip",
+    "Feedback": "repro.gossip",
+    "run_dissemination": "repro.gossip",
+    "OpCounter": "repro.costmodel",
+    "CycleModel": "repro.costmodel",
+    "CostBreakdown": "repro.costmodel",
+}
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})
+
 
 __version__ = "1.0.0"
 

@@ -2,7 +2,7 @@
 
 Makes the repo's hand-enforced reproducibility invariants
 machine-checked: an :mod:`ast`-based rule engine
-(:mod:`~repro.analysis.engine`), seven shipped rules LTNC001–LTNC007
+(:mod:`~repro.analysis.engine`), eight shipped rules LTNC001–LTNC008
 (:mod:`~repro.analysis.rules`), the central schema-artifact registry
 (:mod:`~repro.analysis.schemas`), and a CLI
 (``python -m repro.analysis [--json] [--rule CODE] [paths]``; exit 1

@@ -1,4 +1,4 @@
-"""The determinism-contract rules (LTNC001–LTNC007).
+"""The determinism-contract rules (LTNC001–LTNC008).
 
 Each rule encodes one invariant the repo's reproduction claims rest on,
 with the contract's origin noted next to it.  Rules are deliberately
@@ -524,6 +524,164 @@ class SortedJsonRule(Rule):
                 )
 
 
+def _is_set_type(node: ast.expr) -> bool:
+    """True for a ``set``/``frozenset`` annotation, bare or subscripted."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in ("set", "frozenset")
+
+
+def _holds_sets(node: ast.expr) -> bool:
+    """True for a container of sets: ``list[set[int]]``,
+    ``dict[int, frozenset[int]]`` (the item type is the last argument)."""
+    if not isinstance(node, ast.Subscript) or _is_set_type(node):
+        return False
+    args = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    types = [a for a in args if not isinstance(a, ast.Constant)]  # drop `...`
+    return bool(types) and _is_set_type(types[-1])
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """Nodes of *scope*, yielding nested functions without entering them."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _declared(
+    node: ast.expr, names: dict[str, ast.expr], attrs: dict[str, ast.expr]
+) -> ast.expr | None:
+    """The annotation of a name or attribute, if this module gives one."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        return attrs.get(node.attr)
+    return None
+
+
+class SetOrderRule(Rule):
+    """LTNC008 — LTNC reads its sets in a stated order.
+
+    CPython iterates a set of ints in hash-table order, a function of
+    the set's whole insertion and deletion history that the language
+    does not define (PyPy iterates in insertion order).  The recoder's
+    uniform picks, the refinement's argmin ties and the belief
+    propagation peel order all index into such sets, so each read
+    takes ascending id order: ``sorted(E)`` or ``min(E)``, never a
+    ``list(E)``/``tuple(E)`` snapshot or ``next(iter(E))``.  ``E`` is
+    set-typed when it is a ``set(...)``/``frozenset(...)`` call, a set
+    display or comprehension, or a name, attribute or subscript that
+    this module annotates as a set or as a container of sets.
+    """
+
+    code = "LTNC008"
+    name = "set-order"
+    summary = (
+        "list(E)/tuple(E)/next(iter(E)) over a set materialises CPython's "
+        "hash order under core/, lt/ and baselines/; read it with "
+        "sorted(E) or min(E)"
+    )
+
+    def applies(self, logical: str) -> bool:
+        return logical.startswith(
+            ("src/repro/core/", "src/repro/lt/", "src/repro/baselines/")
+        )
+
+    def check(self, mod: Module) -> Iterator[Finding]:
+        # Attribute annotations (``self.x: T`` and class-body fields)
+        # hold module-wide; name annotations hold in their scope.
+        attrs: dict[str, ast.expr] = {}
+        for node in ast.walk(mod.tree):
+            if isinstance(node, ast.AnnAssign) and isinstance(
+                node.target, ast.Attribute
+            ):
+                attrs[node.target.attr] = node.annotation
+            elif isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(
+                        stmt.target, ast.Name
+                    ):
+                        attrs[stmt.target.id] = stmt.annotation
+        yield from self._check_scope(mod, mod.tree, {}, attrs)
+
+    def _check_scope(
+        self,
+        mod: Module,
+        scope: ast.AST,
+        outer: dict[str, ast.expr],
+        attrs: dict[str, ast.expr],
+    ) -> Iterator[Finding]:
+        names = dict(outer)
+        if isinstance(scope, _SCOPES):
+            arguments = scope.args
+            for arg in (
+                *arguments.posonlyargs,
+                *arguments.args,
+                *arguments.kwonlyargs,
+            ):
+                if arg.annotation is None:
+                    names.pop(arg.arg, None)
+                else:
+                    names[arg.arg] = arg.annotation
+        own = list(_scope_nodes(scope))
+        for node in own:
+            if isinstance(node, ast.AnnAssign) and isinstance(
+                node.target, ast.Name
+            ):
+                names[node.target.id] = node.annotation
+
+        def is_set(node: ast.expr) -> bool:
+            if isinstance(node, (ast.Set, ast.SetComp)):
+                return True
+            if isinstance(node, ast.Call):
+                return isinstance(node.func, ast.Name) and node.func.id in (
+                    "set",
+                    "frozenset",
+                )
+            if isinstance(node, ast.Subscript):
+                container = _declared(node.value, names, attrs)
+                return container is not None and _holds_sets(container)
+            annotation = _declared(node, names, attrs)
+            return annotation is not None and _is_set_type(annotation)
+
+        for node in own:
+            if isinstance(node, _SCOPES):
+                yield from self._check_scope(mod, node, names, attrs)
+                continue
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.args
+            ):
+                continue
+            func, arg = node.func.id, node.args[0]
+            if func in ("list", "tuple") and is_set(arg):
+                read = f"{func}(...)"
+            elif (
+                func == "next"
+                and isinstance(arg, ast.Call)
+                and isinstance(arg.func, ast.Name)
+                and arg.func.id == "iter"
+                and arg.args
+                and is_set(arg.args[0])
+            ):
+                read = "next(iter(...))"
+            else:
+                continue
+            yield mod.finding(
+                self.code,
+                node,
+                f"{read} over a set reads CPython's hash order; use "
+                "sorted(...) or min(...) for a stated order",
+            )
+
+
 RULES: tuple[Rule, ...] = (
     DirectRandomnessRule(),
     WallClockRule(),
@@ -532,6 +690,7 @@ RULES: tuple[Rule, ...] = (
     EnvGatewayRule(),
     SchemaRegistryRule(),
     SortedJsonRule(),
+    SetOrderRule(),
 )
 
 RULES_BY_CODE: dict[str, Rule] = {rule.code: rule for rule in RULES}

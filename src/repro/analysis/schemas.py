@@ -97,7 +97,7 @@ SCHEMAS: tuple[SchemaContract, ...] = (
     SchemaContract(
         artifact="ltnc-round-plan",
         format=None,
-        version=1,
+        version=2,
         writer_module="repro.gossip.simulator",
         format_const=None,
         version_const="ROUND_PLAN_VERSION",

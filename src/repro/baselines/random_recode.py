@@ -22,7 +22,9 @@ apples-to-apples because *only* the recoding policy differs.
 
 from __future__ import annotations
 
-from repro.coding.packet import EncodedPacket
+import numpy as np
+
+from repro.coding.packet import EncodedPacket, xor_payloads
 from repro.core.node import LtncNode
 from repro.errors import RecodingError
 
@@ -64,46 +66,42 @@ class RandomRecodeNode(LtncNode):
     def make_packet(self, receiver_state: object | None = None) -> EncodedPacket:
         """XOR a uniform random subset of held items — no LT structure.
 
+        The held items are the decoded natives in ascending index, then
+        the stored pids in ascending order (the graph's insertion
+        order); each drawn index maps to one of them.
         ``receiver_state`` is accepted for protocol compatibility and
         ignored: without degree discipline there is nothing for the
         smart construction to steer.
         """
         graph = self.decoder.graph
-        items: list[tuple[int, int]] = [
-            (1, i) for i in self.degree_index.decoded_natives()
-        ] + [(0, pid) for pid in graph.packets]
-        if not items:
+        natives = sorted(graph.decoded)
+        pids = list(graph.packets)
+        n_natives = len(natives)
+        n_items = n_natives + len(pids)
+        if not n_items:
             raise RecodingError("no packets available; cannot recode")
-        cap = min(self.combine, len(items))
+
+        def held(j: int) -> tuple[set[int], np.ndarray | None]:
+            if j < n_natives:
+                native = natives[j]
+                return {native}, graph.decoded[native]
+            packet = graph.packets[pids[j - n_natives]]
+            return packet.support, packet.payload
+
+        cap = min(self.combine, n_items)
         self.recode_counter.add("rng_draw", 2)
         t = int(self.rng.integers(1, cap + 1))
-        picks = self.rng.choice(len(items), size=t, replace=False)
+        picks = self.rng.choice(n_items, size=t, replace=False).tolist()
         support: set[int] = set()
         payload = None
-        from repro.coding.packet import xor_payloads
-
         for j in picks:
-            kind, item = items[int(j)]
-            if kind == 1:
-                candidate = {item}
-                item_payload = graph.decoded[item]
-            else:
-                candidate = graph.packets[item].support
-                item_payload = graph.packets[item].payload
+            candidate, item_payload = held(j)
             support.symmetric_difference_update(candidate)
             self.recode_counter.add("vec_word_xor", (self.k + 63) >> 6)
             payload = xor_payloads(payload, item_payload, self.recode_counter)
         if not support:
             # The draw cancelled out; fall back to forwarding one item.
-            kind, item = items[int(picks[0])]
-            if kind == 1:
-                support = {item}
-                payload = xor_payloads(
-                    None, graph.decoded[item], self.recode_counter
-                )
-            else:
-                support = set(graph.packets[item].support)
-                payload = xor_payloads(
-                    None, graph.packets[item].payload, self.recode_counter
-                )
+            candidate, item_payload = held(picks[0])
+            support = set(candidate)
+            payload = xor_payloads(None, item_payload, self.recode_counter)
         return self._finish_packet(support, payload)

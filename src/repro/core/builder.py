@@ -102,11 +102,10 @@ def build_packet(
     counter:
         Cost accounting (control ops on supports, data ops on payloads).
 
-    Each degree class is drawn from as a swap-pop over the index's
-    memoized pool (:meth:`DegreeIndex.items_tuple`), whose element order
-    is the frozenset order of :meth:`DegreeIndex.items_of_degree` — the
-    order the rng picks index into.  Charges accumulate locally and land
-    as one add per op name (the counter is a totals-only multiset).
+    Each degree class is drawn from as a swap-pop over its items in
+    ascending id order, the order the rng picks index into.  Charges
+    accumulate locally and land as one add per op name (the counter is
+    a totals-only multiset).
     """
     counter = counter if counter is not None else OpCounter()
     words = (graph.k + 63) >> 6  # code-vector words an implementation XORs
@@ -125,7 +124,7 @@ def build_packet(
     pool_class = 0
     while len(support) < d and i > 0:
         if pool_class != i:
-            pool = list(index.items_tuple(i))
+            pool = sorted(index.items_of_degree(i))
             pool_class = i
             table_ops += 1
         if not pool:

@@ -175,9 +175,10 @@ class ConnectedComponents:
     def path_pids(self, x: int, y: int) -> list[int]:
         """Pids of degree-2 packets whose XOR equals ``x ^ y``.
 
-        BFS over the edge multigraph; intermediate natives cancel
-        pairwise, so XOR-ing the packets along any simple path from *x*
-        to *y* telescopes to exactly ``x ^ y``.  Raises
+        BFS over the edge multigraph, taking the lowest pid of parallel
+        edges; intermediate natives cancel pairwise, so XOR-ing the
+        packets along any simple path from *x* to *y* telescopes to
+        exactly ``x ^ y``.  Raises
         :class:`~repro.errors.RecodingError` when no path exists —
         callers must check ``same(x, y)`` (and handle the decoded class
         separately: decoded pairs combine from decoded values, not
@@ -193,7 +194,7 @@ class ConnectedComponents:
                 self.counter.add("cc_lookup")
                 if v in parent:
                     continue
-                parent[v] = (u, next(iter(pids)))
+                parent[v] = (u, min(pids))
                 if v == y:
                     path: list[int] = []
                     node = y

@@ -29,6 +29,10 @@ class DegreeIndex:
     degree >= 2 are Tanner-graph pids.  The two never mix because a
     stored packet's degree is always >= 2 (graph invariant).
 
+    Buckets are plain sets, so membership and size cost O(1); a reader
+    that needs an order takes ascending id (``sorted`` at the read), so
+    no result depends on a set's iteration order.
+
     The index sits on the recoding hot path (every Algorithm-1 build
     walks it, every Tanner event updates it), so the class is slotted
     and the update methods touch each dict exactly once.
@@ -41,7 +45,6 @@ class DegreeIndex:
         "_buckets",
         "_degree_of",
         "_decoded",
-        "_tuple_cache",
     )
 
     def __init__(self, k: int, counter: OpCounter | None = None) -> None:
@@ -56,10 +59,6 @@ class DegreeIndex:
         self._buckets: dict[int, set[int]] = {}
         self._degree_of: dict[int, int] = {}
         self._decoded: set[int] = set()
-        # Memoized tuple(frozenset(bucket)) per degree for the fast
-        # builder pool (see items_tuple); every mutation invalidates the
-        # degrees it touches.
-        self._tuple_cache: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # Maintenance (driven by Tanner-graph events)
@@ -73,7 +72,6 @@ class DegreeIndex:
         self._degree_of[pid] = degree
         self._buckets.setdefault(degree, set()).add(pid)
         self.version += 1
-        self._tuple_cache.pop(degree, None)
         self.counter.add("table_op")
 
     def update_packet(self, pid: int, degree: int) -> None:
@@ -90,8 +88,6 @@ class DegreeIndex:
         degree_of[pid] = degree
         buckets.setdefault(degree, set()).add(pid)
         self.version += 1
-        self._tuple_cache.pop(old, None)
-        self._tuple_cache.pop(degree, None)
         self.counter.add("table_op", 2)
 
     def remove_packet(self, pid: int) -> None:
@@ -102,7 +98,6 @@ class DegreeIndex:
         if not bucket:
             del self._buckets[degree]
         self.version += 1
-        self._tuple_cache.pop(degree, None)
         self.counter.add("table_op")
 
     def add_decoded(self, index: int) -> None:
@@ -111,7 +106,6 @@ class DegreeIndex:
             raise DimensionError(f"native {index} outside 0..{self.k - 1}")
         self._decoded.add(index)
         self.version += 1
-        self._tuple_cache.pop(1, None)
         self.counter.add("table_op")
 
     # ------------------------------------------------------------------
@@ -132,22 +126,6 @@ class DegreeIndex:
         if degree == 1:
             return frozenset(self._decoded)
         return frozenset(self._buckets.get(degree, ()))
-
-    def items_tuple(self, degree: int) -> tuple[int, ...]:
-        """Memoized ``tuple(frozenset(...))`` of :meth:`items_of_degree`.
-
-        Element order is exactly the frozenset iteration order the slow
-        builder observes through ``list(items_of_degree(d))`` — the
-        Algorithm-1 pool order that the rng swap-pop picks index into —
-        so the fast builder path stays draw-for-draw identical.  Every
-        mutation invalidates the degrees it touches.
-        """
-        cached = self._tuple_cache.get(degree)
-        if cached is None:
-            items = self._decoded if degree == 1 else self._buckets.get(degree)
-            cached = tuple(frozenset(items)) if items else ()
-            self._tuple_cache[degree] = cached
-        return cached
 
     def decoded_natives(self) -> frozenset[int]:
         """The degree-1 items: decoded native indices."""

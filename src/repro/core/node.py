@@ -131,7 +131,7 @@ class _StructureMaintainer(TannerListener):
         node.degree_index.add_packet(pid, len(support))
         node.support_index.add(pid, support)
         if len(support) == 2:
-            a, b = support
+            a, b = sorted(support)
             node.components.add_edge(pid, a, b)
 
     def on_packet_degree_changed(self, pid: int, support: set[int]) -> None:
@@ -139,7 +139,7 @@ class _StructureMaintainer(TannerListener):
         node.degree_index.update_packet(pid, len(support))
         node.support_index.update(pid, support)
         if len(support) == 2:
-            a, b = support
+            a, b = sorted(support)
             node.components.add_edge(pid, a, b)
 
     def on_packet_removed(self, pid: int, reason: str) -> None:

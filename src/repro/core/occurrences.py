@@ -10,8 +10,9 @@ drive the distribution toward uniform.
 Frequencies only ever increment by one, so the tracker keeps exact
 buckets ``count -> natives`` and a running minimum: the refiner asks
 for candidates *strictly below* a frequency, scanning buckets from the
-minimum upward — the first acceptable candidate is automatically the
-least frequent one (the paper's argmin).
+minimum upward and each bucket in ascending native index — the first
+acceptable candidate is automatically the least frequent one (the
+paper's argmin), ties going to the lowest index.
 """
 
 from __future__ import annotations
@@ -40,15 +41,9 @@ class OccurrenceTracker:
         self._buckets: dict[int, set[int]] = {0: set(range(k))}
         self._min_count = 0
         self.packets_sent = 0
-        # Memoized views for the refinement scan: the ascending
-        # non-empty counts, and tuple(frozenset(bucket)) snapshots per
-        # count.  Iteration order of a CPython set depends on its full
-        # mutation history, and the refinement result depends on which
-        # acceptable candidate comes first, so the snapshots pin the
-        # order a frozenset copy of the bucket has.  record_sent (the
-        # single bucket-mutation site) invalidates what it touches.
+        # The ascending non-empty counts, memoized for the refinement
+        # scan; record_sent (the single bucket-mutation site) drops it.
         self._counts_sorted: list[int] | None = None
-        self._bucket_cache: dict[int, tuple[int, ...]] = {}
 
     @property
     def counts(self) -> np.ndarray:
@@ -64,7 +59,6 @@ class OccurrenceTracker:
         """
         counts = self._counts
         buckets = self._buckets
-        cache_pop = self._bucket_cache.pop
         moved = 0
         for x in support:
             if not 0 <= x < self.k:
@@ -76,8 +70,6 @@ class OccurrenceTracker:
             if not bucket:
                 del buckets[old]
             buckets.setdefault(old + 1, set()).add(x)
-            cache_pop(old, None)
-            cache_pop(old + 1, None)
             moved += 1
         if moved:
             self._counts_sorted = None
@@ -103,22 +95,6 @@ class OccurrenceTracker:
         if counts is None:
             counts = self._counts_sorted = sorted(self._buckets)
         return counts
-
-    def bucket_tuple(self, count: int) -> tuple[int, ...]:
-        """Bucket *count* as a memoized tuple, in frozenset order.
-
-        Candidates come in the order a ``frozenset`` copy of the bucket
-        iterates, so the refinement scan's result (and its ``examined``
-        charge) is the one a frozenset walk would produce.  Charges
-        nothing; the scan accounts its own ``table_op`` per count
-        visited.
-        """
-        cached = self._bucket_cache.get(count)
-        if cached is None:
-            bucket = self._buckets.get(count)
-            cached = tuple(frozenset(bucket)) if bucket else ()
-            self._bucket_cache[count] = cached
-        return cached
 
     # ------------------------------------------------------------------
     def rsd(self) -> float:

@@ -82,7 +82,9 @@ class ReachabilityOracle:
         """Distinct natives decoded or in a stored packet of degree <= d.
 
         Early-exits at *d* — the caller only compares against *d*, so
-        counting further is wasted work.
+        counting further is wasted work.  Each degree class is walked in
+        ascending pid order, so the ``table_op`` charged up to the exit
+        does not depend on a set's iteration order.
         """
         covered = self.index.n(1)  # decoded natives, all distinct
         if covered >= d:
@@ -93,7 +95,7 @@ class ReachabilityOracle:
                 continue
             if degree > d:
                 break
-            for pid in self.index.items_of_degree(degree):
+            for pid in sorted(self.index.items_of_degree(degree)):
                 # Stored supports never contain decoded natives (graph
                 # invariant), so the two contributions are disjoint.
                 seen |= self.graph.packets[pid].support

@@ -18,8 +18,9 @@ packets along a component path (or the two decoded values when both
 natives are decoded).
 
 Candidate search walks the occurrence buckets from the global minimum
-upward, so the first native satisfying (1) and (3) in the lowest
-non-empty bucket below ``frequency(x)`` *is* the argmin.  An optional
+upward, each in ascending native index, so the first native satisfying
+(1) and (3) in the lowest non-empty bucket below ``frequency(x)`` *is*
+the argmin, ties going to the lowest index.  An optional
 ``scan_limit`` bounds the number of candidates examined per native —
 an engineering safety valve for adversarial component shapes; the
 default (unbounded) matches the paper.
@@ -71,8 +72,8 @@ def _find_replacement(
     to the caller, which lands one add per counter for the whole
     Algorithm-2 loop.  The charges are those of a walk that probes
     ``frequency(x)``, reads ``leader(x)`` and consumes the buckets
-    below it, count by count and candidate by candidate (the walk
-    ``tests/oracles.py`` keeps as the reference):
+    below it, count by count and candidate by candidate in ascending
+    index (the walk ``tests/oracles.py`` keeps as the reference):
 
     * ``occ_table_ops`` — the frequency probe plus one per count
       visited, empty counts included, up to the count the walk stopped
@@ -110,7 +111,7 @@ def _find_replacement(
                     return None, stop, visited, 1
             examined += len(bucket)
             continue
-        for candidate in occurrences.bucket_tuple(count):
+        for candidate in sorted(bucket):
             examined += 1
             if candidate in members and candidate not in support:
                 return candidate, examined, visited, 1

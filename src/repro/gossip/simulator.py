@@ -68,7 +68,12 @@ __all__ = [
 #:   * node streams: untouched — each node's draws happen inside its
 #:     own ``make_packet``/``receive`` calls, whose order the plan
 #:     preserves exactly.
-ROUND_PLAN_VERSION = 1
+#:
+#: v2 — the same draws as v1; LTNC's builder pools, refinement
+#:   candidates, belief-propagation peel order and reachability walks
+#:   (and ``rndlt``'s held items) iterate in ascending id, not in
+#:   CPython's set order.
+ROUND_PLAN_VERSION = 2
 
 
 def validate_round_plan(version: object) -> None:

@@ -215,7 +215,10 @@ class TannerGraph:
     def _decode_cascade(
         self, index: int, payload: np.ndarray | None
     ) -> list[int]:
-        """Record native *index* and run belief propagation to fixpoint."""
+        """Record native *index* and run belief propagation to fixpoint.
+
+        Each decoded native peels its packets in ascending pid order.
+        """
         newly: list[int] = []
         worklist: list[tuple[int, np.ndarray | None]] = [(index, payload)]
         while worklist:
@@ -225,7 +228,7 @@ class TannerGraph:
             self.decoded[idx] = value
             newly.append(idx)
             self._fire_decoded(idx)
-            for pid in list(self.by_native[idx]):
+            for pid in sorted(self.by_native[idx]):
                 follow = self._peel_edge(pid, idx, value)
                 if follow is not None:
                     worklist.append(follow)

@@ -45,9 +45,9 @@ collection on: the shard's merged in-worker telemetry section, the
 unit the fleet-wide ``telemetry.json`` is merged from.
 
 The fingerprint covers the scenario specs (order-insensitive), trial
-count, master seed and shard count, so a checkpoint is only ever
-replayed into the identical grid it was cut from; anything else is
-recomputed, with a warning naming the file and the reason.
+count, master seed, shard count and round-plan version, so a checkpoint
+is only ever replayed into the identical grid it was cut from; anything
+else is recomputed, with a warning naming the file and the reason.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from typing import Iterable, Sequence
 
 from repro.errors import SimulationError
 from repro.fileio import atomic_write_text
+from repro.gossip.simulator import ROUND_PLAN_VERSION
 from repro.obs.metrics import MetricsCollector
 from repro.obs.progress import (
     FleetProgress,
@@ -197,11 +198,14 @@ def grid_fingerprint(
     Scenario dicts are keyed by name (order-insensitive: reordering
     ``--scenario all`` between runs must not orphan checkpoints), and
     the shard count is included so checkpoints cut on one shard plan
-    are never spliced into another.
+    are never spliced into another.  The round-plan version is included
+    so trials run under another draw or iteration order are recomputed,
+    not spliced into this aggregate.
     """
     canonical = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
+        "round_plan_version": ROUND_PLAN_VERSION,
         "scenarios": {s.name: s.to_dict() for s in scenarios},
         "n_trials": n_trials,
         "master_seed": master_seed,

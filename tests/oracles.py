@@ -7,7 +7,7 @@ they replaced, for differential tests only:
 
 * the scalar round loop — one sampler draw per sender, in permutation
   order, one transfer at a time;
-* the reference LTNC bodies — Algorithm 1 over fresh frozenset pools
+* the reference LTNC bodies — Algorithm 1 over fresh ascending pools
   with per-step charges, the Algorithm-2 candidate walk over
   :func:`buckets_below`, per-native ``record_sent`` charges, unmemoized
   reachability bounds, ``np.searchsorted`` degree sampling and the
@@ -75,7 +75,7 @@ __all__ = [
 # Algorithm 1 and Algorithm 2
 # ----------------------------------------------------------------------
 def reference_build(d, graph, index, rng, counter) -> BuildResult:
-    """Algorithm 1 over fresh ``list(items_of_degree(i))`` pools."""
+    """Algorithm 1 over fresh ``sorted(items_of_degree(i))`` pools."""
     words = (graph.k + 63) >> 6
     support: set[int] = set()
     payload = None
@@ -85,7 +85,7 @@ def reference_build(d, graph, index, rng, counter) -> BuildResult:
     pool_class = 0
     while len(support) < d and i > 0:
         if pool_class != i:
-            pool = list(index.items_of_degree(i))
+            pool = sorted(index.items_of_degree(i))
             pool_class = i
             counter.add("table_op")
         if not pool:
@@ -120,15 +120,16 @@ def frequency(occurrences: OccurrenceTracker, x: int) -> int:
 def buckets_below(occurrences: OccurrenceTracker, limit: int):
     """Yield ``(count, natives)`` for counts in ``[min, limit)``.
 
-    Buckets come in increasing count order, so the first candidate a
-    caller accepts is the global argmin under its extra constraints.
+    Buckets come in increasing count order, each as an ascending list
+    of natives, so the first candidate a caller accepts is the global
+    argmin under its extra constraints, ties going to the lowest index.
     One ``table_op`` per count visited, empty counts included.
     """
     for count in range(occurrences.min_frequency(), limit):
         bucket = occurrences._buckets.get(count)
         occurrences.counter.add("table_op")
         if bucket:
-            yield count, frozenset(bucket)
+            yield count, sorted(bucket)
 
 
 def _reference_replacement(x, support, components, occurrences, counter, scan_limit):

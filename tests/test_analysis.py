@@ -10,7 +10,10 @@ registry's runtime cross-check, and the CLI's 0/1/2 exit convention.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -44,6 +47,23 @@ def test_repo_lints_clean():
     assert result.findings == [], "\n".join(
         f.render() for f in result.findings
     )
+
+
+def test_linter_loads_no_numpy():
+    # The linter is stdlib-only, and the lazy top-level package keeps it
+    # so: CI's lint job installs no numpy.  Every public name still
+    # resolves on first use.
+    code = (
+        "import sys\n"
+        "import repro.analysis.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+        "assert 'repro.gossip.simulator' not in sys.modules\n"
+        "from repro import *\n"
+        "import repro\n"
+        "assert set(repro.__all__) == {'__version__', *repro._EXPORTS}\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_checked_in_baseline_is_empty():
@@ -164,6 +184,36 @@ def test_sorted_json_rule_semantics():
     ) == []
     # json.loads and other json.* calls are out of scope.
     assert codes("import json\nd = json.loads('{}')\n") == []
+
+
+def test_set_order_rule_semantics():
+    core = "src/repro/core/_t.py"
+
+    def set_order(source: str, logical: str = core) -> list[str]:
+        return [f.code for f in lint_source(source, logical, RULES)]
+
+    annotated = "class C:\n    def __init__(self):\n        self.s: set[int] = set()\n"
+    assert set_order(annotated + "        list(self.s)\n") == ["LTNC008"]
+    assert set_order(annotated + "        next(iter(self.s))\n") == ["LTNC008"]
+    assert set_order(annotated + "        sorted(self.s), min(self.s)\n") == []
+    assert set_order(annotated + "        len(self.s), 1 in self.s\n") == []
+    # Containers of sets: the subscript is the set.
+    assert set_order("b: dict[int, set[int]] = {}\nt = tuple(b[0])\n") == [
+        "LTNC008"
+    ]
+    assert set_order("b: dict[int, set[int]] = {}\nt = list(b)\n") == []
+    assert set_order("b: dict[frozenset[int], int] = {}\nt = list(b[x])\n") == []
+    # A parameter annotation holds in its own function only.
+    assert set_order(
+        "def f(s: set[int]):\n    return 0\n"
+        "def g(s):\n    return list(s)\n"
+    ) == []
+    # Scope: the LTNC packages only.
+    assert set_order("t = list({1, 2})\n", "src/repro/lt/_t.py") == ["LTNC008"]
+    assert set_order("t = list({1, 2})\n", "src/repro/baselines/_t.py") == [
+        "LTNC008"
+    ]
+    assert set_order("t = list({1, 2})\n", "src/repro/gossip/_t.py") == []
 
 
 def test_rules_do_not_apply_outside_src():

@@ -21,7 +21,8 @@ from repro.analysis.rules import RULES, RULES_BY_CODE
 CORPUS = pathlib.Path(__file__).parent / "fixtures" / "lint"
 
 #: (rule code, logical path the fixture pretends to live at).  LTNC004
-#: only applies inside repro.obs; every other rule scopes to src/repro.
+#: only applies inside repro.obs and LTNC008 inside repro.core,
+#: repro.lt and repro.baselines; every other rule scopes to src/repro.
 CASES = [
     ("LTNC001", "src/repro/_fixture.py"),
     ("LTNC002", "src/repro/_fixture.py"),
@@ -30,6 +31,7 @@ CASES = [
     ("LTNC005", "src/repro/_fixture.py"),
     ("LTNC006", "src/repro/_fixture.py"),
     ("LTNC007", "src/repro/_fixture.py"),
+    ("LTNC008", "src/repro/core/_fixture.py"),
 ]
 
 

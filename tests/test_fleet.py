@@ -385,6 +385,29 @@ def test_resume_recomputes_when_grid_changed(tmp_path):
     assert resumed.to_json() == serial_grid([SPEC], 4, 8)[SPEC.name].to_json()
 
 
+def test_resume_recomputes_checkpoints_of_another_round_plan(
+    tmp_path, monkeypatch, caplog
+):
+    # A checkpoint cut under round plan v1 (CPython set order) holds
+    # trials a v2 run would not reproduce: it must not be spliced in.
+    with monkeypatch.context() as patched:
+        patched.setattr(fleet_module, "ROUND_PLAN_VERSION", 1)
+        v1 = grid_fingerprint([SPEC], 4, 7, 4)
+        with pytest.raises(FleetStop):
+            FleetRunner(
+                1, n_shards=4, checkpoint_dir=tmp_path, stop_after_shards=1
+            ).run(SPEC, 4, master_seed=7)
+    assert grid_fingerprint([SPEC], 4, 7, 4) != v1
+    (checkpoint,) = tmp_path.glob("shard-*.json")
+    assert json.loads(checkpoint.read_text())["fingerprint"] == v1
+    with caplog.at_level("WARNING", logger="repro.scenarios.fleet"):
+        resumed = FleetRunner(
+            1, n_shards=4, checkpoint_dir=tmp_path, resume=True
+        ).run(SPEC, 4, master_seed=7)
+    assert "grid fingerprint mismatch" in caplog.text
+    assert resumed.to_json() == serial_grid([SPEC], 4, 7)[SPEC.name].to_json()
+
+
 def test_stop_after_only_counts_executed_shards(tmp_path):
     # A resume that replays 2 checkpoints and may execute 2 more shards
     # completes a 4-shard grid without stopping again.

@@ -52,8 +52,8 @@ def test_buckets_below_ascending_order():
     # counts: x0=2, x1=1, x2=0, x3=0
     got = list(buckets_below(occ, 2))
     assert [count for count, _ in got] == [0, 1]
-    assert got[0][1] == {2, 3}
-    assert got[1][1] == {1}
+    assert got[0][1] == [2, 3]
+    assert got[1][1] == [1]
 
 
 def test_buckets_below_empty_when_limit_at_min():
