@@ -11,8 +11,7 @@ or stalls.
 
 from __future__ import annotations
 
-from repro.gossip.simulator import EpidemicSimulator, Feedback
-from repro.rng import derive
+from repro.scenarios import ScenarioSpec, trial_seed
 
 from conftest import run_once_benchmark
 
@@ -26,17 +25,16 @@ def test_ablation_structure(benchmark, profile, reporter):
     def experiment():
         results = {}
         for scheme in ("ltnc", "rndlt"):
-            sim = EpidemicSimulator(
-                scheme,
-                n,
-                k,
-                feedback=Feedback.BINARY,
+            spec = ScenarioSpec(
+                name=f"structure:{scheme}",
+                scheme=scheme,
+                n_nodes=n,
+                k=k,
                 source_pushes=profile.source_pushes,
                 max_rounds=horizon,
-                seed=derive(96, "structure", scheme),
                 node_kwargs={"aggressiveness": 0.01},
             )
-            results[scheme] = sim.run()
+            results[scheme] = spec.run(trial_seed(96, spec.name, 0))
         return results
 
     results = run_once_benchmark(benchmark, experiment)

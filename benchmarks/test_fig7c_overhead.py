@@ -9,8 +9,7 @@ redundant transfer before the payload moves.
 from __future__ import annotations
 
 from repro.experiments.fig7 import ltnc_overhead
-from repro.gossip.simulator import EpidemicSimulator, Feedback
-from repro.rng import derive
+from repro.scenarios import ScenarioSpec, trial_seed
 
 from conftest import run_once_benchmark
 
@@ -38,16 +37,15 @@ def test_fig7c_overhead(benchmark, profile, reporter):
         ]
         baselines = {}
         for scheme in ("wc", "rlnc"):
-            sim = EpidemicSimulator(
-                scheme,
-                n,
-                ks[0],
-                feedback=Feedback.BINARY,
+            spec = ScenarioSpec(
+                name=f"fig7c:{scheme}",
+                scheme=scheme,
+                n_nodes=n,
+                k=ks[0],
                 source_pushes=profile.source_pushes,
                 max_rounds=profile.max_rounds,
-                seed=derive(72, "baseline", scheme),
             )
-            baselines[scheme] = sim.run().overhead()
+            baselines[scheme] = spec.run(trial_seed(72, spec.name, 0)).overhead()
         return ltnc, baselines
 
     ltnc, baselines = run_once_benchmark(benchmark, experiment)

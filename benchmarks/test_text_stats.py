@@ -29,14 +29,23 @@ def test_text_stats(benchmark, profile, reporter):
 
     def experiment():
         recoding = collect_recoding_stats(
-            n_nodes=n, k=k, seed=90, max_rounds=profile.max_rounds
+            n_nodes=n,
+            k=k,
+            seed=90,
+            max_rounds=profile.max_rounds,
+            monte_carlo=profile.monte_carlo,
         )
-        redundancy = measure_redundant_insertions(k=k, seed=91)
+        redundancy = measure_redundant_insertions(
+            k=k, seed=91, monte_carlo=profile.monte_carlo
+        )
         return recoding, redundancy
 
     recoding, redundancy = run_once_benchmark(benchmark, experiment)
     rep = reporter("text_stats")
-    rep.line(f"N = {n}, k = {k}; {recoding.packets_recoded} packets recoded")
+    rep.line(
+        f"N = {n}, k = {k}; {recoding.packets_recoded} packets recoded "
+        f"over {profile.monte_carlo} runs"
+    )
     rep.line()
     rep.table(
         ["statistic", "paper", "measured"],
@@ -77,7 +86,8 @@ def test_text_stats(benchmark, profile, reporter):
     rep.line(
         f"TXT4 detail: {redundancy.redundant_inserted_without} redundant "
         f"insertions without detection vs {redundancy.redundant_inserted_with} "
-        f"with, over a stream of {redundancy.stream_length} packets "
+        f"with, over {profile.monte_carlo} streams of "
+        f"{redundancy.stream_length} packets "
         f"({redundancy.stream_redundant} redundant at arrival)"
     )
     rep.finish()

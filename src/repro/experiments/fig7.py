@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.gossip.metrics import DisseminationResult
-from repro.gossip.simulator import EpidemicSimulator, Feedback
-from repro.rng import derive
-from repro.scenarios.runner import parallel_map
+from repro.gossip.simulator import Feedback
+from repro.scenarios.runner import parallel_map, trial_seed
+from repro.scenarios.spec import ScenarioSpec
 from repro.schemes import LTNC_AGGRESSIVENESS, get_scheme
 
 __all__ = [
@@ -55,32 +55,37 @@ class ConvergenceCurve:
         return self.rounds[-1] if self.rounds else 0
 
 
-def _run_once(
+def _cell(
     scheme: str,
     n_nodes: int,
     k: int,
-    seed: int,
     source_pushes: int,
     max_rounds: int,
     feedback: Feedback,
-    node_kwargs: dict[str, object] | None = None,
-) -> DisseminationResult:
-    # Per-scheme experiment defaults (LTNC's 1 % aggressiveness, §IV-A)
-    # come from the scheme descriptor; explicit kwargs override them.
+    node_kwargs: dict[str, object] | None,
+) -> ScenarioSpec:
+    """One Fig. 7 cell, named ``fig7:<scheme>:n<N>:k<k>``.
+
+    Per-scheme experiment defaults (LTNC's 1 % aggressiveness, §IV-A)
+    come from the scheme descriptor; explicit kwargs override them.
+    """
     kwargs = dict(get_scheme(scheme).default_node_kwargs)
     if node_kwargs:
         kwargs.update(node_kwargs)
-    sim = EpidemicSimulator(
-        scheme,
-        n_nodes,
-        k,
-        feedback=feedback,
+    return ScenarioSpec(
+        name=f"fig7:{scheme}:n{n_nodes}:k{k}",
+        scheme=scheme,
+        n_nodes=n_nodes,
+        k=k,
+        feedback=Feedback(feedback).value,
         source_pushes=source_pushes,
         max_rounds=max_rounds,
-        seed=derive(seed, scheme, n_nodes, k),
         node_kwargs=kwargs,
     )
-    return sim.run()
+
+
+def _run_once(spec: ScenarioSpec, seed: int) -> DisseminationResult:
+    return spec.run(seed)
 
 
 def _run_once_args(args: tuple) -> DisseminationResult:
@@ -101,10 +106,8 @@ def _monte_carlo(
     n_workers: int,
 ) -> list[DisseminationResult]:
     """All Monte-Carlo repetitions, serially or across processes."""
-    grid = [
-        (scheme, n_nodes, k, seed + run, source_pushes, max_rounds, feedback, node_kwargs)
-        for run in range(monte_carlo)
-    ]
+    spec = _cell(scheme, n_nodes, k, source_pushes, max_rounds, feedback, node_kwargs)
+    grid = [(spec, trial_seed(seed, spec.name, run)) for run in range(monte_carlo)]
     return parallel_map(_run_once_args, grid, n_workers)
 
 

@@ -11,11 +11,12 @@ The paper quotes four simulation statistics outside its figures:
 * TXT4 — redundancy detection cuts redundant insertions into the data
   structures by 31 % (§III-C1).
 
-TXT1-TXT3 aggregate :class:`~repro.core.node.LtncStats` over the nodes
-of a dissemination run.  TXT4 feeds one node an identical, redundancy-
-rich packet stream twice (detection on / off) and labels every packet
-with an exact rank oracle — the oracle is test-side instrumentation and
-is not charged to the node's counters.
+TXT1-TXT3 pool :class:`~repro.core.node.LtncStats` over the nodes of
+Monte-Carlo dissemination runs.  TXT4 feeds one node an identical,
+redundancy-rich packet stream twice (detection on / off) and labels
+every packet with an exact rank oracle — the oracle is test-side
+instrumentation and is not charged to the node's counters — pooling
+the counts over Monte-Carlo streams.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ import numpy as np
 
 from repro.core.node import LtncNode
 from repro.gf2.matrix import IncrementalRref
-from repro.gossip.simulator import EpidemicSimulator, Feedback
 from repro.lt.distributions import RobustSoliton
 from repro.lt.encoder import LTEncoder
-from repro.rng import derive, make_rng
+from repro.rng import derive, derive_seed, make_rng
+from repro.scenarios.runner import trial_seed
+from repro.scenarios.spec import ScenarioSpec
 from repro.schemes import LTNC_AGGRESSIVENESS
 
 __all__ = [
@@ -42,7 +44,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RecodingStats:
-    """TXT1-TXT3 aggregated over the LTNC nodes of one dissemination."""
+    """TXT1-TXT3 pooled over the LTNC nodes of Monte-Carlo disseminations."""
 
     first_pick_acceptance: float
     average_retries: float
@@ -58,39 +60,40 @@ def collect_recoding_stats(
     seed: int = 0,
     max_rounds: int = 200_000,
     aggressiveness: float = LTNC_AGGRESSIVENESS,
+    monte_carlo: int = 3,
 ) -> RecodingStats:
-    """Run one LTNC dissemination and aggregate the §III-B statistics."""
-    sim = EpidemicSimulator(
-        "ltnc",
-        n_nodes,
-        k,
-        feedback=Feedback.BINARY,
-        seed=derive(seed, "textstats", n_nodes, k),
+    """Pool the §III-B statistics over *monte_carlo* LTNC disseminations.
+
+    Counts are summed over every node of every run; the occurrence RSD
+    is the mean over the nodes that sent at least 20 packets.
+    """
+    spec = ScenarioSpec(
+        name=f"textstats:n{n_nodes}:k{k}",
+        n_nodes=n_nodes,
+        k=k,
         max_rounds=max_rounds,
         node_kwargs={"aggressiveness": aggressiveness},
     )
-    sim.run()
-    nodes: list[LtncNode] = [n for n in sim.nodes if isinstance(n, LtncNode)]
-    senders = [n for n in nodes if n.stats.degree_picks > 0]
-    picks = sum(n.stats.degree_picks for n in senders)
-    accepted = sum(n.stats.first_pick_accepted for n in senders)
-    retries = sum(n.stats.degree_retries for n in senders)
+    nodes: list[LtncNode] = []
+    for run in range(monte_carlo):
+        sim = spec.build(trial_seed(seed, spec.name, run))
+        sim.run()
+        nodes += [n for n in sim.nodes if isinstance(n, LtncNode)]
+    picks = sum(n.stats.degree_picks for n in nodes)
+    accepted = sum(n.stats.first_pick_accepted for n in nodes)
+    retries = sum(n.stats.degree_retries for n in nodes)
     rejected = picks - accepted
-    builds = sum(n.stats.builds for n in senders)
-    hits = sum(n.stats.build_hits for n in senders)
-    deviation = sum(n.stats.deviation_sum for n in senders)
-    rsds = [
-        n.occurrences.rsd()
-        for n in senders
-        if n.occurrences.packets_sent >= 20
-    ]
+    builds = sum(n.stats.builds for n in nodes)
+    hits = sum(n.stats.build_hits for n in nodes)
+    deviation = sum(n.stats.deviation_sum for n in nodes)
+    rsds = [n.occurrences.rsd() for n in nodes if n.occurrences.packets_sent >= 20]
     return RecodingStats(
         first_pick_acceptance=accepted / picks if picks else 1.0,
         average_retries=retries / rejected if rejected else 0.0,
         build_hit_rate=hits / builds if builds else 1.0,
         average_relative_deviation=deviation / builds if builds else 0.0,
         occurrence_rsd=float(np.mean(rsds)) if rsds else 0.0,
-        packets_recoded=sum(n.stats.packets_sent for n in senders),
+        packets_recoded=sum(n.stats.packets_sent for n in nodes),
     )
 
 
@@ -137,34 +140,40 @@ def measure_redundant_insertions(
     k: int = 128,
     stream_length: int | None = None,
     seed: int = 0,
+    monte_carlo: int = 3,
 ) -> RedundancyStats:
-    """TXT4: replay one stream into two nodes, detection off vs on.
+    """TXT4: replay each stream into two nodes, detection off vs on.
 
     A packet counts as a *redundant insertion* when the exact rank
     oracle says it was non-innovative on arrival yet it was stored in
     the node's Tanner graph anyway (wasting memory and future XORs).
+    Counts are pooled over *monte_carlo* independent streams of
+    *stream_length* packets each, stream *i* seeded by its index.
     """
     length = stream_length if stream_length is not None else 4 * k
-    packets = _redundancy_rich_stream(k, length, seed)
-    redundant_inserted = {}
+    redundant_inserted = {False: 0, True: 0}
     stream_redundant = 0
-    for detect in (False, True):
-        node = LtncNode(
-            0, k, rng=derive(seed, "sink", int(detect)), detect_redundancy=detect
-        )
-        oracle = IncrementalRref(k)
-        inserted_redundant = 0
-        for packet in packets:
-            was_innovative = oracle.is_innovative(packet.vector)
-            oracle.insert(packet.vector)
-            before = node.decoder.graph.stored_count
-            node.receive(packet.copy())
-            stored = node.decoder.graph.stored_count > before
-            if stored and not was_innovative:
-                inserted_redundant += 1
-            if detect and not was_innovative:
-                stream_redundant += 1
-        redundant_inserted[detect] = inserted_redundant
+    for stream in range(monte_carlo):
+        stream_seed = derive_seed(seed, "txt4", stream)
+        packets = _redundancy_rich_stream(k, length, stream_seed)
+        for detect in (False, True):
+            node = LtncNode(
+                0,
+                k,
+                rng=derive(stream_seed, "sink", int(detect)),
+                detect_redundancy=detect,
+            )
+            oracle = IncrementalRref(k)
+            for packet in packets:
+                was_innovative = oracle.is_innovative(packet.vector)
+                oracle.insert(packet.vector)
+                before = node.decoder.graph.stored_count
+                node.receive(packet.copy())
+                stored = node.decoder.graph.stored_count > before
+                if stored and not was_innovative:
+                    redundant_inserted[detect] += 1
+                if detect and not was_innovative:
+                    stream_redundant += 1
     return RedundancyStats(
         redundant_inserted_without=redundant_inserted[False],
         redundant_inserted_with=redundant_inserted[True],
