@@ -8,6 +8,7 @@ assembled from the raw outputs.
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 import pytest
@@ -15,6 +16,9 @@ import pytest
 from repro.experiments.scale import ScaleProfile, current_profile
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
+#: Worker processes for the benches' fleet runs; results do not depend
+#: on it, so reports never name it.
+WORKERS = min(4, os.cpu_count() or 1)
 
 
 class Reporter:

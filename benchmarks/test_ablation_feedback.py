@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.experiments.ablations import feedback_ablation
 
-from conftest import run_once_benchmark
+from conftest import WORKERS, run_once_benchmark
 
 
 def test_ablation_feedback(benchmark, profile, reporter):
@@ -19,7 +19,11 @@ def test_ablation_feedback(benchmark, profile, reporter):
 
     def experiment():
         return feedback_ablation(
-            n_nodes=n, k=k, seed=94, monte_carlo=profile.monte_carlo
+            n_nodes=n,
+            k=k,
+            seed=94,
+            monte_carlo=profile.monte_carlo,
+            n_workers=WORKERS,
         )
 
     outcomes = run_once_benchmark(benchmark, experiment)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.experiments.ablations import redundancy_ablation
 
-from conftest import run_once_benchmark
+from conftest import WORKERS, run_once_benchmark
 
 
 def test_ablation_redundancy(benchmark, profile, reporter):
@@ -18,7 +18,11 @@ def test_ablation_redundancy(benchmark, profile, reporter):
 
     def experiment():
         return redundancy_ablation(
-            n_nodes=n, k=k, seed=93, monte_carlo=profile.monte_carlo
+            n_nodes=n,
+            k=k,
+            seed=93,
+            monte_carlo=profile.monte_carlo,
+            n_workers=WORKERS,
         )
 
     outcomes = run_once_benchmark(benchmark, experiment)

@@ -11,9 +11,9 @@ or stalls.
 
 from __future__ import annotations
 
-from repro.scenarios import ScenarioSpec, trial_seed
+from repro.scenarios import FleetRunner, ScenarioSpec
 
-from conftest import run_once_benchmark
+from conftest import WORKERS, run_once_benchmark
 
 
 def test_ablation_structure(benchmark, profile, reporter):
@@ -23,9 +23,8 @@ def test_ablation_structure(benchmark, profile, reporter):
     horizon = min(profile.max_rounds, 10_000)
 
     def experiment():
-        results = {}
-        for scheme in ("ltnc", "rndlt"):
-            spec = ScenarioSpec(
+        cells = [
+            ScenarioSpec(
                 name=f"structure:{scheme}",
                 scheme=scheme,
                 n_nodes=n,
@@ -34,8 +33,15 @@ def test_ablation_structure(benchmark, profile, reporter):
                 max_rounds=horizon,
                 node_kwargs={"aggressiveness": 0.01},
             )
-            results[scheme] = spec.run(trial_seed(96, spec.name, 0))
-        return results
+            for scheme in ("ltnc", "rndlt")
+        ]
+        aggregates = FleetRunner(n_workers=WORKERS).run_grid(
+            cells, 1, master_seed=96
+        )
+        return {
+            name.removeprefix("structure:"): aggregate.trials[0]
+            for name, aggregate in aggregates.items()
+        }
 
     results = run_once_benchmark(benchmark, experiment)
     rep = reporter("ablation_structure")
@@ -44,30 +50,30 @@ def test_ablation_structure(benchmark, profile, reporter):
              "propagation (prior art must fall back to Gauss)")
     rep.line()
     rows = []
-    for scheme, result in results.items():
-        done = result.completed_fraction()
+    for scheme, trial in results.items():
+        done = trial["completed_fraction"]
         avg = (
-            f"{result.average_completion_round():.0f}"
-            if result.completed_count
+            f"{trial['average_completion_round']:.0f}"
+            if trial["completed"]
             else "stalled"
         )
-        rows.append([scheme, f"{done * 100:.0f}%", avg, result.rounds])
+        rows.append([scheme, f"{done * 100:.0f}%", avg, trial["rounds"]])
     rep.table(["recoding", "nodes done", "avg completion", "rounds run"], rows)
     rep.line()
     ltnc, rndlt = results["ltnc"], results["rndlt"]
-    if rndlt.completed_count:
+    if rndlt["completed"]:
         factor = (
-            rndlt.average_completion_round()
-            / ltnc.average_completion_round()
+            rndlt["average_completion_round"]
+            / ltnc["average_completion_round"]
         )
         rep.line(f"slowdown from destroying the LT structure: {factor:.1f}x")
     else:
         rep.line("random recoding stalled within the horizon")
     rep.finish()
 
-    assert ltnc.all_complete
-    if rndlt.all_complete:
+    assert ltnc["completed"] == n
+    if rndlt["completed"] == n:
         assert (
-            rndlt.average_completion_round()
-            > 2.0 * ltnc.average_completion_round()
+            rndlt["average_completion_round"]
+            > 2.0 * ltnc["average_completion_round"]
         )

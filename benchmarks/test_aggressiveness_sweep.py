@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.experiments.ablations import run_ltnc_variant
 
-from conftest import run_once_benchmark
+from conftest import WORKERS, run_once_benchmark
 
 TRIGGERS = (0.01, 0.05, 0.25, 0.75)
 
@@ -29,6 +29,7 @@ def test_aggressiveness_sweep(benchmark, profile, reporter):
                 k,
                 seed=98,
                 monte_carlo=profile.monte_carlo,
+                n_workers=WORKERS,
                 aggressiveness=trigger,
             )
             for trigger in TRIGGERS

@@ -11,11 +11,10 @@ the edge caches should actually serve (non-zero hit ratio).
 
 from __future__ import annotations
 
-import os
 
 from repro.scenarios import FleetRunner, comparison_rows, expand_scenarios
 
-from conftest import run_once_benchmark
+from conftest import WORKERS, run_once_benchmark
 
 PAPER_NOTE = (
     "beyond the paper: catalogue dissemination (Zipf demand, LRU edge "
@@ -36,10 +35,9 @@ COLUMNS = (
 
 
 def test_content_compare(benchmark, profile, reporter):
-    workers = min(4, os.cpu_count() or 1)
 
     def experiment():
-        return FleetRunner(n_workers=workers).run_grid(
+        return FleetRunner(n_workers=WORKERS).run_grid(
             expand_scenarios(["content"], profile), TRIALS, master_seed=2010
         )
 

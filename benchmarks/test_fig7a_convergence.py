@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.experiments.fig7 import run_convergence
 from repro.experiments.plot import ascii_chart
 
-from conftest import run_once_benchmark
+from conftest import WORKERS, run_once_benchmark
 
 PAPER_NOTE = (
     "paper (N=1000, k=2048): RLNC fastest, LTNC slightly slower (~+30% "
@@ -32,6 +32,7 @@ def test_fig7a_convergence(benchmark, profile, reporter):
                 seed=70,
                 source_pushes=profile.source_pushes,
                 max_rounds=profile.max_rounds,
+                n_workers=WORKERS,
             )
             for scheme in ("wc", "ltnc", "rlnc")
         }

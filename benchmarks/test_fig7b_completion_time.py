@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.experiments.fig7 import average_completion_time
 
-from conftest import run_once_benchmark
+from conftest import WORKERS, run_once_benchmark
 
 PAPER_NOTE = (
     "paper (N=1000, k=512..4096): RLNC < LTNC << WC at every k; the "
@@ -33,6 +33,7 @@ def test_fig7b_completion_time(benchmark, profile, reporter):
                     seed=71,
                     source_pushes=profile.source_pushes,
                     max_rounds=profile.max_rounds,
+                    n_workers=WORKERS,
                 )
                 for k in ks
             ]

@@ -9,9 +9,9 @@ redundant transfer before the payload moves.
 from __future__ import annotations
 
 from repro.experiments.fig7 import ltnc_overhead
-from repro.scenarios import ScenarioSpec, trial_seed
+from repro.scenarios import FleetRunner, ScenarioSpec
 
-from conftest import run_once_benchmark
+from conftest import WORKERS, run_once_benchmark
 
 PAPER_NOTE = (
     "paper (N=1000): LTNC ~20% at k=2048, decreasing with k; "
@@ -32,12 +32,12 @@ def test_fig7c_overhead(benchmark, profile, reporter):
                 seed=72,
                 source_pushes=profile.source_pushes,
                 max_rounds=profile.max_rounds,
+                n_workers=WORKERS,
             )
             for k in ks
         ]
-        baselines = {}
-        for scheme in ("wc", "rlnc"):
-            spec = ScenarioSpec(
+        cells = [
+            ScenarioSpec(
                 name=f"fig7c:{scheme}",
                 scheme=scheme,
                 n_nodes=n,
@@ -45,7 +45,15 @@ def test_fig7c_overhead(benchmark, profile, reporter):
                 source_pushes=profile.source_pushes,
                 max_rounds=profile.max_rounds,
             )
-            baselines[scheme] = spec.run(trial_seed(72, spec.name, 0)).overhead()
+            for scheme in ("wc", "rlnc")
+        ]
+        aggregates = FleetRunner(n_workers=WORKERS).run_grid(
+            cells, 1, master_seed=72
+        )
+        baselines = {
+            name.removeprefix("fig7c:"): aggregate.mean("overhead")
+            for name, aggregate in aggregates.items()
+        }
         return ltnc, baselines
 
     ltnc, baselines = run_once_benchmark(benchmark, experiment)

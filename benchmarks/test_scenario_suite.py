@@ -9,12 +9,11 @@ processes, and persists the aggregated mean/CI JSON under
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 from repro.scenarios import FleetRunner, get_preset, preset_names
 
-from conftest import OUT_DIR, run_once_benchmark
+from conftest import OUT_DIR, WORKERS, run_once_benchmark
 
 PAPER_NOTE = (
     "beyond the paper: multihop loss (Kabore et al.), edge caching "
@@ -23,8 +22,7 @@ PAPER_NOTE = (
 
 
 def test_scenarios_catalogue(benchmark, profile, reporter):
-    workers = min(4, os.cpu_count() or 1)
-    runner = FleetRunner(n_workers=workers)
+    runner = FleetRunner(n_workers=WORKERS)
     trials = max(2, profile.monte_carlo)
     specs = [get_preset(name, profile) for name in preset_names()]
 

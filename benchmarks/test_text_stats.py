@@ -21,7 +21,7 @@ from repro.experiments.textstats import (
     measure_redundant_insertions,
 )
 
-from conftest import run_once_benchmark
+from conftest import WORKERS, run_once_benchmark
 
 
 def test_text_stats(benchmark, profile, reporter):
@@ -34,6 +34,7 @@ def test_text_stats(benchmark, profile, reporter):
             seed=90,
             max_rounds=profile.max_rounds,
             monte_carlo=profile.monte_carlo,
+            n_workers=WORKERS,
         )
         redundancy = measure_redundant_insertions(
             k=k, seed=91, monte_carlo=profile.monte_carlo

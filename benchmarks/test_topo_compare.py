@@ -10,11 +10,10 @@ be the slowest; small-world shortcuts should land closest to uniform.
 
 from __future__ import annotations
 
-import os
 
 from repro.scenarios import FleetRunner, comparison_rows, expand_scenarios
 
-from conftest import run_once_benchmark
+from conftest import WORKERS, run_once_benchmark
 
 PAPER_NOTE = (
     "beyond the paper: structured overlays (grid / line / scale-free / "
@@ -34,10 +33,9 @@ COLUMNS = (
 
 
 def test_topo_compare(benchmark, profile, reporter):
-    workers = min(4, os.cpu_count() or 1)
 
     def experiment():
-        return FleetRunner(n_workers=workers).run_grid(
+        return FleetRunner(n_workers=WORKERS).run_grid(
             expand_scenarios(["topology"], profile), TRIALS, master_seed=2010
         )
 

@@ -34,7 +34,8 @@ simulator treats all three schemes uniformly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import Mapping
 
 import numpy as np
 
@@ -58,10 +59,18 @@ from repro.gf2.bitvec import BitVector
 from repro.lt.decoder import BeliefPropagationDecoder
 from repro.lt.distributions import DegreeDistribution, RobustSoliton
 from repro.lt.tanner import TannerListener
+from repro.obs.metrics import MetricsCollector
 from repro.obs.profiler import NULL_CLOCK, PhaseClock
 from repro.rng import make_rng
 
-__all__ = ["LtncStats", "LtncNode"]
+__all__ = ["PPM", "RSD_MIN_PACKETS", "LtncStats", "LtncNode"]
+
+#: Telemetry carries fractions as integer parts per million.
+PPM = 1_000_000
+#: A node records its occurrence RSD once it sent this many packets.
+RSD_MIN_PACKETS = 20
+#: Buckets of a node's occurrence RSD in ppm (the paper reports 1,000).
+_RSD_PPM_BOUNDARIES = (1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5, 1e6, 2e6)
 
 
 @dataclass
@@ -80,7 +89,14 @@ class LtncStats:
     smart_degree1: int = 0
     smart_degree2: int = 0
     smart_misses: int = 0
-    sent_degree_counts: dict[int, int] = field(default_factory=dict)
+
+    @classmethod
+    def from_counters(cls, counters: Mapping[str, int]) -> "LtncStats":
+        """The stats pooled in the ``ltnc:*`` counters that
+        :meth:`LtncNode.record_telemetry` records."""
+        names = [f.name for f in fields(cls) if f.name != "deviation_sum"]
+        pooled = {name: counters[f"ltnc:{name}"] for name in names}
+        return cls(**pooled, deviation_sum=counters["ltnc:deviation_ppm"] / PPM)
 
     @property
     def first_pick_acceptance(self) -> float:
@@ -113,11 +129,6 @@ class LtncStats:
         if self.builds == 0:
             return 0.0
         return self.deviation_sum / self.builds
-
-    def record_sent_degree(self, degree: int) -> None:
-        self.sent_degree_counts[degree] = (
-            self.sent_degree_counts.get(degree, 0) + 1
-        )
 
 
 class _StructureMaintainer(TannerListener):
@@ -445,12 +456,25 @@ class LtncNode:
         """Record statistics and wrap the support/payload for the wire."""
         self.occurrences.record_sent(support)
         self.stats.packets_sent += 1
-        self.stats.record_sent_degree(len(support))
         vector = BitVector.from_indices(self.k, support)
         self.recode_counter.add("vec_word_xor", vector.nwords())
         return EncodedPacket(vector, payload)
 
     # ------------------------------------------------------------------
+    def record_telemetry(self, m: MetricsCollector) -> None:
+        """Record the §III-B statistics as integers, which merge exactly:
+        each :class:`LtncStats` count as an ``ltnc:<field>`` counter, the
+        summed build deviation as ``ltnc:deviation_ppm`` and, once the
+        node sent :data:`RSD_MIN_PACKETS` packets, its occurrence RSD in
+        ppm into the ``ltnc:occurrence_rsd_ppm`` histogram."""
+        counts = vars(self.stats).copy()
+        m.count("ltnc:deviation_ppm", round(counts.pop("deviation_sum") * PPM))
+        for name, value in counts.items():
+            m.count(f"ltnc:{name}", value)
+        if self.occurrences.packets_sent >= RSD_MIN_PACKETS:
+            rsd_ppm = round(self.occurrences.rsd() * PPM)
+            m.observe("ltnc:occurrence_rsd_ppm", rsd_ppm, _RSD_PPM_BOUNDARIES)
+
     def decoded_content(self) -> np.ndarray:
         """The (k, m) native matrix after complete decoding."""
         return self.decoder.recovered_content()

@@ -11,17 +11,18 @@ does not isolate; these harnesses isolate them:
   also :func:`repro.experiments.textstats.measure_redundant_insertions`);
 * **feedback channel** (§III-C2) — none vs binary vs full changes how
   many sessions ship useless payloads.
+
+Each variant is a cell, a :class:`~repro.scenarios.spec.ScenarioSpec`
+named by its label, whose Monte-Carlo runs are trials on the
+:class:`~repro.scenarios.fleet.FleetRunner`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.node import LtncNode
+from repro.experiments.textstats import occurrence_rsd, run_with_telemetry
 from repro.gossip.simulator import Feedback
-from repro.scenarios.runner import trial_seed
 from repro.scenarios.spec import ScenarioSpec
 from repro.schemes import LTNC_AGGRESSIVENESS
 
@@ -51,9 +52,9 @@ def _variant(
     label: str,
     n_nodes: int,
     k: int,
-    feedback: Feedback,
-    max_rounds: int,
-    node_kwargs: dict[str, object],
+    feedback: Feedback = Feedback.BINARY,
+    max_rounds: int = 200_000,
+    **node_kwargs: object,
 ) -> ScenarioSpec:
     """One ablation cell: LTNC under variant knobs, named *label*."""
     return ScenarioSpec(
@@ -67,6 +68,25 @@ def _variant(
     )
 
 
+def _outcomes(
+    cells: list[ScenarioSpec], seed: int, monte_carlo: int, n_workers: int
+) -> dict[str, AblationOutcome]:
+    """Run the cells on the fleet and summarize each one's §IV-B metrics."""
+    aggregates, telemetry = run_with_telemetry(cells, monte_carlo, seed, n_workers)
+    return {
+        label: AblationOutcome(
+            label=label,
+            average_completion=aggregate.mean("average_completion_round"),
+            overhead=aggregate.mean("overhead"),
+            abort_rate=aggregate.mean("abort_rate"),
+            occurrence_rsd=occurrence_rsd(telemetry[label]),
+            sessions=sum(aggregate.metric_values("sessions")),
+            data_transfers=sum(aggregate.metric_values("data_transfers")),
+        )
+        for label, aggregate in aggregates.items()
+    }
+
+
 def run_ltnc_variant(
     label: str,
     n_nodes: int,
@@ -75,56 +95,35 @@ def run_ltnc_variant(
     feedback: Feedback = Feedback.BINARY,
     monte_carlo: int = 2,
     max_rounds: int = 200_000,
+    n_workers: int = 1,
     **node_kwargs: object,
 ) -> AblationOutcome:
-    """Run LTNC with variant node knobs and summarize the §IV-B metrics.
-
-    The occurrence RSD is the mean over every node, of every run, that
-    sent at least 20 packets.
-    """
-    spec = _variant(label, n_nodes, k, feedback, max_rounds, node_kwargs)
-    completions, overheads, aborts, rsds = [], [], [], []
-    sessions = transfers = 0
-    for run in range(monte_carlo):
-        sim = spec.build(trial_seed(seed, label, run))
-        result = sim.run()
-        completions.append(result.average_completion_round())
-        overheads.append(result.overhead())
-        aborts.append(result.abort_rate())
-        sessions += result.sessions
-        transfers += result.data_transfers
-        rsds += [
-            n.occurrences.rsd()
-            for n in sim.nodes
-            if isinstance(n, LtncNode) and n.occurrences.packets_sent >= 20
-        ]
-    return AblationOutcome(
-        label=label,
-        average_completion=float(np.mean(completions)),
-        overhead=float(np.mean(overheads)),
-        abort_rate=float(np.mean(aborts)),
-        occurrence_rsd=float(np.mean(rsds)) if rsds else 0.0,
-        sessions=sessions,
-        data_transfers=transfers,
-    )
+    """Run LTNC with variant node knobs and summarize the §IV-B metrics."""
+    cell = _variant(label, n_nodes, k, feedback, max_rounds, **node_kwargs)
+    return _outcomes([cell], seed, monte_carlo, n_workers)[label]
 
 
 def refinement_ablation(
-    n_nodes: int = 24, k: int = 96, seed: int = 0, monte_carlo: int = 2
+    n_nodes: int = 24,
+    k: int = 96,
+    seed: int = 0,
+    monte_carlo: int = 2,
+    n_workers: int = 1,
 ) -> dict[str, AblationOutcome]:
     """Algorithm 2 on vs off."""
-    return {
-        "refine-on": run_ltnc_variant(
-            "refine-on", n_nodes, k, seed, monte_carlo=monte_carlo, refine=True
-        ),
-        "refine-off": run_ltnc_variant(
-            "refine-off", n_nodes, k, seed, monte_carlo=monte_carlo, refine=False
-        ),
-    }
+    cells = [
+        _variant("refine-on", n_nodes, k, refine=True),
+        _variant("refine-off", n_nodes, k, refine=False),
+    ]
+    return _outcomes(cells, seed, monte_carlo, n_workers)
 
 
 def redundancy_ablation(
-    n_nodes: int = 24, k: int = 96, seed: int = 0, monte_carlo: int = 2
+    n_nodes: int = 24,
+    k: int = 96,
+    seed: int = 0,
+    monte_carlo: int = 2,
+    n_workers: int = 1,
 ) -> dict[str, AblationOutcome]:
     """Algorithm 3 as drop policy, on vs off.
 
@@ -132,38 +131,27 @@ def redundancy_ablation(
     transport feature); the ablated mechanism is the *storage-side*
     filtering of packets at reception and during decoding.
     """
-    return {
-        "detect-on": run_ltnc_variant(
-            "detect-on",
-            n_nodes,
-            k,
-            seed,
-            monte_carlo=monte_carlo,
-            detect_redundancy=True,
-        ),
-        "detect-off": run_ltnc_variant(
-            "detect-off",
-            n_nodes,
-            k,
-            seed,
-            monte_carlo=monte_carlo,
-            detect_redundancy=False,
-        ),
-    }
+    cells = [
+        _variant("detect-on", n_nodes, k, detect_redundancy=True),
+        _variant("detect-off", n_nodes, k, detect_redundancy=False),
+    ]
+    return _outcomes(cells, seed, monte_carlo, n_workers)
 
 
 def feedback_ablation(
-    n_nodes: int = 24, k: int = 96, seed: int = 0, monte_carlo: int = 2
+    n_nodes: int = 24,
+    k: int = 96,
+    seed: int = 0,
+    monte_carlo: int = 2,
+    n_workers: int = 1,
 ) -> dict[str, AblationOutcome]:
     """Transport feedback: none vs binary vs full (§III-C2)."""
-    return {
-        mode.value: run_ltnc_variant(
-            f"feedback-{mode.value}",
-            n_nodes,
-            k,
-            seed,
-            feedback=mode,
-            monte_carlo=monte_carlo,
-        )
+    cells = [
+        _variant(f"feedback-{mode.value}", n_nodes, k, feedback=mode)
         for mode in (Feedback.NONE, Feedback.BINARY, Feedback.FULL)
+    ]
+    outcomes = _outcomes(cells, seed, monte_carlo, n_workers)
+    return {
+        label.removeprefix("feedback-"): outcome
+        for label, outcome in outcomes.items()
     }

@@ -10,22 +10,27 @@ Three panels over the epidemic simulator:
   RLNC are identically zero thanks to exact innovation checks).
 
 Runs are repeated over Monte-Carlo seeds and averaged, mirroring the
-paper's 25-run averages (scaled by profile).  The Monte-Carlo loop is
-embarrassingly parallel: every driver takes ``n_workers`` and fans the
-repetitions out via :func:`repro.scenarios.runner.parallel_map`, with
-per-run seeding unchanged, so ``n_workers=1`` reproduces the historic
-serial numbers bit-for-bit.
+paper's 25-run averages (scaled by profile).  Each (scheme, N, k)
+point is one cell, a :class:`~repro.scenarios.spec.ScenarioSpec` named
+``fig7:<scheme>:n<N>:k<k>``, whose repetitions are trials on the
+:class:`~repro.scenarios.fleet.FleetRunner`, seeded from the cell name
+by the fleet's seed tree; every driver takes ``n_workers``, which
+changes no result.
 """
 
 from __future__ import annotations
 
+import pathlib
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.gossip.metrics import DisseminationResult
+from repro.experiments.tracestats import rank_curve
 from repro.gossip.simulator import Feedback
-from repro.scenarios.runner import parallel_map, trial_seed
+from repro.obs.spec import ObsSpec
+from repro.obs.tracer import read_trace, trace_filename
+from repro.scenarios.fleet import FleetRunner
 from repro.scenarios.spec import ScenarioSpec
 from repro.schemes import LTNC_AGGRESSIVENESS, get_scheme
 
@@ -84,33 +89,6 @@ def _cell(
     )
 
 
-def _run_once(spec: ScenarioSpec, seed: int) -> DisseminationResult:
-    return spec.run(seed)
-
-
-def _run_once_args(args: tuple) -> DisseminationResult:
-    """Tuple-splat shim so worker processes can pickle the call."""
-    return _run_once(*args)
-
-
-def _monte_carlo(
-    scheme: str,
-    n_nodes: int,
-    k: int,
-    monte_carlo: int,
-    seed: int,
-    source_pushes: int,
-    max_rounds: int,
-    feedback: Feedback,
-    node_kwargs: dict[str, object] | None,
-    n_workers: int,
-) -> list[DisseminationResult]:
-    """All Monte-Carlo repetitions, serially or across processes."""
-    spec = _cell(scheme, n_nodes, k, source_pushes, max_rounds, feedback, node_kwargs)
-    grid = [(spec, trial_seed(seed, spec.name, run)) for run in range(monte_carlo)]
-    return parallel_map(_run_once_args, grid, n_workers)
-
-
 def run_convergence(
     scheme: str,
     n_nodes: int,
@@ -123,20 +101,22 @@ def run_convergence(
     node_kwargs: dict[str, object] | None = None,
     n_workers: int = 1,
 ) -> ConvergenceCurve:
-    """Fig. 7a: averaged completed-fraction series for one scheme."""
-    results = _monte_carlo(
-        scheme,
-        n_nodes,
-        k,
-        monte_carlo,
-        seed,
-        source_pushes,
-        max_rounds,
-        feedback,
-        node_kwargs,
-        n_workers,
-    )
-    series: list[list[float]] = [r.series_completed for r in results]
+    """Fig. 7a: averaged completed-fraction series for one scheme.
+
+    Each trial's per-round completed count comes from its trace.
+    """
+    spec = _cell(scheme, n_nodes, k, source_pushes, max_rounds, feedback, node_kwargs)
+    with tempfile.TemporaryDirectory() as trace_dir:
+        traced = spec.with_(obs=ObsSpec(trace_dir=trace_dir))
+        aggregate = FleetRunner(n_workers=n_workers).run(traced, monte_carlo, seed)
+        traces = [
+            read_trace(pathlib.Path(trace_dir) / trace_filename(spec.name, t["seed"]))
+            for t in aggregate.trials
+        ]
+    series = [
+        [row["completed"] / n_nodes for row in rank_curve(trace)]
+        for trace in traces
+    ]
     horizon = max(len(s) for s in series)
     padded = np.ones((len(series), horizon))
     for row, s in enumerate(series):
@@ -160,19 +140,9 @@ def average_completion_time(
     n_workers: int = 1,
 ) -> float:
     """Fig. 7b: mean completion round, averaged over Monte-Carlo runs."""
-    results = _monte_carlo(
-        scheme,
-        n_nodes,
-        k,
-        monte_carlo,
-        seed,
-        source_pushes,
-        max_rounds,
-        feedback,
-        node_kwargs,
-        n_workers,
-    )
-    return float(np.mean([r.average_completion_round() for r in results]))
+    spec = _cell(scheme, n_nodes, k, source_pushes, max_rounds, feedback, node_kwargs)
+    aggregate = FleetRunner(n_workers=n_workers).run(spec, monte_carlo, seed)
+    return aggregate.mean("average_completion_round")
 
 
 def ltnc_overhead(
@@ -187,16 +157,6 @@ def ltnc_overhead(
     n_workers: int = 1,
 ) -> float:
     """Fig. 7c: LTNC's mean communication overhead at code length k."""
-    results = _monte_carlo(
-        "ltnc",
-        n_nodes,
-        k,
-        monte_carlo,
-        seed,
-        source_pushes,
-        max_rounds,
-        feedback,
-        node_kwargs,
-        n_workers,
-    )
-    return float(np.mean([r.overhead() for r in results]))
+    spec = _cell("ltnc", n_nodes, k, source_pushes, max_rounds, feedback, node_kwargs)
+    aggregate = FleetRunner(n_workers=n_workers).run(spec, monte_carlo, seed)
+    return aggregate.mean("overhead")

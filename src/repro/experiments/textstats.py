@@ -11,35 +11,50 @@ The paper quotes four simulation statistics outside its figures:
 * TXT4 — redundancy detection cuts redundant insertions into the data
   structures by 31 % (§III-C1).
 
-TXT1-TXT3 pool :class:`~repro.core.node.LtncStats` over the nodes of
-Monte-Carlo dissemination runs.  TXT4 feeds one node an identical,
-redundancy-rich packet stream twice (detection on / off) and labels
-every packet with an exact rank oracle — the oracle is test-side
-instrumentation and is not charged to the node's counters — pooling
-the counts over Monte-Carlo streams.
+TXT1-TXT3 pool the ``ltnc:*`` telemetry of every node of Monte-Carlo
+fleet runs.  TXT4 feeds one node identical, redundancy-rich packet
+streams twice (detection on / off) and labels every packet with an
+exact rank oracle — the oracle is test-side instrumentation and is not
+charged to the node's counters.
 """
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.node import LtncNode
+from repro.core.node import PPM, LtncNode, LtncStats
 from repro.gf2.matrix import IncrementalRref
 from repro.lt.distributions import RobustSoliton
 from repro.lt.encoder import LTEncoder
 from repro.rng import derive, derive_seed, make_rng
-from repro.scenarios.runner import trial_seed
+from repro.scenarios.fleet import FleetRunner
 from repro.scenarios.spec import ScenarioSpec
 from repro.schemes import LTNC_AGGRESSIVENESS
 
 __all__ = [
     "RecodingStats",
     "collect_recoding_stats",
+    "occurrence_rsd",
+    "run_with_telemetry",
     "RedundancyStats",
     "measure_redundant_insertions",
 ]
+
+
+def run_with_telemetry(cells, n_trials: int, seed: int, n_workers: int = 1):
+    """Run *cells* on the fleet; ``(aggregates, merged telemetry sections)``."""
+    with tempfile.TemporaryDirectory() as telemetry_dir:
+        runner = FleetRunner(n_workers=n_workers, telemetry_dir=telemetry_dir)
+        aggregates = runner.run_grid(cells, n_trials, seed)
+    return aggregates, runner.last_telemetry
+
+
+def occurrence_rsd(section: dict[str, object]) -> float:
+    """TXT3 of one telemetry section: the mean occurrence RSD over the
+    nodes that recorded one (0.0 when none did)."""
+    hist = section["histograms"].get("ltnc:occurrence_rsd_ppm")
+    return hist["sum"] / hist["count"] / PPM if hist else 0.0
 
 
 @dataclass(frozen=True)
@@ -61,39 +76,26 @@ def collect_recoding_stats(
     max_rounds: int = 200_000,
     aggressiveness: float = LTNC_AGGRESSIVENESS,
     monte_carlo: int = 3,
+    n_workers: int = 1,
 ) -> RecodingStats:
-    """Pool the §III-B statistics over *monte_carlo* LTNC disseminations.
-
-    Counts are summed over every node of every run; the occurrence RSD
-    is the mean over the nodes that sent at least 20 packets.
-    """
-    spec = ScenarioSpec(
+    """Pool the §III-B statistics over *monte_carlo* LTNC disseminations."""
+    cell = ScenarioSpec(
         name=f"textstats:n{n_nodes}:k{k}",
         n_nodes=n_nodes,
         k=k,
         max_rounds=max_rounds,
         node_kwargs={"aggressiveness": aggressiveness},
     )
-    nodes: list[LtncNode] = []
-    for run in range(monte_carlo):
-        sim = spec.build(trial_seed(seed, spec.name, run))
-        sim.run()
-        nodes += [n for n in sim.nodes if isinstance(n, LtncNode)]
-    picks = sum(n.stats.degree_picks for n in nodes)
-    accepted = sum(n.stats.first_pick_accepted for n in nodes)
-    retries = sum(n.stats.degree_retries for n in nodes)
-    rejected = picks - accepted
-    builds = sum(n.stats.builds for n in nodes)
-    hits = sum(n.stats.build_hits for n in nodes)
-    deviation = sum(n.stats.deviation_sum for n in nodes)
-    rsds = [n.occurrences.rsd() for n in nodes if n.occurrences.packets_sent >= 20]
+    _, telemetry = run_with_telemetry([cell], monte_carlo, seed, n_workers)
+    section = telemetry[cell.name]
+    pooled = LtncStats.from_counters(section["counters"])
     return RecodingStats(
-        first_pick_acceptance=accepted / picks if picks else 1.0,
-        average_retries=retries / rejected if rejected else 0.0,
-        build_hit_rate=hits / builds if builds else 1.0,
-        average_relative_deviation=deviation / builds if builds else 0.0,
-        occurrence_rsd=float(np.mean(rsds)) if rsds else 0.0,
-        packets_recoded=sum(n.stats.packets_sent for n in nodes),
+        first_pick_acceptance=pooled.first_pick_acceptance,
+        average_retries=pooled.average_retries,
+        build_hit_rate=pooled.build_hit_rate,
+        average_relative_deviation=pooled.average_relative_deviation,
+        occurrence_rsd=occurrence_rsd(section),
+        packets_recoded=pooled.packets_sent,
     )
 
 
@@ -147,8 +149,7 @@ def measure_redundant_insertions(
     A packet counts as a *redundant insertion* when the exact rank
     oracle says it was non-innovative on arrival yet it was stored in
     the node's Tanner graph anyway (wasting memory and future XORs).
-    Counts are pooled over *monte_carlo* independent streams of
-    *stream_length* packets each, stream *i* seeded by its index.
+    Counts pool *monte_carlo* streams, stream *i* seeded by its index.
     """
     length = stream_length if stream_length is not None else 4 * k
     redundant_inserted = {False: 0, True: 0}
@@ -157,12 +158,8 @@ def measure_redundant_insertions(
         stream_seed = derive_seed(seed, "txt4", stream)
         packets = _redundancy_rich_stream(k, length, stream_seed)
         for detect in (False, True):
-            node = LtncNode(
-                0,
-                k,
-                rng=derive(stream_seed, "sink", int(detect)),
-                detect_redundancy=detect,
-            )
+            rng = derive(stream_seed, "sink", int(detect))
+            node = LtncNode(0, k, rng=rng, detect_redundancy=detect)
             oracle = IncrementalRref(k)
             for packet in packets:
                 was_innovative = oracle.is_innovative(packet.vector)

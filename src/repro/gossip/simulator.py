@@ -151,8 +151,10 @@ class EpidemicSimulator:
     metrics:
         Optional :class:`repro.obs.metrics.MetricsCollector`; the run
         records its mergeable telemetry (counters, gauges, histograms)
-        into it after the loop finishes.  Recording reads only final
-        result state — no rng draws, no OpCounter charges.
+        into it after the loop finishes, and so does every node with a
+        ``record_telemetry`` method (LTNC's ``ltnc:*`` statistics).
+        Recording reads only final state — no rng draws, no OpCounter
+        charges.
     """
 
     def __init__(
@@ -525,6 +527,10 @@ class EpidemicSimulator:
                 result.data_until_complete.get(node_id, self.k),
                 boundaries=VOLUME_BOUNDARIES,
             )
+        for node in self.nodes:
+            record = getattr(node, "record_telemetry", None)
+            if record is not None:
+                record(m)
 
 
 def run_dissemination(

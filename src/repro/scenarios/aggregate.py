@@ -151,6 +151,17 @@ class ScenarioAggregate:
     def metric_values(self, metric: str) -> list[float]:
         return [t.get(metric) for t in self.trials]  # type: ignore[misc]
 
+    def mean(self, metric: str) -> float:
+        """Mean of *metric* over every trial; raises naming the scenario
+        if a trial left it undefined (``None``: nothing completed)."""
+        stats = summary_stats(self.metric_values(metric))
+        if stats["n"] != self.n_trials:
+            raise SimulationError(
+                f"scenario {self.scenario.name!r}: {metric} is undefined "
+                f"in {self.n_trials - stats['n']} of {self.n_trials} trials"
+            )
+        return stats["mean"]  # type: ignore[return-value]
+
     def metrics_summary(self) -> dict[str, dict[str, float | int | None]]:
         """Mean/CI/min/max for every scalar metric, over all trials.
 

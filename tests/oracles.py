@@ -27,6 +27,11 @@ plain in-process loop — every trial in order, ``spec.run(seed)`` per
 trial seed — which the fleet's aggregates and merged telemetry must
 match byte for byte, whatever its worker and shard counts.
 
+:func:`serial_fig7`, :func:`serial_ltnc_variant` and
+:func:`serial_recoding_stats` are the figure drivers as the same plain
+loop, reading each run's result and its nodes (``sim.nodes``) directly
+where the drivers read fleet records, traces and telemetry.
+
 :func:`assert_conserved` checks the counter conservation laws every
 dissemination result obeys.
 """
@@ -46,13 +51,16 @@ from repro.core.occurrences import OccurrenceTracker
 from repro.core.reachability import ReachabilityOracle
 from repro.core.refiner import RefineResult, pair_payload
 from repro.errors import DimensionError, RecodingError
+from repro.experiments.ablations import AblationOutcome
+from repro.experiments.textstats import RecodingStats
 from repro.gossip.simulator import EpidemicSimulator
 from repro.obs.metrics import MetricsCollector
 from repro.rlnc.node import RlncNode
 from repro.rlnc.sparse import SparseRlncNode
 from repro.scenarios.aggregate import ScenarioAggregate
 from repro.scenarios.runner import trial_seed
-from repro.schemes import registry
+from repro.scenarios.spec import ScenarioSpec
+from repro.schemes import LTNC_AGGRESSIVENESS, get_scheme, registry
 from repro.wc.node import WcNode, default_fanout
 
 __all__ = [
@@ -66,7 +74,10 @@ __all__ = [
     "reference_paths",
     "reference_refine",
     "scalar_step",
+    "serial_fig7",
     "serial_grid",
+    "serial_ltnc_variant",
+    "serial_recoding_stats",
     "serial_telemetry",
 ]
 
@@ -458,6 +469,106 @@ def serial_telemetry(specs, n_trials: int, master_seed: int) -> dict:
             merged.merge_snapshot(collector.snapshot())
         sections[spec.name] = {"n_trials": n_trials, **merged.snapshot()}
     return sections
+
+
+# ----------------------------------------------------------------------
+# The figure drivers as plain loops
+# ----------------------------------------------------------------------
+def _runs(spec: ScenarioSpec, n_trials: int, master_seed: int):
+    """``(simulator, result)`` of every trial of *spec*, run in order here."""
+    for i in range(n_trials):
+        sim = spec.build(trial_seed(master_seed, spec.name, i))
+        yield sim, sim.run()
+
+
+def _rsds(nodes) -> list[float]:
+    """Occurrence RSDs of the LTNC nodes that sent at least 20 packets."""
+    return [
+        n.occurrences.rsd()
+        for n in nodes
+        if isinstance(n, LtncNode) and n.occurrences.packets_sent >= 20
+    ]
+
+
+def serial_fig7(scheme, n_nodes, k, monte_carlo, seed, max_rounds=200_000):
+    """The results of a Fig. 7 cell's runs (binary feedback, 4 pushes)."""
+    spec = ScenarioSpec(
+        name=f"fig7:{scheme}:n{n_nodes}:k{k}",
+        scheme=scheme,
+        n_nodes=n_nodes,
+        k=k,
+        max_rounds=max_rounds,
+        node_kwargs=dict(get_scheme(scheme).default_node_kwargs),
+    )
+    return [result for _, result in _runs(spec, monte_carlo, seed)]
+
+
+def serial_ltnc_variant(
+    label, n_nodes, k, seed, monte_carlo, feedback="binary", **node_kwargs
+) -> AblationOutcome:
+    """``run_ltnc_variant`` over ``sim.nodes``: RSD pooled over runs."""
+    spec = ScenarioSpec(
+        name=label,
+        n_nodes=n_nodes,
+        k=k,
+        feedback=feedback,
+        node_kwargs={"aggressiveness": LTNC_AGGRESSIVENESS, **node_kwargs},
+    )
+    completions, overheads, aborts, rsds = [], [], [], []
+    sessions = transfers = 0
+    for sim, result in _runs(spec, monte_carlo, seed):
+        completions.append(result.average_completion_round())
+        overheads.append(result.overhead())
+        aborts.append(result.abort_rate())
+        sessions += result.sessions
+        transfers += result.data_transfers
+        rsds += _rsds(sim.nodes)
+    return AblationOutcome(
+        label=label,
+        average_completion=float(np.mean(completions)),
+        overhead=float(np.mean(overheads)),
+        abort_rate=float(np.mean(aborts)),
+        occurrence_rsd=float(np.mean(rsds)) if rsds else 0.0,
+        sessions=sessions,
+        data_transfers=transfers,
+    )
+
+
+def serial_recoding_stats(n_nodes, k, seed, monte_carlo) -> RecodingStats:
+    """``collect_recoding_stats`` over ``sim.nodes``, pooled over runs."""
+    spec = ScenarioSpec(
+        name=f"textstats:n{n_nodes}:k{k}",
+        n_nodes=n_nodes,
+        k=k,
+        node_kwargs={"aggressiveness": LTNC_AGGRESSIVENESS},
+    )
+    nodes = [
+        n
+        for sim, _ in _runs(spec, monte_carlo, seed)
+        for n in sim.nodes
+        if isinstance(n, LtncNode)
+    ]
+    picks = sum(n.stats.degree_picks for n in nodes)
+    accepted = sum(n.stats.first_pick_accepted for n in nodes)
+    rejected = picks - accepted
+    builds = sum(n.stats.builds for n in nodes)
+    rsds = _rsds(nodes)
+    return RecodingStats(
+        first_pick_acceptance=accepted / picks if picks else 1.0,
+        average_retries=(
+            sum(n.stats.degree_retries for n in nodes) / rejected
+            if rejected
+            else 0.0
+        ),
+        build_hit_rate=(
+            sum(n.stats.build_hits for n in nodes) / builds if builds else 1.0
+        ),
+        average_relative_deviation=(
+            sum(n.stats.deviation_sum for n in nodes) / builds if builds else 0.0
+        ),
+        occurrence_rsd=float(np.mean(rsds)) if rsds else 0.0,
+        packets_recoded=sum(n.stats.packets_sent for n in nodes),
+    )
 
 
 # ----------------------------------------------------------------------

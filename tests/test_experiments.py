@@ -1,7 +1,11 @@
 """Tests for the experiment harnesses (small, fast configurations)."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+from repro.core.node import PPM
 from repro.errors import SimulationError
 from repro.experiments import (
     PROFILES,
@@ -14,8 +18,18 @@ from repro.experiments import (
     measure_decoding,
     measure_recoding,
     measure_redundant_insertions,
+    redundancy_ablation,
     refinement_ablation,
     run_convergence,
+    run_ltnc_variant,
+)
+from repro.obs import MetricsCollector
+from repro.scenarios import ScenarioSpec
+
+from oracles import (
+    serial_fig7,
+    serial_ltnc_variant,
+    serial_recoding_stats,
 )
 
 
@@ -130,3 +144,107 @@ def test_feedback_ablation_none_ships_all():
     assert binary.data_transfers < none.data_transfers or (
         binary.sessions != none.sessions
     )
+
+
+# -- the drivers against their plain-loop oracles -------------------------
+def _assert_outcomes_match(fleet, serial):
+    """Equal, except the ppm-carried RSD, which may differ by rounding."""
+    assert dataclasses.replace(fleet, occurrence_rsd=0.0) == dataclasses.replace(
+        serial, occurrence_rsd=0.0
+    )
+    assert fleet.occurrence_rsd == pytest.approx(serial.occurrence_rsd, abs=1e-6)
+
+
+def test_ltnc_telemetry_equals_the_node_reads():
+    spec = ScenarioSpec(
+        name="ltnc-telemetry", n_nodes=10, k=32, node_kwargs={"aggressiveness": 0.01}
+    )
+    collector = MetricsCollector()
+    sim = spec.build(5, metrics=collector)
+    sim.run()
+    counters = collector.snapshot()["counters"]
+    stats = [node.stats for node in sim.nodes]
+    for name in ("degree_picks", "first_pick_accepted", "degree_retries",
+                 "builds", "build_hits", "packets_sent", "substitutions"):
+        assert counters[f"ltnc:{name}"] == sum(getattr(s, name) for s in stats)
+    assert counters["ltnc:packets_sent"] > 0
+    deviation = sum(s.deviation_sum for s in stats)
+    assert counters["ltnc:deviation_ppm"] / PPM == pytest.approx(deviation, abs=1e-5)
+    rsds = [
+        n.occurrences.rsd() for n in sim.nodes if n.occurrences.packets_sent >= 20
+    ]
+    hist = collector.snapshot()["histograms"]["ltnc:occurrence_rsd_ppm"]
+    assert hist["count"] == len(rsds) > 0
+    assert hist["min"] == round(min(rsds) * PPM)
+    assert hist["sum"] / hist["count"] / PPM == pytest.approx(np.mean(rsds), abs=1e-6)
+
+
+def test_recoding_stats_match_the_node_reads():
+    fleet = collect_recoding_stats(n_nodes=10, k=32, seed=6, monte_carlo=2)
+    serial = serial_recoding_stats(10, 32, seed=6, monte_carlo=2)
+    exact = ("first_pick_acceptance", "average_retries", "build_hit_rate",
+             "packets_recoded")
+    for name in exact:
+        assert getattr(fleet, name) == getattr(serial, name), name
+    for name in ("average_relative_deviation", "occurrence_rsd"):
+        assert getattr(fleet, name) == pytest.approx(
+            getattr(serial, name), abs=1e-6
+        ), name
+
+
+def test_ablation_outcomes_match_the_plain_loop():
+    _assert_outcomes_match(
+        run_ltnc_variant("refine-off", 10, 32, seed=8, monte_carlo=2, refine=False),
+        serial_ltnc_variant("refine-off", 10, 32, 8, 2, refine=False),
+    )
+    full = feedback_ablation(n_nodes=8, k=32, seed=9, monte_carlo=2)["full"]
+    _assert_outcomes_match(
+        full, serial_ltnc_variant("feedback-full", 8, 32, 9, 2, feedback="full")
+    )
+
+
+def test_convergence_curve_from_traces_equals_the_result_series():
+    for scheme in ("wc", "ltnc", "rlnc"):
+        curve = run_convergence(scheme, n_nodes=8, k=16, monte_carlo=3, seed=4)
+        series = [r.series_completed for r in serial_fig7(scheme, 8, 16, 3, 4)]
+        padded = np.ones((3, max(map(len, series))))
+        for row, s in enumerate(series):
+            padded[row, : len(s)] = s
+        assert np.array_equal(curve.completed_fraction, padded.mean(axis=0))
+
+
+def test_fig7_points_match_the_plain_loop():
+    runs = serial_fig7("ltnc", 8, 16, 2, 3)
+    assert average_completion_time(
+        "ltnc", n_nodes=8, k=16, monte_carlo=2, seed=3
+    ) == pytest.approx(np.mean([r.average_completion_round() for r in runs]))
+    assert ltnc_overhead(n_nodes=8, k=16, monte_carlo=2, seed=3) == pytest.approx(
+        np.mean([r.overhead() for r in runs])
+    )
+
+
+def test_drivers_are_worker_count_invariant():
+    drivers = {
+        "convergence": lambda w: run_convergence(
+            "ltnc", 8, 16, monte_carlo=3, seed=2, n_workers=w
+        ),
+        "completion": lambda w: average_completion_time(
+            "rlnc", 8, 16, monte_carlo=3, seed=2, n_workers=w
+        ),
+        "overhead": lambda w: ltnc_overhead(8, 16, monte_carlo=3, seed=2, n_workers=w),
+        "redundancy": lambda w: redundancy_ablation(
+            8, 16, seed=2, monte_carlo=3, n_workers=w
+        ),
+        "recoding": lambda w: collect_recoding_stats(
+            8, 16, seed=2, monte_carlo=3, n_workers=w
+        ),
+    }
+    for name, driver in drivers.items():
+        assert driver(1) == driver(2), name
+
+
+def test_a_cell_where_nothing_completes_raises_naming_it():
+    with pytest.raises(SimulationError, match="fig7:ltnc:n8:k32"):
+        average_completion_time("ltnc", n_nodes=8, k=32, monte_carlo=2, max_rounds=3)
+    with pytest.raises(SimulationError, match="'stalled'"):
+        run_ltnc_variant("stalled", 8, 32, monte_carlo=2, max_rounds=3)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.coding.packet import make_content
-from repro.core.node import LtncNode
+from repro.core.node import RSD_MIN_PACKETS, LtncNode, LtncStats
 from repro.errors import DimensionError, RecodingError
 from repro.gf2.matrix import IncrementalRref
 from repro.lt.distributions import RobustSoliton
 from repro.lt.encoder import LTEncoder
+from repro.obs import MetricsCollector
 
 
 def _lt_stream(k, m=None, seed=0):
@@ -253,3 +254,22 @@ def test_symbolic_mode_tracks_real_mode():
     p_sym = sym.make_packet()
     assert p_real.vector == p_sym.vector
     assert p_sym.payload is None
+
+
+def test_record_telemetry_round_trips_and_gates_the_rsd():
+    # The occurrence RSD enters the histogram from the 20th sent packet
+    # on; the counters read back into the node's own stats.
+    node = LtncNode.as_source(16, rng=3)
+    for sent in range(1, RSD_MIN_PACKETS + 1):
+        node.make_packet()
+        m = MetricsCollector()
+        node.record_telemetry(m)
+        snapshot = m.snapshot()
+        rsd = snapshot["histograms"].get("ltnc:occurrence_rsd_ppm")
+        assert (rsd is not None) == (sent >= RSD_MIN_PACKETS), sent
+    assert rsd["count"] == 1
+    assert rsd["sum"] == round(node.occurrences.rsd() * 1e6)
+    pooled = LtncStats.from_counters(snapshot["counters"])
+    deviation = pooled.deviation_sum
+    assert deviation == pytest.approx(node.stats.deviation_sum, abs=1e-6)
+    assert pooled == LtncStats(**{**vars(node.stats), "deviation_sum": deviation})

@@ -34,10 +34,11 @@ SEED = 2718
 
 #: run name -> (sha256 of the snapshot JSON, sha256 of the trace records)
 #: All three were re-recorded when LTNC's set reads took ascending id
-#: order (round plan v2).
+#: order (round plan v2).  The epidemic snapshot was re-recorded again
+#: when LTNC nodes began recording their ``ltnc:*`` statistics.
 PINNED = {
     "epidemic": (
-        "53cdb4705f9fb3da9f2980adf5f631b7dc55f73a2f7d94af4d1ed98aee4abd63",
+        "6dfb11348d4a57353fd6fed19583d1c7bb9dbef0b19ddff3c65678665ff40fac",
         "52c432803994d3f63df3448129abdc43aaf5f129a504feef44b90624eb9e5d02",
     ),
     "catalogue": (
