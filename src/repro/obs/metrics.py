@@ -27,6 +27,7 @@ interrupt/resume cycles (pinned by ``tests/test_obs_invariance.py``).
 from __future__ import annotations
 
 from bisect import bisect_left
+from numbers import Integral
 from typing import Mapping, Sequence
 
 from repro.errors import SimulationError
@@ -64,7 +65,9 @@ class Histogram:
     are ``len(boundaries) + 1`` buckets.  Alongside the buckets the
     histogram keeps exact ``count`` / ``sum`` / ``min`` / ``max``, so
     merged summaries stay exact even though bucket membership is
-    coarse.
+    coarse.  Observations are integers: a float sum would depend on
+    how shards group the trials, so a fraction is observed in integer
+    units (ppm, say).
     """
 
     __slots__ = ("boundaries", "counts", "count", "sum", "min", "max")
@@ -80,14 +83,19 @@ class Histogram:
         self.boundaries = bounds
         self.counts = [0] * (len(bounds) + 1)
         self.count = 0
-        self.sum: float | int = 0
-        self.min: float | int | None = None
-        self.max: float | int | None = None
+        self.sum = 0
+        self.min: int | None = None
+        self.max: int | None = None
 
-    def observe(self, value: float | int, n: int = 1) -> None:
-        """Record *n* occurrences of *value*."""
+    def observe(self, value: int, n: int = 1) -> None:
+        """Record *n* occurrences of the integer *value*."""
+        if not isinstance(value, Integral) or isinstance(value, bool):
+            raise SimulationError(
+                f"histogram observations must be integers, got {value!r}"
+            )
         if n < 1:
             raise SimulationError(f"observation count must be >= 1, got {n}")
+        value = int(value)
         self.counts[bisect_left(self.boundaries, value)] += n
         self.count += n
         self.sum += value * n
@@ -134,9 +142,12 @@ class Histogram:
             raise SimulationError(
                 f"malformed histogram counts: {counts!r}"
             )
+        total = payload.get("sum", 0)
+        if not isinstance(total, int) or isinstance(total, bool):
+            raise SimulationError(f"histogram sum is not an integer: {total!r}")
         hist.counts = list(counts)
         hist.count = int(payload.get("count", 0))
-        hist.sum = payload.get("sum", 0)  # type: ignore[assignment]
+        hist.sum = total
         hist.min = payload.get("min")  # type: ignore[assignment]
         hist.max = payload.get("max")  # type: ignore[assignment]
         return hist
@@ -194,11 +205,11 @@ class MetricsCollector:
     def observe(
         self,
         name: str,
-        value: float | int,
+        value: int,
         boundaries: Sequence[float] | None = None,
         n: int = 1,
     ) -> None:
-        """Record *value* into histogram *name*.
+        """Record the integer *value* into histogram *name*.
 
         The first observation fixes the boundaries (*boundaries*, or
         :data:`DEFAULT_BOUNDARIES`); later calls may repeat the same
@@ -218,7 +229,10 @@ class MetricsCollector:
                 f"histogram {name!r} boundaries changed mid-run: "
                 f"{hist.boundaries} vs {tuple(boundaries)}"
             )
-        hist.observe(value, n)
+        try:
+            hist.observe(value, n)
+        except SimulationError as exc:
+            raise SimulationError(f"histogram {name!r}: {exc}") from None
 
     # -- merge / serialisation -----------------------------------------
     def snapshot(self) -> dict[str, object]:

@@ -6,6 +6,7 @@ timers over a tracer) in isolation; the end-to-end runner/fleet
 telemetry contracts live in ``tests/test_telemetry.py``.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -62,6 +63,24 @@ def test_histogram_dict_roundtrip():
     bad["counts"] = [1]  # wrong arity for the boundaries
     with pytest.raises(SimulationError, match="counts"):
         Histogram.from_dict(bad)
+
+
+def test_histogram_takes_integers_only():
+    # A float sum depends on how shards group the trials, so merged
+    # telemetry would differ across worker counts: integers only.
+    h = Histogram((10, 20))
+    h.observe(np.int64(7))
+    assert h.sum == 7 and type(h.sum) is int
+    for bad in (0.5, 7.0, True):
+        with pytest.raises(SimulationError, match="integers"):
+            h.observe(bad)
+    assert h.count == 1
+    with pytest.raises(SimulationError, match="histogram 'rsd'.*integers"):
+        MetricsCollector().observe("rsd", 0.25)
+    payload = h.to_dict()
+    payload["sum"] = 7.0
+    with pytest.raises(SimulationError, match="sum"):
+        Histogram.from_dict(payload)
 
 
 # -- MetricsCollector ----------------------------------------------------
