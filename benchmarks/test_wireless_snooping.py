@@ -12,8 +12,9 @@ restores most of the lost efficiency.
 
 from __future__ import annotations
 
-from repro.gossip.wireless import WirelessSimulator, WirelessTopology
+from repro.gossip.wireless import WirelessSimulator
 from repro.rng import derive
+from repro.topology.generators import random_geometric
 
 from conftest import run_once_benchmark
 
@@ -23,7 +24,7 @@ def test_wireless_snooping(benchmark, profile, reporter):
     k = max(16, profile.k_default // 2)
 
     def experiment():
-        topo = WirelessTopology(n, radius=0.3, rng=derive(99, "topo", n))
+        topo = random_geometric(n, radius=0.3, rng=derive(99, "topo", n))
         results = {}
         for snoop in (False, True):
             sim = WirelessSimulator(

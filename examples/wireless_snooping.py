@@ -14,14 +14,15 @@ topology with snooping off and on.
 Run:  python examples/wireless_snooping.py
 """
 
-from repro.gossip import WirelessSimulator, WirelessTopology
+from repro.gossip import WirelessSimulator
+from repro.topology import random_geometric
 
 N_RADIOS = 20
 K = 48
 
 
 def main() -> None:
-    topo = WirelessTopology(N_RADIOS, radius=0.3, rng=3)
+    topo = random_geometric(N_RADIOS, radius=0.3, rng=3)
     print(f"{N_RADIOS} radios on the unit square, radio range "
           f"{topo.radius:.2f}, average degree {topo.average_degree():.1f}\n")
     header = (f"{'snooping':<9} {'rounds':>7} {'transmissions':>14} "

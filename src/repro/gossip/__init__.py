@@ -7,11 +7,7 @@ from repro.gossip.channel import ChannelModel, ChurnPhase, HeterogeneousChannel
 from repro.gossip.metrics import DisseminationResult
 from repro.gossip.peer_sampling import PeerSampler, UniformSampler, ViewSampler
 from repro.gossip.simulator import EpidemicSimulator, Feedback, run_dissemination
-from repro.gossip.wireless import (
-    WirelessResult,
-    WirelessSimulator,
-    WirelessTopology,
-)
+from repro.gossip.wireless import WirelessResult, WirelessSimulator
 
 __all__ = [
     "ChannelModel",
@@ -26,5 +22,4 @@ __all__ = [
     "run_dissemination",
     "WirelessResult",
     "WirelessSimulator",
-    "WirelessTopology",
 ]

@@ -7,7 +7,8 @@ feedback information used by the smart construction "can be partially
 obtained or inferred in a wireless setting by snooping packets sent by
 close nodes as in COPE".  This module builds that setting:
 
-* :class:`WirelessTopology` — a random geometric graph (nodes on the
+* the radio topology — a :class:`~repro.topology.graph.Graph`, usually
+  :func:`~repro.topology.generators.random_geometric` (nodes on the
   unit square, links within a radio radius, radius grown until the
   graph connects);
 * :class:`WirelessSimulator` — per round, every ready node broadcasts
@@ -43,53 +44,9 @@ from repro.obs.metrics import MetricsCollector
 from repro.obs.tracer import NULL_TRACER
 from repro.rng import make_rng, spawn
 from repro.schemes import CodingScheme, SchemeNode, resolve
-from repro.topology.generators import random_geometric
 from repro.topology.graph import Graph
 
-__all__ = ["WirelessTopology", "WirelessResult", "WirelessSimulator"]
-
-
-class WirelessTopology:
-    """A connected random geometric graph on the unit square.
-
-    Thin wrapper over :func:`repro.topology.generators.random_geometric`
-    — the shared graph core owns the geometry, adjacency and the
-    radius-growth connectivity repair; this class keeps the historic
-    public surface (``positions``, ``radius``, ``neighbors`` …) that
-    the wireless simulator and benches were built against.  The rng
-    draw order is unchanged, so seeded topologies are bit-identical to
-    pre-refactor ones.
-    """
-
-    def __init__(
-        self,
-        n_nodes: int,
-        radius: float = 0.25,
-        rng: np.random.Generator | int | None = None,
-        max_radius_growth: int = 20,
-    ) -> None:
-        self.graph: Graph = random_geometric(
-            n_nodes,
-            radius=radius,
-            rng=rng,
-            max_radius_growth=max_radius_growth,
-        )
-        self.n_nodes = n_nodes
-        self.positions = self.graph.positions
-        self.radius: float = self.graph.radius  # type: ignore[attr-defined]
-
-    def neighbors(self, node_id: int) -> list[int]:
-        """Nodes within radio range of *node_id*."""
-        return self.graph.neighbors(node_id)
-
-    def degree(self, node_id: int) -> int:
-        return self.graph.degree(node_id)
-
-    def average_degree(self) -> float:
-        return self.graph.average_degree()
-
-    def is_connected(self) -> bool:
-        return self.graph.is_connected()
+__all__ = ["WirelessResult", "WirelessSimulator"]
 
 
 @dataclass
@@ -166,8 +123,9 @@ class _Snoop:
 
 
 class WirelessSimulator:
-    """Broadcast dissemination over a geometric radio topology.
+    """Broadcast dissemination over a radio topology.
 
+    *graph* links the nodes within radio range of each other.
     Parameters mirror :class:`~repro.gossip.simulator.EpidemicSimulator`
     where applicable; the transport differences are structural: every
     send is a broadcast to all neighbours, there is no abort channel,
@@ -179,7 +137,7 @@ class WirelessSimulator:
     def __init__(
         self,
         scheme: str | CodingScheme,
-        topology: WirelessTopology,
+        graph: Graph,
         k: int,
         snoop: bool = False,
         source_degree: int = 3,
@@ -189,11 +147,11 @@ class WirelessSimulator:
         tracer=None,
         metrics: MetricsCollector | None = None,
     ) -> None:
-        self.topology = topology
+        self.graph = graph
         self.k = k
         self.snoop = snoop
         self.max_rounds = max_rounds
-        n = topology.n_nodes
+        n = graph.n_nodes
         master = make_rng(seed)
         rngs = spawn(master, n + 2)
         coding_scheme = resolve(scheme)
@@ -216,7 +174,7 @@ class WirelessSimulator:
         # snoops[i][j]: what node i inferred about neighbour j; only
         # snooping reads them, so only snooping builds them.
         self._snoops: list[dict[int, _Snoop]] = [
-            {j: _Snoop(k) for j in topology.neighbors(i)} if snoop else {}
+            {j: _Snoop(k) for j in graph.neighbors(i)} if snoop else {}
             for i in range(n)
         ]
         self._smart_cursor = [0] * n
@@ -249,7 +207,7 @@ class WirelessSimulator:
 
     def _smart_state(self, sender_id: int) -> FeedbackState | None:
         """Inferred feedback for one round-robin neighbour target."""
-        neighbors = self.topology.neighbors(sender_id)
+        neighbors = self.graph.neighbors(sender_id)
         if not neighbors:
             return None
         cursor = self._smart_cursor[sender_id] % len(neighbors)
@@ -266,7 +224,7 @@ class WirelessSimulator:
             self.source_neighbors,
             round_index,
         )
-        order = self._order_rng.permutation(self.topology.n_nodes)
+        order = self._order_rng.permutation(self.graph.n_nodes)
         for sender_id in order:
             sender_id = int(sender_id)
             sender = self.nodes[sender_id]
@@ -279,7 +237,7 @@ class WirelessSimulator:
             self._deliver(
                 sender_id,
                 packet,
-                self.topology.neighbors(sender_id),
+                self.graph.neighbors(sender_id),
                 round_index,
             )
         self.result.rounds = round_index + 1

@@ -108,11 +108,10 @@ def random_geometric(
 
     Nodes drop uniformly at random; links join pairs within *radius*.
     If the graph is disconnected the radius grows by 20 % (up to
-    *max_radius_growth* times) until it connects — the same repair the
-    wireless module has always used, so
-    :class:`~repro.gossip.wireless.WirelessTopology` wraps this
-    generator bit-identically.  The final radius is stored on the
-    returned graph as ``graph.radius``.
+    *max_radius_growth* times) until it connects; this is the radio
+    topology :class:`~repro.gossip.wireless.WirelessSimulator` runs on.
+    The final radius is stored on the returned graph as
+    ``graph.radius``.
     """
     _check_n(n_nodes)
     if not 0 < radius <= 1.5:

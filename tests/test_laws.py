@@ -21,10 +21,11 @@ import pytest
 from repro.errors import SimulationError
 from repro.experiments.scale import PROFILES
 from repro.gossip.driver import result_types
-from repro.gossip.wireless import WirelessSimulator, WirelessTopology
+from repro.gossip.wireless import WirelessSimulator
 from repro.scenarios import ScenarioSpec
 from repro.scenarios.presets import get_preset
 from repro.schemes import get_scheme
+from repro.topology.generators import random_geometric
 
 from oracles import assert_conserved
 
@@ -47,7 +48,7 @@ def _finished(kind: str):
         return get_preset("edge_cache_catalogue", PROFILES["quick"]).run(11)
     return WirelessSimulator(
         "ltnc",
-        WirelessTopology(10, radius=0.4, rng=3),
+        random_geometric(10, radius=0.4, rng=3),
         16,
         snoop=True,
         seed=11,

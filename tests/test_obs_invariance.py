@@ -124,11 +124,12 @@ def test_catalogue_tracing_changes_nothing(tmp_path):
 
 # -- wireless simulator --------------------------------------------------
 def test_wireless_tracing_changes_nothing(tmp_path):
-    from repro.gossip.wireless import WirelessSimulator, WirelessTopology
+    from repro.gossip.wireless import WirelessSimulator
     from repro.obs import JsonlTracer
+    from repro.topology.generators import random_geometric
 
     def run(tracer=None):
-        topo = WirelessTopology(12, radius=0.4, rng=5)
+        topo = random_geometric(12, radius=0.4, rng=5)
         sim = WirelessSimulator(
             "ltnc", topo, 16, seed=7, max_rounds=6000, tracer=tracer
         )

@@ -24,11 +24,12 @@ import json
 import pytest
 
 from repro.experiments.scale import PROFILES
-from repro.gossip.wireless import WirelessSimulator, WirelessTopology
+from repro.gossip.wireless import WirelessSimulator
 from repro.obs import JsonlTracer, MetricsCollector, ObsSpec, read_trace
 from repro.scenarios import ScenarioSpec
 from repro.scenarios.presets import get_preset
 from repro.schemes import get_scheme
+from repro.topology.generators import random_geometric
 
 SEED = 2718
 
@@ -101,7 +102,7 @@ def _wireless(tmp_path) -> tuple[str, str]:
     path = tmp_path / "trace-wireless.jsonl"
     WirelessSimulator(
         "ltnc",
-        WirelessTopology(12, radius=0.4, rng=5),
+        random_geometric(12, radius=0.4, rng=5),
         16,
         snoop=True,
         seed=7,

@@ -3,22 +3,19 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.gossip.wireless import (
-    WirelessSimulator,
-    WirelessTopology,
-    _Snoop,
-)
+from repro.gossip.wireless import WirelessSimulator, _Snoop
+from repro.topology.generators import random_geometric
 
 
 def test_topology_validation():
     with pytest.raises(SimulationError):
-        WirelessTopology(1)
+        random_geometric(1)
     with pytest.raises(SimulationError):
-        WirelessTopology(8, radius=0.0)
+        random_geometric(8, radius=0.0)
 
 
 def test_topology_connected_and_symmetric():
-    topo = WirelessTopology(30, radius=0.2, rng=0)
+    topo = random_geometric(30, radius=0.2, rng=0)
     assert topo.is_connected()
     for i in range(30):
         for j in topo.neighbors(i):
@@ -28,7 +25,7 @@ def test_topology_connected_and_symmetric():
 
 def test_topology_radius_grows_until_connected():
     # A tiny initial radius cannot connect 40 nodes; growth must kick in.
-    topo = WirelessTopology(40, radius=0.01, rng=1)
+    topo = random_geometric(40, radius=0.01, rng=1)
     assert topo.is_connected()
     assert topo.radius > 0.01
 
@@ -58,7 +55,7 @@ def test_snoop_skips_decoded_endpoints():
 
 @pytest.mark.parametrize("scheme", ["ltnc", "rlnc"])
 def test_wireless_dissemination_converges(scheme):
-    topo = WirelessTopology(12, radius=0.35, rng=2)
+    topo = random_geometric(12, radius=0.35, rng=2)
     sim = WirelessSimulator(scheme, topo, 24, seed=3, max_rounds=6000)
     result = sim.run()
     assert result.all_complete
@@ -68,7 +65,7 @@ def test_wireless_dissemination_converges(scheme):
 
 
 def test_snooping_accelerates_ltnc():
-    topo = WirelessTopology(16, radius=0.35, rng=4)
+    topo = random_geometric(16, radius=0.35, rng=4)
     rounds = {}
     usefulness = {}
     for snoop in (False, True):
@@ -90,7 +87,7 @@ def test_snooping_accelerates_ltnc():
 
 
 def test_smart_targets_counted_only_when_snooping():
-    topo = WirelessTopology(10, radius=0.4, rng=6)
+    topo = random_geometric(10, radius=0.4, rng=6)
     silent = WirelessSimulator("ltnc", topo, 16, snoop=False, seed=7,
                                max_rounds=4000)
     silent.run()
@@ -104,7 +101,7 @@ def test_smart_targets_counted_only_when_snooping():
 def test_snoop_state_built_only_when_snooping():
     # One _Snoop per directed radio link, and only for a snooping run:
     # without snooping nothing reads them.
-    topo = WirelessTopology(12, radius=0.4, rng=3)
+    topo = random_geometric(12, radius=0.4, rng=3)
     links = sum(len(topo.neighbors(i)) for i in range(topo.n_nodes))
     silent = WirelessSimulator("ltnc", topo, 16, snoop=False, seed=1)
     assert not any(silent._snoops)
