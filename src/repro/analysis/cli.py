@@ -1,10 +1,10 @@
 """Command-line front end: ``python -m repro.analysis``.
 
 Exit statuses follow the benchdiff convention: 0 = clean, 1 = at least
-one unsuppressed finding, 2 = bad invocation (unknown rule, missing
-path, unreadable baseline).  ``--json`` writes a schema-versioned
-``ltnc-analysis-report`` v1 payload (atomically), which CI uploads as
-the lint job's artifact.
+one unsuppressed finding, 2 = bad invocation (unknown flag or rule,
+missing path).  ``--json`` writes a schema-versioned
+``ltnc-analysis-report`` v2 payload (atomically), which CI validates
+and uploads as the lint job's artifact.
 """
 
 from __future__ import annotations
@@ -19,17 +19,12 @@ from repro.analysis.engine import (
     REPORT_FORMAT,
     REPORT_VERSION,
     AnalysisResult,
-    baseline_payload,
-    load_baseline,
     run_analysis,
 )
 from repro.analysis.rules import RULES, RULES_BY_CODE
 from repro.fileio import atomic_write_text
 
 __all__ = ["build_parser", "main", "report_payload"]
-
-#: Auto-loaded baseline filename (looked up in the current directory).
-DEFAULT_BASELINE = ".ltnc-baseline.json"
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -66,24 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(atomic write)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="grandfathered-findings file (default: ./"
-        f"{DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline to grandfather every current "
-        "finding, then exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule table and exit",
@@ -100,18 +77,16 @@ def build_parser() -> argparse.ArgumentParser:
 def report_payload(
     result: AnalysisResult, rules: Sequence[object], paths: Sequence[str]
 ) -> dict[str, object]:
-    """The ``ltnc-analysis-report`` v1 payload for one run."""
+    """The ``ltnc-analysis-report`` v2 payload for one run."""
     return {
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
         "paths": sorted(str(p) for p in paths),
         "rules": [rule.describe() for rule in rules],
         "findings": [f.to_dict() for f in result.findings],
-        "baselined": [f.to_dict() for f in result.baselined],
         "counts": {
             "files": result.n_files,
             "findings": len(result.findings),
-            "baselined": len(result.baselined),
         },
     }
 
@@ -147,29 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     if missing:
         parser.error(f"no such path(s): {', '.join(str(p) for p in missing)}")
 
-    baseline_path = pathlib.Path(args.baseline or DEFAULT_BASELINE)
-    baseline: set[tuple[str, str, str]] | None = None
-    if not args.no_baseline and not args.write_baseline:
-        if baseline_path.is_file():
-            try:
-                baseline = load_baseline(baseline_path)
-            except ValueError as exc:
-                parser.error(str(exc))
-        elif args.baseline is not None:
-            parser.error(f"baseline {baseline_path} does not exist")
-
-    result = run_analysis(paths, rules, baseline=baseline)
-
-    if args.write_baseline:
-        payload = baseline_payload(result.findings + result.baselined)
-        atomic_write_text(
-            baseline_path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        print(
-            f"wrote {baseline_path}: {len(payload['entries'])} "
-            "grandfathered finding(s)"
-        )
-        return EXIT_CLEAN
+    result = run_analysis(paths, rules)
 
     for finding in result.findings:
         print(finding.render())
@@ -184,11 +137,10 @@ def main(argv: list[str] | None = None) -> int:
         if status == EXIT_CLEAN:
             print("schema registry: writers and validators agree")
 
-    summary = (
-        f"{len(result.findings)} finding(s) across {result.n_files} "
-        f"file(s); {len(result.baselined)} baselined"
+    print(
+        f"{len(result.findings)} finding(s) across {result.n_files} file(s)",
+        file=sys.stderr,
     )
-    print(summary, file=sys.stderr)
 
     if args.json:
         out = atomic_write_text(

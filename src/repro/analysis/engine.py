@@ -12,57 +12,45 @@ instead of a golden-file archaeology session months later.
 Deliberately stdlib-only: the linter itself must never grow a
 third-party dependency that makes it unrunnable in a bare checkout.
 
-Escape hatches, both auditable in review:
-
-* **Inline suppressions** — ``# ltnc: allow[LTNCnnn] reason`` on the
-  offending line (or alone on the line above it).  The reason is
-  mandatory; a reasonless suppression is itself reported (LTNC000) and
-  does not suppress anything.  A suppression whose rule no longer
-  fires on its line is *also* reported — dead allows otherwise
-  accumulate and silently pre-authorize future violations.
-* **Baseline file** — a checked-in ``ltnc-baseline`` v1 JSON listing
-  grandfathered findings by ``(code, path, context)`` fingerprint
-  (line numbers excluded, so unrelated edits do not churn it).
+The one escape hatch is an inline suppression, auditable in review:
+``# ltnc: allow[LTNCnnn] reason`` on the offending line (or alone on
+the line above it).  The reason is mandatory; a reasonless suppression
+is itself reported (LTNC000) and does not suppress anything.  A
+suppression whose rule no longer fires on its line is *also* reported
+— dead allows otherwise accumulate and silently pre-authorize future
+violations.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import json
 import pathlib
 import re
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "BAD_SUPPRESSION_CODE",
-    "BASELINE_FORMAT",
-    "BASELINE_VERSION",
     "REPORT_FORMAT",
     "REPORT_VERSION",
     "AnalysisResult",
     "Finding",
     "Module",
     "Suppression",
-    "baseline_payload",
     "iter_python_files",
     "lint_file",
     "lint_module",
     "lint_source",
-    "load_baseline",
     "logical_path",
     "run_analysis",
-    "validate_baseline",
     "validate_report",
 ]
 
-BASELINE_FORMAT = "ltnc-baseline"
-BASELINE_VERSION = 1
 REPORT_FORMAT = "ltnc-analysis-report"
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 #: Engine diagnostics (unparsable file, malformed suppression) carry
-#: this pseudo-rule code.  It cannot be suppressed or baselined.
+#: this pseudo-rule code.  It cannot be suppressed.
 BAD_SUPPRESSION_CODE = "LTNC000"
 
 #: Never walked when expanding directory arguments.
@@ -91,11 +79,7 @@ class Finding:
     line: int
     col: int
     message: str
-    context: str = ""  # stripped source line, the baseline fingerprint
-
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Line-number-free identity used for baseline matching."""
-        return (self.code, self.path, self.context)
+    context: str = ""  # stripped source line
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
@@ -272,8 +256,7 @@ def lint_module(mod: Module, rules: Iterable[object]) -> list[Finding]:
     """All findings for one module — rule hits plus engine diagnostics.
 
     Inline suppressions are applied here (suppressed findings are
-    dropped); baseline filtering happens in :func:`run_analysis`, which
-    has the repo-wide view.  Returns the *unsuppressed* findings.
+    dropped).  Returns the *unsuppressed* findings.
     """
     if mod.parse_error is not None:
         err = mod.parse_error
@@ -349,67 +332,12 @@ def lint_file(
 
 
 # ----------------------------------------------------------------------
-# Baseline (grandfathered findings)
+# The --json report
 # ----------------------------------------------------------------------
-def baseline_payload(findings: Iterable[Finding]) -> dict[str, object]:
-    """The ``ltnc-baseline`` v1 payload grandfathering *findings*."""
-    entries = sorted(
-        {f.fingerprint() for f in findings if f.code != BAD_SUPPRESSION_CODE}
-    )
-    return {
-        "format": BASELINE_FORMAT,
-        "version": BASELINE_VERSION,
-        "entries": [
-            {"code": code, "path": path, "context": context}
-            for code, path, context in entries
-        ],
-    }
-
-
-def validate_baseline(
-    payload: object, source: str = "baseline"
-) -> dict[str, object]:
-    """Check a baseline payload; return it on success, raise ValueError."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"{source}: baseline is not a JSON object")
-    errors: list[str] = []
-    if payload.get("format") != BASELINE_FORMAT:
-        errors.append(f"format {payload.get('format')!r} != {BASELINE_FORMAT!r}")
-    if payload.get("version") != BASELINE_VERSION:
-        errors.append(f"version {payload.get('version')!r} != {BASELINE_VERSION}")
-    entries = payload.get("entries")
-    if not isinstance(entries, list):
-        errors.append("entries is not a list")
-    else:
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict) or not all(
-                isinstance(entry.get(k), str) for k in ("code", "path", "context")
-            ):
-                errors.append(f"entries[{i}] needs string code/path/context")
-    if errors:
-        raise ValueError(f"{source}: invalid baseline: " + "; ".join(errors))
-    return payload
-
-
-def load_baseline(path: str | pathlib.Path) -> set[tuple[str, str, str]]:
-    """The grandfathered fingerprints in a baseline file."""
-    p = pathlib.Path(path)
-    try:
-        payload = json.loads(p.read_text())
-    except OSError as exc:
-        raise ValueError(f"{p}: unreadable baseline ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{p}: baseline is not valid JSON ({exc})") from exc
-    validate_baseline(payload, source=str(p))
-    return {
-        (e["code"], e["path"], e["context"]) for e in payload["entries"]
-    }
-
-
 def validate_report(
     payload: object, source: str = "report"
 ) -> dict[str, object]:
-    """Check an ``ltnc-analysis-report`` v1 payload (the ``--json`` output)."""
+    """Check an ``ltnc-analysis-report`` v2 payload (the ``--json`` output)."""
     if not isinstance(payload, dict):
         raise ValueError(f"{source}: report is not a JSON object")
     errors: list[str] = []
@@ -417,15 +345,14 @@ def validate_report(
         errors.append(f"format {payload.get('format')!r} != {REPORT_FORMAT!r}")
     if payload.get("version") != REPORT_VERSION:
         errors.append(f"version {payload.get('version')!r} != {REPORT_VERSION}")
-    for key in ("findings", "baselined", "rules"):
+    for key in ("findings", "rules"):
         if not isinstance(payload.get(key), list):
             errors.append(f"{key} is not a list")
     counts = payload.get("counts")
     if not isinstance(counts, dict) or not all(
-        isinstance(counts.get(k), int)
-        for k in ("files", "findings", "baselined")
+        isinstance(counts.get(k), int) for k in ("files", "findings")
     ):
-        errors.append("counts needs integer files/findings/baselined")
+        errors.append("counts needs integer files/findings")
     if errors:
         raise ValueError(f"{source}: invalid report: " + "; ".join(errors))
     return payload
@@ -438,8 +365,7 @@ def validate_report(
 class AnalysisResult:
     """Outcome of one linter run over a set of paths."""
 
-    findings: list[Finding]  # unsuppressed, not baselined → gate fails
-    baselined: list[Finding]  # grandfathered by the baseline file
+    findings: list[Finding]  # unsuppressed → gate fails
     n_files: int
 
     @property
@@ -448,25 +374,14 @@ class AnalysisResult:
 
 
 def run_analysis(
-    paths: Sequence[str | pathlib.Path],
-    rules: Iterable[object],
-    baseline: set[tuple[str, str, str]] | None = None,
+    paths: Sequence[str | pathlib.Path], rules: Iterable[object]
 ) -> AnalysisResult:
     """Lint every Python file under *paths* with *rules*."""
     rules = list(rules)
-    live: list[Finding] = []
-    grandfathered: list[Finding] = []
+    findings: list[Finding] = []
     n_files = 0
     for path in iter_python_files(paths):
         n_files += 1
-        for finding in lint_module(Module.from_path(path), rules):
-            if baseline and finding.fingerprint() in baseline:
-                grandfathered.append(finding)
-            else:
-                live.append(finding)
-    key = lambda f: (f.path, f.line, f.col, f.code)  # noqa: E731
-    live.sort(key=key)
-    grandfathered.sort(key=key)
-    return AnalysisResult(
-        findings=live, baselined=grandfathered, n_files=n_files
-    )
+        findings.extend(lint_module(Module.from_path(path), rules))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
+    return AnalysisResult(findings=findings, n_files=n_files)

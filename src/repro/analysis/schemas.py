@@ -116,18 +116,9 @@ SCHEMAS: tuple[SchemaContract, ...] = (
         validator="repro.experiments.perfbench:validate_bench",
     ),
     SchemaContract(
-        artifact="ltnc-baseline",
-        format="ltnc-baseline",
-        version=1,
-        writer_module="repro.analysis.engine",
-        format_const="BASELINE_FORMAT",
-        version_const="BASELINE_VERSION",
-        validator="repro.analysis.engine:validate_baseline",
-    ),
-    SchemaContract(
         artifact="ltnc-analysis-report",
         format="ltnc-analysis-report",
-        version=1,
+        version=2,
         writer_module="repro.analysis.engine",
         format_const="REPORT_FORMAT",
         version_const="REPORT_VERSION",

@@ -63,8 +63,11 @@ from repro.obs.metrics import MetricsCollector
 from repro.obs.profiler import NULL_CLOCK, PhaseClock
 from repro.rng import make_rng
 
-__all__ = ["PPM", "RSD_MIN_PACKETS", "LtncStats", "LtncNode"]
+__all__ = ["MAX_DEGREE_RETRIES", "PPM", "RSD_MIN_PACKETS", "LtncStats", "LtncNode"]
 
+#: Redraws of an unreachable degree before clamping to the largest
+#: reachable one.
+MAX_DEGREE_RETRIES = 64
 #: Telemetry carries fractions as integer parts per million.
 PPM = 1_000_000
 #: A node records its occurrence RSD once it sent this many packets.
@@ -193,12 +196,6 @@ class LtncNode:
         generable packets at reception and during decoding (ablation
         knob; the binary-feedback header check is always available
         through :meth:`header_is_innovative`).
-    scan_limit:
-        Optional cap on refinement candidates examined per native; see
-        :mod:`repro.core.refiner`.
-    max_degree_retries:
-        Redraws of an unreachable degree before clamping to the largest
-        reachable one.
     """
 
     scheme = "ltnc"
@@ -213,8 +210,6 @@ class LtncNode:
         aggressiveness: float = 0.01,
         refine: bool = True,
         detect_redundancy: bool = True,
-        scan_limit: int | None = None,
-        max_degree_retries: int = 64,
     ) -> None:
         if k <= 0:
             raise DimensionError(f"k must be positive, got {k}")
@@ -235,8 +230,6 @@ class LtncNode:
         self.rng = make_rng(rng)
         self.aggressiveness = aggressiveness
         self.refine = refine
-        self.scan_limit = scan_limit
-        self.max_degree_retries = max_degree_retries
 
         self.recode_counter = OpCounter()
         self.decode_counter = OpCounter()
@@ -377,7 +370,7 @@ class LtncNode:
         if not self.oracle.is_unreachable(d):
             self.stats.first_pick_accepted += 1
             return d
-        for _ in range(self.max_degree_retries):
+        for _ in range(MAX_DEGREE_RETRIES):
             self.stats.degree_retries += 1
             self.recode_counter.add("rng_draw")
             d = sample(self.rng)
@@ -416,7 +409,6 @@ class LtncNode:
                 self.occurrences,
                 self.decoder.graph,
                 self.recode_counter,
-                scan_limit=self.scan_limit,
             )
             clock.stop("refine", t0)
             support, payload = refined.support, refined.payload

@@ -20,10 +20,8 @@ natives are decoded).
 Candidate search walks the occurrence buckets from the global minimum
 upward, each in ascending native index, so the first native satisfying
 (1) and (3) in the lowest non-empty bucket below ``frequency(x)`` *is*
-the argmin, ties going to the lowest index.  An optional
-``scan_limit`` bounds the number of candidates examined per native —
-an engineering safety valve for adversarial component shapes; the
-default (unbounded) matches the paper.
+the argmin, ties going to the lowest index.  The walk is unbounded,
+as in the paper.
 """
 
 from __future__ import annotations
@@ -60,7 +58,6 @@ def _find_replacement(
     support: set[int],
     components: ConnectedComponents,
     occurrences: OccurrenceTracker,
-    scan_limit: int | None,
 ) -> tuple[int | None, int, int, int]:
     """Least-frequent native ``x' ~ x`` with ``freq < freq(x)``, not in z.
 
@@ -68,9 +65,8 @@ def _find_replacement(
     candidate satisfying the component and "not in z" conditions is the
     argmin.  Returns ``(replacement, examined, occ_table_ops,
     leader_lookups)`` — ``replacement`` is ``None`` when no native
-    qualifies within *scan_limit* candidates — and leaves the charging
-    to the caller, which lands one add per counter for the whole
-    Algorithm-2 loop.  The charges are those of a walk that probes
+    qualifies — and leaves the charging to the caller, which lands one
+    add per counter for the whole Algorithm-2 loop.  The charges are those of a walk that probes
     ``frequency(x)``, reads ``leader(x)`` and consumes the buckets
     below it, count by count and candidate by candidate in ascending
     index (the walk ``tests/oracles.py`` keeps as the reference):
@@ -100,23 +96,15 @@ def _find_replacement(
     for count in occurrences.nonempty_counts():
         if count >= freq_x:
             break
-        visited = count - min_count + 2
         bucket = buckets[count]
         if members.isdisjoint(bucket):
             # No candidate here can satisfy the component condition.
-            if scan_limit is not None:
-                # A walk stops at the first candidate reaching the limit.
-                stop = max(examined + 1, scan_limit)
-                if stop <= examined + len(bucket):
-                    return None, stop, visited, 1
             examined += len(bucket)
             continue
         for candidate in sorted(bucket):
             examined += 1
             if candidate in members and candidate not in support:
-                return candidate, examined, visited, 1
-            if scan_limit is not None and examined >= scan_limit:
-                return None, examined, visited, 1
+                return candidate, examined, count - min_count + 2, 1
     return None, examined, freq_x - min_count + 1, 1
 
 
@@ -150,7 +138,6 @@ def refine_packet(
     occurrences: OccurrenceTracker,
     graph: TannerGraph,
     counter: OpCounter | None = None,
-    scan_limit: int | None = None,
 ) -> RefineResult:
     """Apply Algorithm 2 to a freshly built packet.
 
@@ -178,7 +165,7 @@ def refine_packet(
             continue  # already substituted away by an earlier step
         before = len(support)
         replacement, examined, table_ops, lookups = _find_replacement(
-            x, support, components, occurrences, scan_limit
+            x, support, components, occurrences
         )
         result.candidates_examined += examined
         occ_ops += table_ops

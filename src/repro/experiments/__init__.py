@@ -7,55 +7,3 @@ statistics TXT1-TXT4), :mod:`~repro.experiments.ablations` (design-
 choice isolation).  :mod:`~repro.experiments.scale` selects workload
 sizes via the ``LTNC_SCALE`` environment variable.
 """
-
-from repro.experiments.ablations import (
-    AblationOutcome,
-    feedback_ablation,
-    redundancy_ablation,
-    refinement_ablation,
-    run_ltnc_variant,
-)
-from repro.experiments.fig7 import (
-    LTNC_AGGRESSIVENESS,
-    ConvergenceCurve,
-    average_completion_time,
-    ltnc_overhead,
-    run_convergence,
-)
-from repro.experiments.fig8 import (
-    CostPoint,
-    cost_series,
-    measure_decoding,
-    measure_recoding,
-)
-from repro.experiments.scale import PROFILES, ScaleProfile, current_profile
-from repro.experiments.textstats import (
-    RecodingStats,
-    RedundancyStats,
-    collect_recoding_stats,
-    measure_redundant_insertions,
-)
-
-__all__ = [
-    "AblationOutcome",
-    "feedback_ablation",
-    "redundancy_ablation",
-    "refinement_ablation",
-    "run_ltnc_variant",
-    "LTNC_AGGRESSIVENESS",
-    "ConvergenceCurve",
-    "average_completion_time",
-    "ltnc_overhead",
-    "run_convergence",
-    "CostPoint",
-    "cost_series",
-    "measure_decoding",
-    "measure_recoding",
-    "PROFILES",
-    "ScaleProfile",
-    "current_profile",
-    "RecodingStats",
-    "RedundancyStats",
-    "collect_recoding_stats",
-    "measure_redundant_insertions",
-]

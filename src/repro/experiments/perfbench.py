@@ -177,9 +177,7 @@ def bench_kernel_batch(k: int, seed: int) -> dict[str, float]:
     Feeds the identical dense random row stream (``k + 16`` rows, one
     full-rank fill — the RLNC decode shape) through
     :class:`~repro.gf2.matrix.IncrementalRref` and
-    :class:`~repro.gf2.batch.BatchRref`, plus the block
-    :meth:`~repro.gf2.batch.BatchRref.batch_insert` entry point on a
-    pre-packed word matrix.  The kernels are result- and
+    :class:`~repro.gf2.batch.BatchRref`.  The kernels are result- and
     charge-identical (pinned by ``tests/test_gf2_batch.py``), so the
     rows differ only in wall clock — the basis for the
     :func:`~repro.gf2.batch.make_rref` selection heuristic.
@@ -210,19 +208,13 @@ def bench_kernel_batch(k: int, seed: int) -> dict[str, float]:
             rref.insert(v)
         return n_rows
 
-    def run_block() -> int:
-        BatchRref(k).batch_insert(words)
-        return n_rows
-
     i_ops, i_secs = _timed(run_int)
     n_ops, n_secs = _timed(run_numpy)
-    b_ops, b_secs = _timed(run_block)
     return {
         "k": k,
         "n_rows": n_rows,
         "int_ops_per_sec": round(i_ops / i_secs, 1),
         "numpy_ops_per_sec": round(n_ops / n_secs, 1),
-        "block_ops_per_sec": round(b_ops / b_secs, 1),
         "speedup_numpy_vs_int": round(i_secs / n_secs, 2),
     }
 

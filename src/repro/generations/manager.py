@@ -79,7 +79,7 @@ def generation_bounds(k_total: int, generation_size: int) -> list[tuple[int, int
 
 
 class GenerationSource:
-    """Content source emitting LT packets over rotating generations."""
+    """Content source emitting LT packets from uniformly drawn generations."""
 
     def __init__(
         self,
@@ -87,15 +87,9 @@ class GenerationSource:
         generation_size: int,
         content: np.ndarray | None = None,
         rng: np.random.Generator | int | None = None,
-        schedule: str = "random",
     ) -> None:
-        if schedule not in ("random", "round-robin"):
-            raise DimensionError(
-                f"schedule must be 'random' or 'round-robin', got {schedule!r}"
-            )
         self.k_total = k_total
         self.bounds = generation_bounds(k_total, generation_size)
-        self.schedule = schedule
         self.rng = make_rng(rng)
         rngs = spawn(self.rng, len(self.bounds))
         self.sources: list[LtncNode] = []
@@ -104,15 +98,10 @@ class GenerationSource:
             self.sources.append(
                 LtncNode.as_source(size, chunk, rng=rngs[gen], node_id=-1)
             )
-        self._next_rr = 0
 
     def next_packet(self) -> GenerationPacket:
-        """Emit one packet from the scheduled generation."""
-        if self.schedule == "round-robin":
-            gen = self._next_rr
-            self._next_rr = (self._next_rr + 1) % len(self.bounds)
-        else:
-            gen = int(self.rng.integers(len(self.bounds)))
+        """Emit one packet from a uniformly drawn generation."""
+        gen = int(self.rng.integers(len(self.bounds)))
         return GenerationPacket(gen, self.sources[gen].make_packet())
 
 

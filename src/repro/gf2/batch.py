@@ -44,8 +44,6 @@ paper-scale profile's ``k = 2048`` lands here).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.costmodel.counters import OpCounter
@@ -88,8 +86,7 @@ class BatchRref:
 
     Drop-in replacement for :class:`~repro.gf2.matrix.IncrementalRref`
     (same constructor, queries, ``reduce``/``insert``/``decode`` and
-    counter charges), plus :meth:`batch_insert` for processing
-    word-matrix blocks without per-row conversions.
+    counter charges).
     """
 
     def __init__(
@@ -358,51 +355,6 @@ class BatchRref:
                 self._payload_rows[subs] ^= res_payload
             charge_row_xors(counter, int(subs.size), self.ncols)
         return True
-
-    # ------------------------------------------------------------------
-    # Block API
-    # ------------------------------------------------------------------
-    def _as_word_matrix(
-        self, vectors: Sequence[BitVector] | np.ndarray
-    ) -> np.ndarray:
-        if isinstance(vectors, np.ndarray):
-            matrix = np.ascontiguousarray(vectors, dtype=np.uint64)
-            if matrix.ndim != 2 or matrix.shape[1] != self._nwords:
-                raise DimensionError(
-                    f"word matrix shape {matrix.shape} vs expected "
-                    f"(n, {self._nwords})"
-                )
-            return matrix
-        rows = [_vec_to_words(v, self._nwords) for v in vectors]
-        if not rows:
-            return np.empty((0, self._nwords), dtype=np.uint64)
-        return np.stack(rows)
-
-    def batch_insert(
-        self,
-        vectors: Sequence[BitVector] | np.ndarray,
-        payloads: np.ndarray | None = None,
-    ) -> list[bool]:
-        """Insert a block of rows; returns per-row innovation flags.
-
-        Accepts :class:`BitVector` rows or a ``(n, nwords)`` ``uint64``
-        word matrix.  Equivalent to sequential :meth:`insert` calls
-        (results and charges identical) with the per-row conversion
-        hoisted out of the loop.
-        """
-        matrix = self._as_word_matrix(vectors)
-        if payloads is not None and len(payloads) != len(matrix):
-            raise DimensionError(
-                f"{len(payloads)} payloads for {len(matrix)} rows"
-            )
-        out: list[bool] = []
-        for i in range(len(matrix)):
-            payload = None
-            if payloads is not None:
-                payload = np.asarray(payloads[i], dtype=np.uint8)
-            residual, used = self._charged(self._reduce_words(matrix[i]))
-            out.append(self._register(residual, used, payload))
-        return out
 
     # ------------------------------------------------------------------
     def decode(self) -> list[np.ndarray]:

@@ -54,14 +54,6 @@ class ChannelModel:
                     f"{name} must be in [0, 1], got {value}"
                 )
 
-    @property
-    def is_perfect(self) -> bool:
-        return (
-            self.loss_rate == 0.0
-            and self.duplicate_rate == 0.0
-            and self.churn_rate == 0.0
-        )
-
     def loss_for(self, sender: int = -1, receiver: int = -1) -> float:
         """Loss probability on the *sender* → *receiver* link."""
         return self.loss_rate
@@ -139,14 +131,6 @@ class HeterogeneousChannel(ChannelModel):
                 raise SimulationError(
                     f"node_loss[{i}] must be in [0, 1], got {rate}"
                 )
-
-    @property
-    def is_perfect(self) -> bool:
-        return (
-            super().is_perfect
-            and all(rate == 0.0 for rate in self.node_loss)
-            and all(phase.rate == 0.0 for phase in self.churn_phases)
-        )
 
     def loss_for(self, sender: int = -1, receiver: int = -1) -> float:
         if 0 <= receiver < len(self.node_loss):

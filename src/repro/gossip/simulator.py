@@ -133,8 +133,6 @@ class EpidemicSimulator:
         Master seed; node rngs are derived deterministically.
     node_kwargs:
         Forwarded to every node constructor (scheme-specific knobs).
-    source_kwargs:
-        Forwarded to the source constructor.
     sampler:
         Peer-sampling service; uniform by default.
     channel:
@@ -169,7 +167,6 @@ class EpidemicSimulator:
         max_rounds: int = 100_000,
         seed: int | np.random.Generator | None = 0,
         node_kwargs: dict[str, object] | None = None,
-        source_kwargs: dict[str, object] | None = None,
         sampler: PeerSampler | None = None,
         channel: ChannelModel | None = None,
         tracer=None,
@@ -196,9 +193,7 @@ class EpidemicSimulator:
         rngs = spawn(master, n_nodes + 2)
         payload_nbytes = int(content.shape[1]) if content is not None else None
         self.sources: list[SchemeNode] = [
-            self.coding_scheme.make_source(
-                k, content, rng=rngs[0], **(source_kwargs or {})
-            )
+            self.coding_scheme.make_source(k, content, rng=rngs[0])
         ]
         self.nodes: list[SchemeNode] = [
             self.coding_scheme.make_node(
@@ -228,7 +223,6 @@ class EpidemicSimulator:
                     k,
                     content,
                     rng=derive(self._node_rng_seed, "source", j),
-                    **(source_kwargs or {}),
                 )
             )
         self._payload_nbytes = payload_nbytes

@@ -9,11 +9,9 @@ without global state.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
-__all__ = ["make_rng", "derive", "derive_seed", "spawn", "stream"]
+__all__ = ["make_rng", "derive", "derive_seed", "spawn"]
 
 
 def make_rng(seed: int | np.random.Generator | None = None) -> np.random.Generator:
@@ -74,15 +72,3 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     if not isinstance(seq, np.random.SeedSequence):  # pragma: no cover
         seq = np.random.SeedSequence(int(rng.integers(0, 2**63)))
     return [np.random.default_rng(child) for child in seq.spawn(n)]
-
-
-def stream(seed: int, label: str) -> Iterator[np.random.Generator]:
-    """Yield an endless sequence of independent generators.
-
-    Useful for Monte-Carlo loops: ``for rng in stream(seed, "fig7a"): ...``
-    (the caller breaks out after the desired number of runs).
-    """
-    i = 0
-    while True:
-        yield derive(seed, label, i)
-        i += 1

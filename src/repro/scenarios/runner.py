@@ -120,15 +120,13 @@ def parallel_map(
     fn: Callable[[_T], _R],
     items: Sequence[_T],
     n_workers: int = 1,
-    chunksize: int | None = None,
 ) -> list[_R]:
     """Order-preserving map, serially or over worker processes.
 
     *fn* must be a module-level (picklable) callable when
     ``n_workers > 1``.  Results come back in submission order, so the
     caller's aggregation is invariant to the worker count (and to the
-    chunk size, which only batches dispatch).  ``chunksize=None``
-    applies :func:`default_chunksize`.
+    chunk size, :func:`default_chunksize`, which only batches dispatch).
 
     A ``KeyboardInterrupt`` (Ctrl-C on a long sweep) cancels every
     pending future and shuts the pool down instead of leaving orphaned
@@ -138,13 +136,10 @@ def parallel_map(
     """
     if n_workers < 1:
         raise SimulationError(f"n_workers must be >= 1, got {n_workers}")
-    if chunksize is not None and chunksize < 1:
-        raise SimulationError(f"chunksize must be >= 1, got {chunksize}")
     if n_workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     workers = min(n_workers, len(items))
-    if chunksize is None:
-        chunksize = default_chunksize(len(items), workers)
+    chunksize = default_chunksize(len(items), workers)
     with ProcessPoolExecutor(max_workers=workers) as executor:
         try:
             return list(executor.map(fn, items, chunksize=chunksize))

@@ -179,21 +179,6 @@ _LTNC_KNOBS = (
         default=True,
         help="Algorithm 3 storage-side redundancy filter",
     ),
-    Knob(
-        "scan_limit",
-        int,
-        default=None,
-        allow_none=True,
-        minimum=1,
-        help="cap on candidate scans while building a packet",
-    ),
-    Knob(
-        "max_degree_retries",
-        int,
-        default=64,
-        minimum=1,
-        help="re-draws of an unreachable Robust Soliton degree",
-    ),
 )
 
 

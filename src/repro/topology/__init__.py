@@ -6,8 +6,7 @@ feeders, wireless radio ranges, edge-cache hierarchies.  This package
 is the structured counterpart of the uniform substrate:
 
 * :mod:`~repro.topology.graph` — the immutable :class:`Graph` core
-  (adjacency, BFS hops, shortest paths, deterministic connectivity
-  repair);
+  (adjacency, BFS hops, deterministic connectivity repair);
 * :mod:`~repro.topology.generators` — ``line``/``ring``, ``grid2d``,
   ``random_geometric``, ``watts_strogatz``, ``barabasi_albert`` and
   ``edge_tree``, all deterministic under an integer seed, registered
@@ -16,7 +15,7 @@ is the structured counterpart of the uniform substrate:
   targets from graph neighbourhoods with an optional long-range
   escape probability;
 * :mod:`~repro.topology.channel` — :class:`TopologyChannel`, per-link
-  loss from hop distance or edge weights;
+  loss compounding over the hop distance;
 * :mod:`~repro.topology.spec` — the declarative :class:`TopologySpec`
   that :class:`~repro.scenarios.spec.ScenarioSpec` embeds as its
   ``topology`` field.

@@ -1,15 +1,12 @@
 """Topology-derived link loss.
 
 :class:`TopologyChannel` turns a graph into a per-link fault model for
-the simulator's ``channel.loses(rng, sender, receiver)`` hook:
-
-* ``mode="hop"`` — a transfer crossing *d* graph hops survives *d*
-  independent per-hop erasures: ``loss = 1 - (1 - per_hop_loss) ** d``.
-  This is the closed form the ``multihop_lossy`` preset hard-coded per
-  ring; here it is exact per node pair, for any graph.
-* ``mode="weight"`` — each edge carries its own erasure rate (from
-  ``graph.weight``); a multi-hop transfer survives every edge of one
-  shortest path.  Unweighted edges fall back to ``per_hop_loss``.
+the simulator's ``channel.loses(rng, sender, receiver)`` hook: a
+transfer crossing *d* graph hops survives *d* independent per-hop
+erasures, ``loss = 1 - (1 - per_hop_loss) ** d`` — the compounding
+per-hop loss of Kabore et al.'s powerline model.  This is the closed
+form the ``multihop_lossy`` preset hard-coded per ring; here it is
+exact per node pair, for any graph.
 
 The out-of-overlay source (sender id ``-1``) is attached at ``root``,
 so source pushes to distant nodes pay the full multihop price — the
@@ -30,15 +27,12 @@ from repro.topology.graph import Graph
 
 __all__ = ["TopologyChannel"]
 
-_MODES = ("hop", "weight")
-
 
 @dataclass(frozen=True)
 class TopologyChannel(HeterogeneousChannel):
-    """Per-link loss derived from graph distance or edge weights."""
+    """Per-link loss compounding over the graph's hop distance."""
 
     graph: Graph | None = None
-    mode: str = "hop"
     per_hop_loss: float = 0.0
     root: int = 0
     # Memoised pairwise loss; derived state, excluded from eq/repr.
@@ -50,10 +44,6 @@ class TopologyChannel(HeterogeneousChannel):
         super().__post_init__()
         if self.graph is None:
             raise SimulationError("TopologyChannel requires a graph")
-        if self.mode not in _MODES:
-            raise SimulationError(
-                f"mode must be one of {_MODES}, got {self.mode!r}"
-            )
         if not 0.0 <= self.per_hop_loss <= 1.0:
             raise SimulationError(
                 f"per_hop_loss must be in [0, 1], got {self.per_hop_loss}"
@@ -62,13 +52,6 @@ class TopologyChannel(HeterogeneousChannel):
             raise SimulationError(
                 f"root {self.root} outside node range [0, {self.graph.n_nodes})"
             )
-
-    @property
-    def is_perfect(self) -> bool:
-        lossy = self.per_hop_loss > 0.0 or (
-            self.mode == "weight" and self.graph.has_weights
-        )
-        return super().is_perfect and not lossy
 
     # ------------------------------------------------------------------
     def _topology_loss(self, sender: int, receiver: int) -> float:
@@ -80,24 +63,8 @@ class TopologyChannel(HeterogeneousChannel):
         cached = self._loss_cache.get(key)
         if cached is not None:
             return cached
-        if self.mode == "hop":
-            hops = self.graph.hop_distance(u, v)
-            loss = (
-                1.0
-                if hops < 0
-                else 1.0 - (1.0 - self.per_hop_loss) ** hops
-            )
-        else:
-            path = self.graph.shortest_path(u, v)
-            if not path:
-                loss = 1.0
-            else:
-                survive = 1.0
-                for a, b in zip(path, path[1:]):
-                    survive *= 1.0 - self.graph.weight(
-                        a, b, default=self.per_hop_loss
-                    )
-                loss = 1.0 - survive
+        hops = self.graph.hop_distance(u, v)
+        loss = 1.0 if hops < 0 else 1.0 - (1.0 - self.per_hop_loss) ** hops
         self._loss_cache[key] = loss
         return loss
 

@@ -4,9 +4,8 @@ Every structured workload in the suite — powerline grids (Kabore et
 al.), edge-cache hierarchies (Recayte et al.), wireless radio ranges
 (§VI) — is a graph plus a policy for using it.  This module holds the
 graph: an immutable adjacency structure with the queries the samplers
-and channels need (neighbourhoods, BFS hop distances, shortest paths,
-connectivity) and a deterministic connectivity repair used by the
-random generators.
+and channels need (neighbourhoods, BFS hop distances, connectivity)
+and a deterministic connectivity repair used by the random generators.
 
 Hop distances are computed by BFS on demand and memoised per source
 node, so a dissemination run touching every (sender, receiver) pair
@@ -16,7 +15,7 @@ pays each BFS once.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,10 +43,6 @@ class Graph:
     positions:
         Optional ``(n_nodes, 2)`` array of planar coordinates
         (geometric generators fill this in; purely informational).
-    weights:
-        Optional per-edge weights, e.g. link erasure rates for the
-        weight mode of :class:`~repro.topology.channel.TopologyChannel`.
-        Keys are normalised to ``u < v``.
     name:
         Generator tag, for reprs and reports.
     """
@@ -57,7 +52,6 @@ class Graph:
         n_nodes: int,
         edges: Iterable[Edge],
         positions: np.ndarray | None = None,
-        weights: Mapping[Edge, float] | None = None,
         name: str = "graph",
     ) -> None:
         if n_nodes < 1:
@@ -83,19 +77,7 @@ class Graph:
             tuple(sorted(nbrs)) for nbrs in adjacency
         )
         self.positions = positions
-        self._weights: dict[Edge, float] = {}
-        if weights:
-            for (u, v), w in weights.items():
-                key = _canon(int(u), int(v))
-                if key not in edge_set:
-                    raise SimulationError(f"weight on non-edge {key}")
-                if not 0.0 <= float(w) <= 1.0:
-                    raise SimulationError(
-                        f"edge weight must be in [0, 1], got {w} on {key}"
-                    )
-                self._weights[key] = float(w)
         self._hops_cache: dict[int, list[int]] = {}
-        self._parents_cache: dict[int, list[int]] = {}
 
     # -- basic queries -------------------------------------------------
     def neighbors(self, node_id: int) -> list[int]:
@@ -115,18 +97,9 @@ class Graph:
     def edges(self) -> tuple[Edge, ...]:
         return self._edges
 
-    @property
-    def has_weights(self) -> bool:
-        return bool(self._weights)
-
-    def weight(self, u: int, v: int, default: float = 0.0) -> float:
-        """Weight of edge ``(u, v)`` (*default* when unweighted)."""
-        return self._weights.get(_canon(u, v), default)
-
     # -- traversal -----------------------------------------------------
     def _bfs(self, source: int) -> None:
         hops = [-1] * self.n_nodes
-        parents = [-1] * self.n_nodes
         hops[source] = 0
         queue = deque([source])
         while queue:
@@ -134,10 +107,8 @@ class Graph:
             for v in self._adjacency[u]:
                 if hops[v] < 0:
                     hops[v] = hops[u] + 1
-                    parents[v] = u
                     queue.append(v)
         self._hops_cache[source] = hops
-        self._parents_cache[source] = parents
 
     def hops_from(self, source: int) -> list[int]:
         """BFS hop distance from *source* to every node (-1 unreachable)."""
@@ -156,21 +127,6 @@ class Graph:
         if v not in self._hops_cache:
             self._bfs(v)
         return self._hops_cache[v][u]
-
-    def shortest_path(self, u: int, v: int) -> list[int]:
-        """One shortest ``u -> v`` node path (inclusive); [] if none."""
-        if u == v:
-            return [u]
-        if u not in self._parents_cache:
-            self._bfs(u)
-        parents = self._parents_cache[u]
-        if self._hops_cache[u][v] < 0:
-            return []
-        path = [v]
-        while path[-1] != u:
-            path.append(parents[path[-1]])
-        path.reverse()
-        return path
 
     def eccentricity(self, source: int) -> int:
         """Largest hop distance from *source* (graph must be connected)."""
@@ -207,11 +163,7 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.n_nodes == other.n_nodes
-            and self._edges == other._edges
-            and self._weights == other._weights
-        )
+        return self.n_nodes == other.n_nodes and self._edges == other._edges
 
     def __hash__(self) -> int:
         return hash((self.n_nodes, self._edges))

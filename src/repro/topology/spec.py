@@ -29,7 +29,7 @@ from repro.topology.sampling import TopologySampler
 
 __all__ = ["TopologySpec"]
 
-_LOSS_MODES = ("none", "hop", "weight")
+_LOSS_MODES = ("none", "hop")
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,10 @@ class TopologySpec:
 
     ``graph``/``params`` select and parameterise a generator;
     ``escape`` is the sampler's long-range shortcut probability;
-    ``loss_mode`` picks how the channel derives per-link loss
-    (``"none"`` leaves the scenario's channel untouched), with
-    ``per_hop_loss`` the per-hop erasure rate and ``root`` the node the
-    out-of-overlay source is attached to.
+    ``loss_mode`` is ``"none"`` (the scenario's channel stays
+    untouched) or ``"hop"`` (per-hop erasures compound along the hop
+    distance), with ``per_hop_loss`` the per-hop erasure rate and
+    ``root`` the node the out-of-overlay source is attached to.
     """
 
     graph: str = "ring"
@@ -98,9 +98,9 @@ class TopologySpec:
     def wrap_channel(self, graph: Graph, base: ChannelModel) -> ChannelModel:
         """Layer topology-derived loss onto *base* (``loss_mode`` permitting).
 
-        ``loss_mode="none"`` returns *base* unchanged; otherwise the
-        base channel's rates (including per-node loss and churn phases
-        when *base* is heterogeneous) carry over into a
+        ``loss_mode="none"`` returns *base* unchanged; ``"hop"`` carries
+        the base channel's rates (including per-node loss and churn
+        phases when *base* is heterogeneous) over into a
         :class:`TopologyChannel`.
         """
         if self.loss_mode == "none":
@@ -120,7 +120,6 @@ class TopologySpec:
             node_loss=node_loss,
             churn_phases=churn_phases,
             graph=graph,
-            mode=self.loss_mode,
             per_hop_loss=self.per_hop_loss,
             root=self.root,
         )

@@ -143,7 +143,7 @@ def buckets_below(occurrences: OccurrenceTracker, limit: int):
             yield count, sorted(bucket)
 
 
-def _reference_replacement(x, support, components, occurrences, counter, scan_limit):
+def _reference_replacement(x, support, components, occurrences, counter):
     """The candidate walk: :func:`buckets_below` one candidate at a time."""
     freq_x = frequency(occurrences, x)
     if freq_x <= occurrences.min_frequency():
@@ -157,15 +157,12 @@ def _reference_replacement(x, support, components, occurrences, counter, scan_li
             if cc[candidate] == leader and candidate not in support:
                 counter.add("cc_lookup", examined)
                 return candidate, examined
-            if scan_limit is not None and examined >= scan_limit:
-                counter.add("cc_lookup", examined)
-                return None, examined
     counter.add("cc_lookup", examined)
     return None, examined
 
 
 def reference_refine(
-    support, payload, components, occurrences, graph, counter, scan_limit=None
+    support, payload, components, occurrences, graph, counter
 ) -> RefineResult:
     """Algorithm 2 with per-candidate charges."""
     result = RefineResult(support=support, payload=payload)
@@ -173,7 +170,7 @@ def reference_refine(
         if x not in support:
             continue
         replacement, examined = _reference_replacement(
-            x, support, components, occurrences, counter, scan_limit
+            x, support, components, occurrences, counter
         )
         result.candidates_examined += examined
         if replacement is None:
@@ -274,7 +271,6 @@ class _ReferenceBodies:
                 self.occurrences,
                 self.decoder.graph,
                 self.recode_counter,
-                scan_limit=self.scan_limit,
             )
             support, payload = refined.support, refined.payload
             self.stats.substitutions += len(refined.substitutions)

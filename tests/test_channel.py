@@ -57,15 +57,6 @@ def test_heterogeneous_loss_overrides_per_receiver():
     assert all(channel.loses(rng, 5, 1) for _ in range(50))
 
 
-def test_heterogeneous_is_perfect_accounts_for_extras():
-    assert HeterogeneousChannel().is_perfect
-    assert HeterogeneousChannel(node_loss=(0.0, 0.0)).is_perfect
-    assert not HeterogeneousChannel(node_loss=(0.0, 0.2)).is_perfect
-    assert not HeterogeneousChannel(
-        churn_phases=(ChurnPhase(0, None, 0.1),)
-    ).is_perfect
-
-
 def test_churn_phase_window_is_half_open():
     phase = ChurnPhase(start=10, end=20, rate=0.5)
     assert not phase.covers(9)

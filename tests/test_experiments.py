@@ -7,21 +7,22 @@ import pytest
 
 from repro.core.node import PPM
 from repro.errors import SimulationError
-from repro.experiments import (
-    PROFILES,
-    average_completion_time,
-    collect_recoding_stats,
-    cost_series,
-    current_profile,
+from repro.experiments.ablations import (
     feedback_ablation,
-    ltnc_overhead,
-    measure_decoding,
-    measure_recoding,
-    measure_redundant_insertions,
     redundancy_ablation,
     refinement_ablation,
-    run_convergence,
     run_ltnc_variant,
+)
+from repro.experiments.fig7 import (
+    average_completion_time,
+    ltnc_overhead,
+    run_convergence,
+)
+from repro.experiments.fig8 import cost_series, measure_decoding, measure_recoding
+from repro.experiments.scale import PROFILES, current_profile
+from repro.experiments.textstats import (
+    collect_recoding_stats,
+    measure_redundant_insertions,
 )
 from repro.obs import MetricsCollector
 from repro.scenarios import ScenarioSpec

@@ -22,8 +22,6 @@ def test_channel_model_validation():
         ChannelModel(duplicate_rate=-0.1)
     with pytest.raises(SimulationError):
         ChannelModel(churn_rate=2.0)
-    assert ChannelModel().is_perfect
-    assert not ChannelModel(loss_rate=0.1).is_perfect
 
 
 @pytest.mark.parametrize("scheme", ["wc", "rlnc", "ltnc"])

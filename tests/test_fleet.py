@@ -105,16 +105,12 @@ def test_default_chunksize_is_size_aware():
     assert default_chunksize(0, 4) == 1
 
 
-def test_parallel_map_rejects_bad_chunksize():
-    with pytest.raises(SimulationError):
-        parallel_map(abs, [1, 2], n_workers=1, chunksize=0)
-
-
 def test_parallel_map_chunked_preserves_order():
     items = list(range(23))
+    assert default_chunksize(len(items), 3) == 2
     assert parallel_map(_interruptible, [0, 1, 2], n_workers=2) == [0, 2, 4]
     assert (
-        parallel_map(abs, items, n_workers=3, chunksize=5)
+        parallel_map(abs, items, n_workers=3)
         == parallel_map(abs, items, n_workers=1)
         == items
     )

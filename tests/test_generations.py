@@ -23,12 +23,7 @@ def test_generation_bounds():
 
 
 def test_source_schedules():
-    src = GenerationSource(32, 8, schedule="round-robin", rng=0)
-    gens = [src.next_packet().generation for _ in range(8)]
-    assert gens == [0, 1, 2, 3, 0, 1, 2, 3]
-    with pytest.raises(DimensionError):
-        GenerationSource(32, 8, schedule="sorted")
-    random_src = GenerationSource(32, 8, schedule="random", rng=1)
+    random_src = GenerationSource(32, 8, rng=1)
     gens = {random_src.next_packet().generation for _ in range(40)}
     assert gens == {0, 1, 2, 3}
 
@@ -36,9 +31,10 @@ def test_source_schedules():
 def test_lazy_subnode_creation():
     node = GenerationNode(0, 32, 8, rng=2)
     assert node.generations_seen() == []
-    src = GenerationSource(32, 8, schedule="round-robin", rng=3)
-    node.receive(src.next_packet())  # generation 0 only
-    assert node.generations_seen() == [0]
+    src = GenerationSource(32, 8, rng=3)
+    packet = src.next_packet()
+    node.receive(packet)  # one generation only
+    assert node.generations_seen() == [packet.generation]
     assert not node.is_complete()
     with pytest.raises(DimensionError):
         node.subnode(4)

@@ -12,8 +12,6 @@ executable three ways:
   through all three kernels in lock-step, including the receiver's
   check-then-insert pattern whose second reduction the kernels replay
   from the first;
-* the block API (:meth:`batch_insert`) is pinned equivalent to
-  sequential calls, charges included;
 * :func:`make_rref` heuristic selection is pinned (int kernel below
   :data:`BATCH_RREF_MIN_COLS`, numpy at or above, explicit overrides).
 """
@@ -218,48 +216,6 @@ def test_load_identity_equals_unit_inserts(kernel, nbytes, ncols):
 
 
 # ----------------------------------------------------------------------
-# Block API
-# ----------------------------------------------------------------------
-def test_batch_insert_equals_sequential_inserts():
-    ncols, nbytes = 80, 12
-    rng = np.random.default_rng(11)
-    c_seq, c_blk = OpCounter(), OpCounter()
-    seq = BatchRref(ncols, payload_nbytes=nbytes, counter=c_seq)
-    blk = BatchRref(ncols, payload_nbytes=nbytes, counter=c_blk)
-    vecs = [_random_vec(rng, ncols)[0] for _ in range(120)]
-    pays = rng.integers(0, 256, size=(len(vecs), nbytes), dtype=np.uint8)
-    res_seq = [seq.insert(v, p.copy()) for v, p in zip(vecs, pays)]
-    res_blk = blk.batch_insert(vecs, pays)
-    assert res_seq == res_blk
-    assert c_seq.counts == c_blk.counts
-    assert [v.key() for v in seq.basis_rows()] == [
-        v.key() for v in blk.basis_rows()
-    ]
-    assert seq.pivot_columns() == blk.pivot_columns()
-
-
-def test_batch_insert_accepts_word_matrix():
-    ncols = 70
-    rng = np.random.default_rng(13)
-    vecs = [_random_vec(rng, ncols)[0] for _ in range(40)]
-    nwords = (ncols + 63) >> 6
-    matrix = np.stack(
-        [
-            np.frombuffer(v._x.to_bytes(nwords * 8, "little"), dtype=np.uint64)
-            for v in vecs
-        ]
-    )
-    a = BatchRref(ncols)
-    b = BatchRref(ncols)
-    assert a.batch_insert(vecs) == b.batch_insert(matrix)
-    assert a.counter.counts == b.counter.counts
-    assert [v.key() for v in a.basis_rows()] == [
-        v.key() for v in b.basis_rows()
-    ]
-
-
-
-# ----------------------------------------------------------------------
 # make_rref heuristic + validation
 # ----------------------------------------------------------------------
 def test_make_rref_picks_kernel_by_code_length():
@@ -287,12 +243,6 @@ def test_batch_rref_validation():
         r.insert(BitVector.from_indices(9, [0]))
     with pytest.raises(DimensionError):
         r.insert(BitVector.from_indices(8, [0]), np.zeros(5, dtype=np.uint8))
-    with pytest.raises(DimensionError):
-        r.batch_insert(np.zeros((3, 7), dtype=np.uint64))
-    with pytest.raises(DimensionError):
-        r.batch_insert(
-            [BitVector.from_indices(8, [0])], np.zeros((2, 4), dtype=np.uint8)
-        )
     with pytest.raises(DecodingError):
         r.decode()
     sym = BatchRref(1)

@@ -148,20 +148,6 @@ def test_path_pair_payload_telescopes():
     assert counter.get("payload_xor") == 2  # two packets folded
 
 
-def test_scan_limit_bounds_work():
-    k = 40
-    graph, components = _world(k, [(0, i) for i in range(1, 20)])
-    occ = OccurrenceTracker(k)
-    for _ in range(5):
-        occ.record_sent({0})
-    counter = OpCounter()
-    result = refine_packet(
-        {0}, None, components, occ, graph, counter, scan_limit=1
-    )
-    # With a scan limit of 1 only one candidate may be examined per native.
-    assert result.candidates_examined <= 1
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     k=st.integers(3, 14),
@@ -207,11 +193,8 @@ def test_refine_never_increases_variance(k, edges, history, packet, seed):
         st.sets(st.integers(0, 13), min_size=1, max_size=5), max_size=20
     ),
     packet=st.sets(st.integers(0, 13), min_size=1, max_size=6),
-    scan_limit=st.one_of(st.none(), st.integers(1, 6)),
 )
-def test_refine_matches_reference_walk(
-    k, edges, decoded, history, packet, scan_limit
-):
+def test_refine_matches_reference_walk(k, edges, decoded, history, packet):
     """The scan agrees with the candidate-by-candidate walk, charges too."""
     from oracles import reference_refine
 
@@ -242,7 +225,6 @@ def test_refine_matches_reference_walk(
             occ,
             graph,
             counter,
-            scan_limit=scan_limit,
         )
         runs.append(
             (

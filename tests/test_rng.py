@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.rng import derive, make_rng, spawn, stream
+from repro.rng import derive, make_rng, spawn
 
 
 class TestMakeRng:
@@ -46,8 +46,3 @@ class TestSpawnStream:
         assert len(children) == 4
         vals = {int(c.integers(0, 10**9)) for c in children}
         assert len(vals) == 4
-
-    def test_stream_reproducible(self):
-        it1, it2 = stream(7, "mc"), stream(7, "mc")
-        for _ in range(3):
-            assert next(it1).integers(0, 10**9) == next(it2).integers(0, 10**9)

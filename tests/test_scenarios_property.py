@@ -54,7 +54,7 @@ def topology_specs(draw, n_nodes):
     return TopologySpec(
         graph=graph,
         escape=draw(_probability),
-        loss_mode=draw(st.sampled_from(["none", "hop", "weight"])),
+        loss_mode=draw(st.sampled_from(["none", "hop"])),
         per_hop_loss=draw(_probability),
         root=draw(st.integers(min_value=0, max_value=n_nodes - 1)),
     )

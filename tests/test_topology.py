@@ -39,10 +39,6 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 5)])
     with pytest.raises(SimulationError):
         Graph(0, [])
-    with pytest.raises(SimulationError):
-        Graph(3, [(0, 1)], weights={(1, 2): 0.1})  # weight on a non-edge
-    with pytest.raises(SimulationError):
-        Graph(3, [(0, 1)], weights={(0, 1): 1.5})
 
 
 def test_graph_hops_paths_and_components():
@@ -50,9 +46,6 @@ def test_graph_hops_paths_and_components():
     assert g.hops_from(0) == [0, 1, 2, -1, -1, -1]
     assert g.hop_distance(2, 0) == 2
     assert g.hop_distance(0, 3) == -1
-    assert g.shortest_path(0, 2) == [0, 1, 2]
-    assert g.shortest_path(0, 4) == []
-    assert g.shortest_path(5, 5) == [5]
     assert g.components() == [[0, 1, 2], [3, 4], [5]]
     assert not g.is_connected()
     with pytest.raises(SimulationError):
@@ -191,36 +184,23 @@ def test_topology_channel_validation():
     with pytest.raises(SimulationError):
         TopologyChannel(graph=None)
     with pytest.raises(SimulationError):
-        TopologyChannel(graph=ring(5), mode="teleport")
-    with pytest.raises(SimulationError):
         TopologyChannel(graph=ring(5), per_hop_loss=2.0)
     with pytest.raises(SimulationError):
         TopologyChannel(graph=ring(5), root=5)
 
 
 def test_topology_channel_hop_loss_compounds():
-    channel = TopologyChannel(graph=line(6), mode="hop", per_hop_loss=0.1)
+    channel = TopologyChannel(graph=line(6), per_hop_loss=0.1)
     assert channel.loss_for(0, 1) == pytest.approx(0.1)
     assert channel.loss_for(0, 3) == pytest.approx(1 - 0.9**3)
     assert channel.loss_for(-1, 5) == pytest.approx(1 - 0.9**5)  # source at root
     assert channel.loss_for(2, 2) == 0.0
-    assert not channel.is_perfect
-    assert TopologyChannel(graph=line(6)).is_perfect
-
-
-def test_topology_channel_weight_mode_multiplies_along_path():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)], weights={(0, 1): 0.2, (1, 2): 0.5})
-    channel = TopologyChannel(graph=g, mode="weight", per_hop_loss=0.1)
-    assert channel.loss_for(0, 1) == pytest.approx(0.2)
-    # Unweighted edge (2, 3) falls back to per_hop_loss.
-    assert channel.loss_for(0, 3) == pytest.approx(1 - 0.8 * 0.5 * 0.9)
-    assert not channel.is_perfect
+    assert TopologyChannel(graph=line(6)).loss_for(0, 5) == 0.0
 
 
 def test_topology_channel_inherits_churn_and_node_loss():
     channel = TopologyChannel(
         graph=ring(4),
-        mode="hop",
         per_hop_loss=0.0,
         node_loss=(0.0, 0.5, 0.0, 0.0),
         churn_phases=(ChurnPhase(start=2, end=4, rate=0.9),),
@@ -234,8 +214,8 @@ def test_topology_channel_inherits_churn_and_node_loss():
 def test_topology_spec_validation():
     with pytest.raises(SimulationError):
         TopologySpec(graph="escher")
-    with pytest.raises(SimulationError):
-        TopologySpec(loss_mode="quantum")
+    with pytest.raises(SimulationError, match=r"\('none', 'hop'\)"):
+        TopologySpec(loss_mode="weight")
     with pytest.raises(SimulationError):
         TopologySpec(escape=-0.1)
     with pytest.raises(SimulationError):
