@@ -9,7 +9,9 @@ binary.
 
 from __future__ import annotations
 
-from repro.experiments.ablations import feedback_ablation
+from repro.experiments.ablations import AblationOutcome
+from repro.experiments.textstats import run_with_telemetry
+from repro.scenarios import expand_scenarios
 
 from conftest import WORKERS, run_once_benchmark
 
@@ -18,13 +20,18 @@ def test_ablation_feedback(benchmark, profile, reporter):
     n, k = profile.n_nodes, profile.k_default
 
     def experiment():
-        return feedback_ablation(
-            n_nodes=n,
-            k=k,
-            seed=94,
-            monte_carlo=profile.monte_carlo,
-            n_workers=WORKERS,
+        aggregates, telemetry = run_with_telemetry(
+            expand_scenarios(["ablation_feedback"], profile),
+            profile.monte_carlo,
+            94,
+            WORKERS,
         )
+        return {
+            name.removeprefix("feedback-"): AblationOutcome.from_run(
+                aggregate, telemetry[name]
+            )
+            for name, aggregate in aggregates.items()
+        }
 
     outcomes = run_once_benchmark(benchmark, experiment)
     rep = reporter("ablation_feedback")

@@ -8,7 +8,9 @@ RSD inflates, and the decoder needs more packets (higher overhead).
 
 from __future__ import annotations
 
-from repro.experiments.ablations import refinement_ablation
+from repro.experiments.ablations import AblationOutcome
+from repro.experiments.textstats import run_with_telemetry
+from repro.scenarios import expand_scenarios
 
 from conftest import WORKERS, run_once_benchmark
 
@@ -17,13 +19,16 @@ def test_ablation_refinement(benchmark, profile, reporter):
     n, k = profile.n_nodes, profile.k_default
 
     def experiment():
-        return refinement_ablation(
-            n_nodes=n,
-            k=k,
-            seed=92,
-            monte_carlo=profile.monte_carlo,
-            n_workers=WORKERS,
+        aggregates, telemetry = run_with_telemetry(
+            expand_scenarios(["ablation_refinement"], profile),
+            profile.monte_carlo,
+            92,
+            WORKERS,
         )
+        return {
+            name: AblationOutcome.from_run(aggregate, telemetry[name])
+            for name, aggregate in aggregates.items()
+        }
 
     outcomes = run_once_benchmark(benchmark, experiment)
     rep = reporter("ablation_refinement")

@@ -11,32 +11,20 @@ or stalls.
 
 from __future__ import annotations
 
-from repro.scenarios import FleetRunner, ScenarioSpec
+from repro.scenarios import FleetRunner, expand_scenarios
 
 from conftest import WORKERS, run_once_benchmark
 
 
 def test_ablation_structure(benchmark, profile, reporter):
     n, k = profile.n_nodes, profile.k_default
-    # Bounded horizon: random recoding may stall outright, which the
-    # report treats as the (even stronger) expected outcome.
-    horizon = min(profile.max_rounds, 10_000)
 
     def experiment():
-        cells = [
-            ScenarioSpec(
-                name=f"structure:{scheme}",
-                scheme=scheme,
-                n_nodes=n,
-                k=k,
-                source_pushes=profile.source_pushes,
-                max_rounds=horizon,
-                node_kwargs={"aggressiveness": 0.01},
-            )
-            for scheme in ("ltnc", "rndlt")
-        ]
+        # One trial per cell, over a bounded horizon: random recoding
+        # may stall outright, which the report treats as the (even
+        # stronger) expected outcome.
         aggregates = FleetRunner(n_workers=WORKERS).run_grid(
-            cells, 1, master_seed=96
+            expand_scenarios(["ablation_structure"], profile), 1, master_seed=96
         )
         return {
             name.removeprefix("structure:"): aggregate.trials[0]

@@ -11,28 +11,28 @@ helping costs the epidemic dearly.
 
 from __future__ import annotations
 
-from repro.experiments.ablations import run_ltnc_variant
+from repro.experiments.ablations import AblationOutcome
+from repro.experiments.textstats import run_with_telemetry
+from repro.scenarios import expand_scenarios
 
 from conftest import WORKERS, run_once_benchmark
-
-TRIGGERS = (0.01, 0.05, 0.25, 0.75)
 
 
 def test_aggressiveness_sweep(benchmark, profile, reporter):
     n, k = profile.n_nodes, profile.k_default
 
     def experiment():
+        aggregates, telemetry = run_with_telemetry(
+            expand_scenarios(["aggressiveness_sweep"], profile),
+            profile.monte_carlo,
+            98,
+            WORKERS,
+        )
         return {
-            trigger: run_ltnc_variant(
-                f"aggr-{trigger}",
-                n,
-                k,
-                seed=98,
-                monte_carlo=profile.monte_carlo,
-                n_workers=WORKERS,
-                aggressiveness=trigger,
+            aggregate.scenario.node_kwargs["aggressiveness"]: (
+                AblationOutcome.from_run(aggregate, telemetry[name])
             )
-            for trigger in TRIGGERS
+            for name, aggregate in aggregates.items()
         }
 
     outcomes = run_once_benchmark(benchmark, experiment)

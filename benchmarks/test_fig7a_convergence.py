@@ -8,8 +8,12 @@ coding gain.
 
 from __future__ import annotations
 
-from repro.experiments.fig7 import run_convergence
+import tempfile
+
+from repro.experiments.fig7 import ConvergenceCurve
 from repro.experiments.plot import ascii_chart
+from repro.obs import ObsSpec
+from repro.scenarios import FleetRunner, expand_scenarios
 
 from conftest import WORKERS, run_once_benchmark
 
@@ -23,19 +27,18 @@ def test_fig7a_convergence(benchmark, profile, reporter):
     n, k = profile.n_nodes, profile.k_default
 
     def experiment():
-        return {
-            scheme: run_convergence(
-                scheme,
-                n_nodes=n,
-                k=k,
-                monte_carlo=profile.monte_carlo,
-                seed=70,
-                source_pushes=profile.source_pushes,
-                max_rounds=profile.max_rounds,
-                n_workers=WORKERS,
+        with tempfile.TemporaryDirectory() as trace_dir:
+            cells = [
+                cell.with_(obs=ObsSpec(trace_dir=trace_dir))
+                for cell in expand_scenarios(["fig7a_convergence"], profile)
+            ]
+            aggregates = FleetRunner(n_workers=WORKERS).run_grid(
+                cells, profile.monte_carlo, master_seed=70
             )
-            for scheme in ("wc", "ltnc", "rlnc")
-        }
+            return {
+                a.scenario.scheme: ConvergenceCurve.from_traces(a, trace_dir)
+                for a in aggregates.values()
+            }
 
     curves = run_once_benchmark(benchmark, experiment)
     rep = reporter("fig7a_convergence")

@@ -7,7 +7,7 @@ grows.
 
 from __future__ import annotations
 
-from repro.experiments.fig7 import average_completion_time
+from repro.scenarios import FleetRunner, expand_scenarios
 
 from conftest import WORKERS, run_once_benchmark
 
@@ -22,21 +22,16 @@ def test_fig7b_completion_time(benchmark, profile, reporter):
     ks = profile.k_sweep
 
     def experiment():
+        aggregates = FleetRunner(n_workers=WORKERS).run_grid(
+            expand_scenarios(["fig7b_completion_time"], profile),
+            profile.monte_carlo,
+            master_seed=71,
+        )
         table = {}
-        for scheme in ("wc", "ltnc", "rlnc"):
-            table[scheme] = [
-                average_completion_time(
-                    scheme,
-                    n_nodes=n,
-                    k=k,
-                    monte_carlo=profile.monte_carlo,
-                    seed=71,
-                    source_pushes=profile.source_pushes,
-                    max_rounds=profile.max_rounds,
-                    n_workers=WORKERS,
-                )
-                for k in ks
-            ]
+        for aggregate in aggregates.values():  # scheme-major, k ascending
+            table.setdefault(aggregate.scenario.scheme, []).append(
+                aggregate.mean("average_completion_round")
+            )
         return table
 
     table = run_once_benchmark(benchmark, experiment)

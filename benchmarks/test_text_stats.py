@@ -17,9 +17,11 @@ magnitude and direction.
 from __future__ import annotations
 
 from repro.experiments.textstats import (
-    collect_recoding_stats,
+    RecodingStats,
     measure_redundant_insertions,
+    run_with_telemetry,
 )
+from repro.scenarios import expand_scenarios
 
 from conftest import WORKERS, run_once_benchmark
 
@@ -28,14 +30,11 @@ def test_text_stats(benchmark, profile, reporter):
     n, k = profile.n_nodes, profile.k_default
 
     def experiment():
-        recoding = collect_recoding_stats(
-            n_nodes=n,
-            k=k,
-            seed=90,
-            max_rounds=profile.max_rounds,
-            monte_carlo=profile.monte_carlo,
-            n_workers=WORKERS,
+        (cell,) = expand_scenarios(["text_stats"], profile)
+        _, telemetry = run_with_telemetry(
+            [cell], profile.monte_carlo, 90, WORKERS
         )
+        recoding = RecodingStats.from_section(telemetry[cell.name])
         redundancy = measure_redundant_insertions(
             k=k, seed=91, monte_carlo=profile.monte_carlo
         )

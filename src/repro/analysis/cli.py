@@ -28,7 +28,6 @@ __all__ = ["build_parser", "main", "report_payload"]
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
-EXIT_USAGE = 2
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,5 +1,7 @@
-"""Experiment harnesses regenerating the paper's figures and statistics.
+"""Experiment readers regenerating the paper's figures and statistics.
 
+The simulated grids are scenario groups of
+:mod:`repro.scenarios.presets`; the modules here read their results.
 One module per evaluation artefact: :mod:`~repro.experiments.fig7`
 (dissemination performance), :mod:`~repro.experiments.fig8`
 (computational cost), :mod:`~repro.experiments.textstats` (in-text

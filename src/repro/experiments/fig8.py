@@ -129,14 +129,6 @@ def measure_decoding(
     )
 
 
-def _measure_args(args: tuple) -> CostPoint:
-    """Tuple-splat shim so worker processes can pickle the call."""
-    operation, scheme, k, samples, seed, model = args
-    if operation == "recoding":
-        return measure_recoding(scheme, k, samples=samples, seed=seed, model=model)
-    return measure_decoding(scheme, k, seed=seed, model=model)
-
-
 def cost_series(
     operation: str,
     ks: tuple[int, ...],
@@ -144,27 +136,19 @@ def cost_series(
     samples: int = 200,
     seed: int = 0,
     model: CycleModel | None = None,
-    n_workers: int = 1,
 ) -> dict[str, list[CostPoint]]:
     """A full Figure 8 panel: one series per scheme over the k sweep.
 
-    *operation* is ``"recoding"`` or ``"decoding"``.  The (scheme, k)
-    grid is independent, so ``n_workers > 1`` fans the measurements out
-    across processes without changing any number.
+    *operation* is ``"recoding"`` or ``"decoding"``.
     """
     if operation not in ("recoding", "decoding"):
         raise SimulationError(
             f"operation must be 'recoding' or 'decoding', got {operation!r}"
         )
-    from repro.scenarios.runner import parallel_map
 
-    grid = [
-        (operation, scheme, k, samples, seed, model)
-        for scheme in schemes
-        for k in ks
-    ]
-    points = parallel_map(_measure_args, grid, n_workers)
-    series: dict[str, list[CostPoint]] = {scheme: [] for scheme in schemes}
-    for (_, scheme, _, _, _, _), point in zip(grid, points):
-        series[scheme].append(point)
-    return series
+    def measure(scheme: str, k: int) -> CostPoint:
+        if operation == "recoding":
+            return measure_recoding(scheme, k, samples=samples, seed=seed, model=model)
+        return measure_decoding(scheme, k, seed=seed, model=model)
+
+    return {scheme: [measure(scheme, k) for k in ks] for scheme in schemes}

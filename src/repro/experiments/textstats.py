@@ -12,10 +12,12 @@ The paper quotes four simulation statistics outside its figures:
   structures by 31 % (§III-C1).
 
 TXT1-TXT3 pool the ``ltnc:*`` telemetry of every node of Monte-Carlo
-fleet runs.  TXT4 feeds one node identical, redundancy-rich packet
-streams twice (detection on / off) and labels every packet with an
-exact rank oracle — the oracle is test-side instrumentation and is not
-charged to the node's counters.
+fleet runs of the ``text_stats`` scenario group
+(:mod:`repro.scenarios.presets`); :meth:`RecodingStats.from_section`
+reads them off the cell's telemetry section.  TXT4 feeds one node
+identical, redundancy-rich packet streams twice (detection on / off)
+and labels every packet with an exact rank oracle — the oracle is
+test-side instrumentation and is not charged to the node's counters.
 """
 
 from __future__ import annotations
@@ -29,12 +31,9 @@ from repro.lt.distributions import RobustSoliton
 from repro.lt.encoder import LTEncoder
 from repro.rng import derive, derive_seed, make_rng
 from repro.scenarios.fleet import FleetRunner
-from repro.scenarios.spec import ScenarioSpec
-from repro.schemes import LTNC_AGGRESSIVENESS
 
 __all__ = [
     "RecodingStats",
-    "collect_recoding_stats",
     "occurrence_rsd",
     "run_with_telemetry",
     "RedundancyStats",
@@ -68,35 +67,19 @@ class RecodingStats:
     occurrence_rsd: float
     packets_recoded: int
 
-
-def collect_recoding_stats(
-    n_nodes: int = 32,
-    k: int = 128,
-    seed: int = 0,
-    max_rounds: int = 200_000,
-    aggressiveness: float = LTNC_AGGRESSIVENESS,
-    monte_carlo: int = 3,
-    n_workers: int = 1,
-) -> RecodingStats:
-    """Pool the §III-B statistics over *monte_carlo* LTNC disseminations."""
-    cell = ScenarioSpec(
-        name=f"textstats:n{n_nodes}:k{k}",
-        n_nodes=n_nodes,
-        k=k,
-        max_rounds=max_rounds,
-        node_kwargs={"aggressiveness": aggressiveness},
-    )
-    _, telemetry = run_with_telemetry([cell], monte_carlo, seed, n_workers)
-    section = telemetry[cell.name]
-    pooled = LtncStats.from_counters(section["counters"])
-    return RecodingStats(
-        first_pick_acceptance=pooled.first_pick_acceptance,
-        average_retries=pooled.average_retries,
-        build_hit_rate=pooled.build_hit_rate,
-        average_relative_deviation=pooled.average_relative_deviation,
-        occurrence_rsd=occurrence_rsd(section),
-        packets_recoded=pooled.packets_sent,
-    )
+    @classmethod
+    def from_section(cls, section: dict[str, object]) -> "RecodingStats":
+        """The statistics pooled over every LTNC node of a telemetry
+        *section* (one cell's trials, merged)."""
+        pooled = LtncStats.from_counters(section["counters"])
+        return cls(
+            first_pick_acceptance=pooled.first_pick_acceptance,
+            average_retries=pooled.average_retries,
+            build_hit_rate=pooled.build_hit_rate,
+            average_relative_deviation=pooled.average_relative_deviation,
+            occurrence_rsd=occurrence_rsd(section),
+            packets_recoded=pooled.packets_sent,
+        )
 
 
 @dataclass(frozen=True)

@@ -384,23 +384,15 @@ def make_rref(
     ncols: int,
     payload_nbytes: int | None = None,
     counter: OpCounter | None = None,
-    backend: str = "auto",
 ) -> "IncrementalRref | BatchRref":
     """Pick the RREF kernel for a code length.
 
-    ``backend`` is ``"auto"`` (int kernel below
-    :data:`BATCH_RREF_MIN_COLS` columns, :class:`BatchRref` at or
-    above — the paper-scale ``k = 2048`` profile lands on numpy),
-    ``"int"`` or ``"numpy"``.  Both kernels are result- and
+    The int kernel below :data:`BATCH_RREF_MIN_COLS` columns,
+    :class:`BatchRref` at or above (the paper-scale ``k = 2048``
+    profile lands on numpy).  Both kernels are result- and
     charge-identical, so the choice is invisible to everything but the
     wall clock.
     """
-    if backend not in ("auto", "int", "numpy"):
-        raise DimensionError(
-            f"backend must be 'auto', 'int' or 'numpy', got {backend!r}"
-        )
-    if backend == "numpy" or (
-        backend == "auto" and ncols >= BATCH_RREF_MIN_COLS
-    ):
+    if ncols >= BATCH_RREF_MIN_COLS:
         return BatchRref(ncols, payload_nbytes=payload_nbytes, counter=counter)
     return IncrementalRref(ncols, payload_nbytes=payload_nbytes, counter=counter)

@@ -149,10 +149,11 @@ class EpidemicSimulator:
     metrics:
         Optional :class:`repro.obs.metrics.MetricsCollector`; the run
         records its mergeable telemetry (counters, gauges, histograms)
-        into it after the loop finishes, and so does every node with a
-        ``record_telemetry`` method (LTNC's ``ltnc:*`` statistics).
-        Recording reads only final state — no rng draws, no OpCounter
-        charges.
+        into it after the loop finishes.  Every node with a
+        ``record_telemetry`` method (LTNC's ``ltnc:*`` statistics)
+        records its own when its counts are folded: at churn for the
+        node that dies, after the loop for the rest.  Recording draws
+        no rng and charges no OpCounter.
     """
 
     def __init__(
@@ -497,7 +498,10 @@ class EpidemicSimulator:
 
     # ------------------------------------------------------------------
     def _fold_ops(self, nodes: list[SchemeNode]) -> None:
-        """Fold *nodes*' operation counters into the result."""
+        """Fold *nodes*' lifetime counts out of them: operation counters
+        into the result and, with a collector attached, each node's own
+        telemetry into it.  Churn folds a dying node here and the run
+        folds the final membership, so no node's counts are lost."""
         for node in nodes:
             recode = getattr(node, "recode_counter", None)
             decode = getattr(node, "decode_counter", None)
@@ -505,9 +509,15 @@ class EpidemicSimulator:
                 self.result.recode_ops.merge(recode)
             if decode is not None:
                 self.result.decode_ops.merge(decode)
+        if self.metrics is not None:
+            for node in nodes:
+                record = getattr(node, "record_telemetry", None)
+                if record is not None:
+                    record(self.metrics)
 
     def _telemetry(self, m: MetricsCollector) -> None:
-        """Record this run's own telemetry (after the collect step)."""
+        """Record this run's own telemetry (after the collect step, which
+        recorded the nodes' own)."""
         result = self.result
         m.label("scheme", self.scheme)
         for side, ops in (("recode", result.recode_ops), ("decode", result.decode_ops)):
@@ -521,10 +531,6 @@ class EpidemicSimulator:
                 result.data_until_complete.get(node_id, self.k),
                 boundaries=VOLUME_BOUNDARIES,
             )
-        for node in self.nodes:
-            record = getattr(node, "record_telemetry", None)
-            if record is not None:
-                record(m)
 
 
 def run_dissemination(

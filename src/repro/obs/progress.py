@@ -41,6 +41,10 @@ PROGRESS_VERSION = 1
 #: Signature of a fleet progress callback.
 ProgressCallback = Callable[["FleetProgress"], None]
 
+#: Smoothing factor of the trials/sec EMA: each freshly run shard moves
+#: the estimate halfway towards its own rate.
+EMA_ALPHA = 0.5
+
 
 @dataclasses.dataclass(frozen=True)
 class FleetProgress:
@@ -79,21 +83,11 @@ class ProgressTracker:
     ----------
     shards_total, trials_total:
         Grid-wide totals, known up front from the resolved shard plan.
-    ema_alpha:
-        Smoothing factor for the trials/sec EMA (1.0 = last shard only).
     """
 
-    def __init__(
-        self,
-        shards_total: int,
-        trials_total: int,
-        ema_alpha: float = 0.5,
-    ) -> None:
-        if not 0.0 < ema_alpha <= 1.0:
-            raise ValueError(f"ema_alpha must be in (0, 1], got {ema_alpha}")
+    def __init__(self, shards_total: int, trials_total: int) -> None:
         self.shards_total = shards_total
         self.trials_total = trials_total
-        self.ema_alpha = ema_alpha
         self.shards_done = 0
         self.trials_done = 0
         self._rate: float | None = None
@@ -119,7 +113,7 @@ class ProgressTracker:
             if self._rate is None:
                 self._rate = rate
             else:
-                self._rate += self.ema_alpha * (rate - self._rate)
+                self._rate += EMA_ALPHA * (rate - self._rate)
         remaining = max(0, self.trials_total - self.trials_done)
         eta = remaining / self._rate if self._rate else None
         return FleetProgress(

@@ -9,8 +9,10 @@ JSON-serialisable workload description that compiles into a configured
 ``powerline_multihop`` riding :mod:`repro.topology`, plus the
 multi-content ``zipf_catalogue``, ``edge_cache_catalogue`` and
 ``striped_vod`` riding :mod:`repro.content`, plus ``sparse_rlnc``
-riding the :mod:`repro.schemes` registry);
-groups of them and ``<preset>[<scheme>]`` re-pointings expand through
+riding the :mod:`repro.schemes` registry), and the figure grids of the
+paper's evaluation (``fig7a_convergence`` ... ``text_stats``, one
+group per report under ``benchmarks/out/``);
+groups and ``<preset>[<scheme>]`` re-pointings expand through
 :func:`expand_scenarios`; :mod:`~repro.scenarios.fleet` runs
 scenario × seed grids as checkpointable shards with interrupt-safe
 resume (:class:`FleetRunner`, the one grid runner), over the worker
@@ -20,7 +22,8 @@ mean/CI summaries with deterministic JSON export.
 
 CLI (the one sweep CLI): ``python -m repro.scenarios --scenario churn
 --trials 8 --workers 4 --seed 7``, or ``--scenario topology``,
-``content``, ``schemes``, ``'baseline[wc]' 'baseline[rlnc]'``, ...
+``content``, ``schemes``, ``fig7b_completion_time``,
+``'baseline[wc]' 'baseline[rlnc]'``, ...
 """
 
 from repro.content.spec import CatalogueSpec, ContentSpec

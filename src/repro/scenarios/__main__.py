@@ -11,12 +11,19 @@ Examples::
     python -m repro.scenarios --scenario 'baseline[wc]' 'baseline[rlnc]'
     python -m repro.scenarios --scenario all --trials 25 --workers 8 \
         --shards 4 --checkpoint-dir benchmarks/out/checkpoints --resume
+    python -m repro.scenarios --scenario fig7b_completion_time --trials 25 \
+        --workers 8 --seed 71 --scale paper --checkpoint-dir ckpt --resume
 
 ``--scenario`` takes one or more names.  A name is a preset, a group
 (``all``; ``topology`` and ``content``, each ``baseline`` plus the
 graph-structured or catalogue presets; ``schemes``, every registered
-scheme over ``baseline``) or ``<preset>[<scheme>]``, the preset under
-another coding scheme with that scheme's default knobs.
+scheme over ``baseline``; a figure grid, named after its report under
+``benchmarks/out/``: ``fig7a_convergence``, ``fig7b_completion_time``,
+``fig7c_overhead``, ``ablation_refinement``, ``ablation_redundancy``,
+``ablation_feedback``, ``ablation_structure``,
+``aggressiveness_sweep``, ``text_stats``) or ``<preset>[<scheme>]``,
+the preset under another coding scheme with that scheme's default
+knobs.  ``--list`` names every group's cells at the chosen scale.
 
 Stdout is the aggregated JSON: one aggregate for a single scenario,
 else an object keyed by scenario name.  It is deterministic for a
@@ -78,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=["baseline"],
         metavar="NAME",
-        help="presets, groups ('all', 'topology', 'content', 'schemes') "
-        "or '<preset>[<scheme>]' (see --list)",
+        help="presets, groups ('all', 'topology', 'content', 'schemes', "
+        "the figure grids) or '<preset>[<scheme>]' (see --list)",
     )
     parser.add_argument(
         "--trials", type=int, default=4, help="Monte-Carlo repetitions"
@@ -102,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list",
         action="store_true",
-        help="list scenario presets and groups and exit",
+        help="list scenario presets and groups (their cells at the "
+        "chosen scale) and exit",
     )
     parser.add_argument(
         "--schemes",
@@ -220,12 +228,12 @@ def _print_table(header: list[str], rows: list[list[str]]) -> None:
         print(fmt.format(*line), file=sys.stderr)
 
 
-def _list_catalogue() -> None:
+def _list_catalogue(profile) -> None:
     for name in preset_names():
         lines = (PRESETS[name].__doc__ or "").strip().splitlines()
         summary = lines[0] if lines else ""
         print(f"{name:20s} {summary}" if summary else name)
-    for name, members in scenario_groups().items():
+    for name, members in scenario_groups(profile).items():
         print(f"{name:20s} group: {' '.join(members)}")
 
 
@@ -243,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list:
-        _list_catalogue()
+        _list_catalogue(_profile(parser, args.scale))
         return 0
     if args.schemes:
         _list_schemes()

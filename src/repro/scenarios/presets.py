@@ -74,9 +74,20 @@ Add a scenario by writing a ``def my_scenario(profile) -> ScenarioSpec``
 factory and registering it in :data:`PRESETS`; everything downstream
 (CLI, runner, benches, golden tests) picks it up by name.
 
+The figures of the evaluation are grids of cells, declared here once
+and named after the report their bench writes under
+``benchmarks/out/`` (:data:`FIGURES`): ``fig7a_convergence``,
+``fig7b_completion_time``, ``fig7c_overhead``, ``ablation_refinement``,
+``ablation_redundancy``, ``ablation_feedback``, ``ablation_structure``,
+``aggressiveness_sweep`` and ``text_stats``.  A cell's trial seeds
+derive from its name (``fig7:<scheme>:n<N>:k<k>``, ``refine-on``,
+``aggr-0.05``, ``textstats:n<N>:k<k>``, ...), so a figure's numbers
+depend only on these declarations, the master seed and the trial
+count.
+
 Sweeps name their scenarios with :func:`expand_scenarios`, which
 accepts, besides preset names, the groups of :func:`scenario_groups`
-(``all``, ``topology``, ``content``, ``schemes``) and
+(``all``, ``topology``, ``content``, ``schemes`` and the figures) and
 ``<preset>[<scheme>]``: the preset re-pointed at a registered coding
 scheme with that scheme's default node knobs (:func:`get_scenario`).
 """
@@ -97,6 +108,7 @@ __all__ = [
     "PRESETS",
     "TOPOLOGY_PRESETS",
     "CONTENT_PRESETS",
+    "FIGURES",
     "baseline",
     "multihop_lossy",
     "edge_cache",
@@ -110,6 +122,15 @@ __all__ = [
     "striped_vod",
     "sparse_rlnc",
     "large_overlay",
+    "fig7a_convergence",
+    "fig7b_completion_time",
+    "fig7c_overhead",
+    "ablation_refinement",
+    "ablation_redundancy",
+    "ablation_feedback",
+    "ablation_structure",
+    "aggressiveness_sweep",
+    "text_stats",
     "expand_scenarios",
     "get_preset",
     "get_scenario",
@@ -127,7 +148,7 @@ def _profile(profile=None):
     if profile is not None:
         return profile
     # Imported lazily: repro.experiments imports repro.scenarios for
-    # its parallel map, so a module-level import here would be a cycle.
+    # the fleet, so a module-level import here would be a cycle.
     from repro.experiments.scale import current_profile
 
     return current_profile()
@@ -467,6 +488,151 @@ CONTENT_PRESETS: tuple[str, ...] = (
 )
 
 
+# -- figure grids ---------------------------------------------------------
+
+
+def _cell(p, name: str, scheme: str = "ltnc", **fields) -> ScenarioSpec:
+    """A figure cell at the profile's overlay size, code length, push
+    rate and horizon, unless *fields* say otherwise."""
+    sizes = {
+        "n_nodes": p.n_nodes,
+        "k": p.k_default,
+        "source_pushes": p.source_pushes,
+        "max_rounds": p.max_rounds,
+    }
+    return ScenarioSpec(name=name, scheme=scheme, **{**sizes, **fields})
+
+
+def _fig7_cell(p, scheme: str, k: int) -> ScenarioSpec:
+    """One Fig. 7 point, ``fig7:<scheme>:n<N>:k<k>``, under the scheme's
+    experiment defaults (LTNC's 1 % aggressiveness, §IV-A)."""
+    return _cell(
+        p,
+        f"fig7:{scheme}:n{p.n_nodes}:k{k}",
+        scheme,
+        k=k,
+        node_kwargs=dict(get_scheme(scheme).default_node_kwargs),
+    )
+
+
+def _ltnc_cell(p, name: str, feedback: str = "binary", **node_kwargs) -> ScenarioSpec:
+    """An LTNC cell under variant knobs."""
+    return _cell(
+        p, name, feedback=feedback, node_kwargs={**_LTNC_NODE_KWARGS, **node_kwargs}
+    )
+
+
+_FIG7_SCHEMES = ("wc", "ltnc", "rlnc")
+
+
+def fig7a_convergence(profile=None) -> list[ScenarioSpec]:
+    """Fig. 7a: WC, LTNC and RLNC at the profile's code length."""
+    p = _profile(profile)
+    return [_fig7_cell(p, scheme, p.k_default) for scheme in _FIG7_SCHEMES]
+
+
+def fig7b_completion_time(profile=None) -> list[ScenarioSpec]:
+    """Fig. 7b: WC, LTNC and RLNC over the profile's k sweep."""
+    p = _profile(profile)
+    return [
+        _fig7_cell(p, scheme, k) for scheme in _FIG7_SCHEMES for k in p.k_sweep
+    ]
+
+
+def fig7c_overhead(profile=None) -> list[ScenarioSpec]:
+    """Fig. 7c: LTNC over the k sweep, then WC and RLNC at its first k.
+
+    The two baselines (``fig7c:<scheme>``) check exactly: their
+    overhead is zero in every trial, so the bench runs them once.
+    """
+    p = _profile(profile)
+    return [_fig7_cell(p, "ltnc", k) for k in p.k_sweep] + [
+        _cell(p, f"fig7c:{scheme}", scheme, k=p.k_sweep[0])
+        for scheme in ("wc", "rlnc")
+    ]
+
+
+def ablation_refinement(profile=None) -> list[ScenarioSpec]:
+    """Algorithm 2 (refinement, §III-B3) on vs off."""
+    p = _profile(profile)
+    return [
+        _ltnc_cell(p, "refine-on", refine=True),
+        _ltnc_cell(p, "refine-off", refine=False),
+    ]
+
+
+def ablation_redundancy(profile=None) -> list[ScenarioSpec]:
+    """Algorithm 3 (redundancy detection, §III-C1) as drop policy, on vs off.
+
+    The binary feedback header check stays on in both arms (it is a
+    transport feature); the ablated mechanism is the storage-side
+    filtering of packets at reception and during decoding.
+    """
+    p = _profile(profile)
+    return [
+        _ltnc_cell(p, "detect-on", detect_redundancy=True),
+        _ltnc_cell(p, "detect-off", detect_redundancy=False),
+    ]
+
+
+def ablation_feedback(profile=None) -> list[ScenarioSpec]:
+    """Transport feedback none vs binary vs full (§III-C2)."""
+    p = _profile(profile)
+    return [
+        _ltnc_cell(p, f"feedback-{mode}", feedback=mode)
+        for mode in ("none", "binary", "full")
+    ]
+
+
+def ablation_structure(profile=None) -> list[ScenarioSpec]:
+    """LTNC vs random recoding of LT packets (``rndlt``, §V).
+
+    Both decode by belief propagation.  The horizon is capped at
+    10,000 rounds, because random recoding may stall outright.
+    """
+    p = _profile(profile)
+    return [
+        _cell(
+            p,
+            f"structure:{scheme}",
+            scheme,
+            max_rounds=min(p.max_rounds, 10_000),
+            node_kwargs=dict(_LTNC_NODE_KWARGS),
+        )
+        for scheme in ("ltnc", "rndlt")
+    ]
+
+
+def aggressiveness_sweep(profile=None) -> list[ScenarioSpec]:
+    """LTNC's recoding trigger (§IV-A), from eager to late."""
+    p = _profile(profile)
+    return [
+        _ltnc_cell(p, f"aggr-{trigger}", aggressiveness=trigger)
+        for trigger in (0.01, 0.05, 0.25, 0.75)
+    ]
+
+
+def text_stats(profile=None) -> list[ScenarioSpec]:
+    """The LTNC dissemination whose ``ltnc:*`` telemetry gives TXT1-TXT3."""
+    p = _profile(profile)
+    return [_ltnc_cell(p, f"textstats:n{p.n_nodes}:k{p.k_default}")]
+
+
+#: Figure grids by the name of the report their bench writes under
+#: ``benchmarks/out/``; each factory gives the cells at a profile.
+FIGURES: dict[str, Callable[..., list[ScenarioSpec]]] = {
+    "fig7a_convergence": fig7a_convergence,
+    "fig7b_completion_time": fig7b_completion_time,
+    "fig7c_overhead": fig7c_overhead,
+    "ablation_refinement": ablation_refinement,
+    "ablation_redundancy": ablation_redundancy,
+    "ablation_feedback": ablation_feedback,
+    "ablation_structure": ablation_structure,
+    "aggressiveness_sweep": aggressiveness_sweep,
+    "text_stats": text_stats,
+}
+
+
 def preset_names() -> tuple[str, ...]:
     return tuple(sorted(PRESETS))
 
@@ -482,19 +648,32 @@ def get_preset(name: str, profile=None) -> ScenarioSpec:
     return factory(profile)
 
 
-def scenario_groups() -> dict[str, tuple[str, ...]]:
-    """The named scenario groups and the scenario names each expands to.
-
-    ``all`` is every preset; ``topology`` and ``content`` put the
-    uniform ``baseline`` next to the graph-structured and catalogue
-    presets; ``schemes`` races every registered scheme over the
-    baseline workload (so registering a scheme enters it).
-    """
+def _preset_groups() -> dict[str, tuple[str, ...]]:
+    """The groups of presets, by name."""
     return {
         "all": preset_names(),
         "topology": ("baseline",) + TOPOLOGY_PRESETS,
         "content": ("baseline",) + CONTENT_PRESETS,
         "schemes": tuple(f"baseline[{s}]" for s in available_schemes()),
+    }
+
+
+def scenario_groups(profile=None) -> dict[str, tuple[str, ...]]:
+    """The named scenario groups and the scenario names each expands to.
+
+    ``all`` is every preset; ``topology`` and ``content`` put the
+    uniform ``baseline`` next to the graph-structured and catalogue
+    presets; ``schemes`` races every registered scheme over the
+    baseline workload (so registering a scheme enters it).  Each
+    figure of :data:`FIGURES` names its cells at the given (or active)
+    profile.
+    """
+    return {
+        **_preset_groups(),
+        **{
+            name: tuple(cell.name for cell in grid(profile))
+            for name, grid in FIGURES.items()
+        },
     }
 
 
@@ -515,7 +694,8 @@ def get_scenario(name: str, profile=None) -> ScenarioSpec:
         raise SimulationError(
             f"unknown scenario {name!r}; expected a preset "
             f"({', '.join(preset_names())}), a group "
-            f"({', '.join(scenario_groups())}) or '<preset>[<scheme>]'"
+            f"({', '.join([*_preset_groups(), *FIGURES])}) or "
+            "'<preset>[<scheme>]'"
         )
     spec = PRESETS[preset](profile)
     if match is None:
@@ -533,8 +713,16 @@ def expand_scenarios(names: Iterable[str], profile=None) -> list[ScenarioSpec]:
 
     Groups expand in place (see :func:`scenario_groups`), everything
     else goes through :func:`get_scenario`; a scenario named twice runs
-    once, where it first appears.
+    once, where it first appears (figure groups share identical cells,
+    such as Fig. 7b's and 7c's LTNC points).
     """
-    groups = scenario_groups()
-    expanded = [member for name in names for member in groups.get(name, (name,))]
-    return [get_scenario(name, profile) for name in dict.fromkeys(expanded)]
+    groups = _preset_groups()
+    specs: dict[str, ScenarioSpec] = {}
+    for name in names:
+        if name in FIGURES:
+            cells = FIGURES[name](profile)
+        else:
+            cells = [get_scenario(m, profile) for m in groups.get(name, (name,))]
+        for cell in cells:
+            specs.setdefault(cell.name, cell)
+    return list(specs.values())

@@ -28,9 +28,10 @@ trial seed — which the fleet's aggregates and merged telemetry must
 match byte for byte, whatever its worker and shard counts.
 
 :func:`serial_fig7`, :func:`serial_ltnc_variant` and
-:func:`serial_recoding_stats` are the figure drivers as the same plain
-loop, reading each run's result and its nodes (``sim.nodes``) directly
-where the drivers read fleet records, traces and telemetry.
+:func:`serial_recoding_stats` are cells of the figure groups
+(:mod:`repro.scenarios.presets`) as the same plain loop, reading each
+run's result and its nodes (``sim.nodes``) directly where the readers
+of :mod:`repro.experiments` read fleet records, traces and telemetry.
 
 :func:`assert_conserved` checks the counter conservation laws every
 dissemination result obeys.
@@ -502,7 +503,8 @@ def serial_fig7(scheme, n_nodes, k, monte_carlo, seed, max_rounds=200_000):
 def serial_ltnc_variant(
     label, n_nodes, k, seed, monte_carlo, feedback="binary", **node_kwargs
 ) -> AblationOutcome:
-    """``run_ltnc_variant`` over ``sim.nodes``: RSD pooled over runs."""
+    """An LTNC variant cell's :class:`AblationOutcome` over ``sim.nodes``:
+    RSD pooled over runs."""
     spec = ScenarioSpec(
         name=label,
         n_nodes=n_nodes,
@@ -531,7 +533,8 @@ def serial_ltnc_variant(
 
 
 def serial_recoding_stats(n_nodes, k, seed, monte_carlo) -> RecodingStats:
-    """``collect_recoding_stats`` over ``sim.nodes``, pooled over runs."""
+    """The ``text_stats`` cell's :class:`RecodingStats` over ``sim.nodes``,
+    pooled over runs."""
     spec = ScenarioSpec(
         name=f"textstats:n{n_nodes}:k{k}",
         n_nodes=n_nodes,

@@ -1,37 +1,79 @@
-"""Tests for the experiment harnesses (small, fast configurations)."""
+"""Tests for the figure groups and their readers (small, fast profiles)."""
 
 import dataclasses
+import tempfile
 
 import numpy as np
 import pytest
 
 from repro.core.node import PPM
 from repro.errors import SimulationError
-from repro.experiments.ablations import (
-    feedback_ablation,
-    redundancy_ablation,
-    refinement_ablation,
-    run_ltnc_variant,
-)
-from repro.experiments.fig7 import (
-    average_completion_time,
-    ltnc_overhead,
-    run_convergence,
-)
+from repro.experiments.ablations import AblationOutcome
+from repro.experiments.fig7 import ConvergenceCurve
 from repro.experiments.fig8 import cost_series, measure_decoding, measure_recoding
 from repro.experiments.scale import PROFILES, current_profile
 from repro.experiments.textstats import (
-    collect_recoding_stats,
+    RecodingStats,
     measure_redundant_insertions,
+    run_with_telemetry,
 )
-from repro.obs import MetricsCollector
-from repro.scenarios import ScenarioSpec
+from repro.obs import MetricsCollector, ObsSpec
+from repro.scenarios import FleetRunner, ScenarioSpec, expand_scenarios
 
 from oracles import (
     serial_fig7,
     serial_ltnc_variant,
     serial_recoding_stats,
 )
+
+#: N=8, k=16 (k sweep 16, 32): every group runs in about a second.
+SMALL = dataclasses.replace(
+    PROFILES["quick"], name="small", n_nodes=8, k_default=16, k_sweep=(16, 32)
+)
+
+
+def _profile(**sizes):
+    return dataclasses.replace(SMALL, **sizes)
+
+
+def _run(group, seed, n_trials=2, profile=SMALL, n_workers=1):
+    """A group's aggregates, by cell name."""
+    return FleetRunner(n_workers=n_workers).run_grid(
+        expand_scenarios([group], profile), n_trials, seed
+    )
+
+
+def _curves(seed, n_trials, profile=SMALL, n_workers=1):
+    """Fig. 7a's curves, by scheme, read from a traced run."""
+    with tempfile.TemporaryDirectory() as trace_dir:
+        cells = [
+            cell.with_(obs=ObsSpec(trace_dir=trace_dir))
+            for cell in expand_scenarios(["fig7a_convergence"], profile)
+        ]
+        aggregates = FleetRunner(n_workers=n_workers).run_grid(
+            cells, n_trials, seed
+        )
+        return {
+            a.scenario.scheme: ConvergenceCurve.from_traces(a, trace_dir)
+            for a in aggregates.values()
+        }
+
+
+def _outcomes(group, seed, n_trials, profile=SMALL, n_workers=1):
+    """An LTNC variant group's outcomes, by cell name."""
+    aggregates, telemetry = run_with_telemetry(
+        expand_scenarios([group], profile), n_trials, seed, n_workers
+    )
+    return {
+        name: AblationOutcome.from_run(aggregate, telemetry[name])
+        for name, aggregate in aggregates.items()
+    }
+
+
+def _recoding_stats(seed, n_trials, profile=SMALL, n_workers=1):
+    (cell,) = expand_scenarios(["text_stats"], profile)
+    _, telemetry = run_with_telemetry([cell], n_trials, seed, n_workers)
+    return RecodingStats.from_section(telemetry[cell.name])
 
 
 def test_profiles_well_formed():
@@ -52,32 +94,21 @@ def test_current_profile_env(monkeypatch):
         current_profile()
 
 
-def test_run_convergence_curve():
-    curve = run_convergence(
-        "ltnc", n_nodes=8, k=16, monte_carlo=2, seed=0, max_rounds=4000
-    )
-    assert curve.scheme == "ltnc"
-    assert curve.completed_fraction[-1] == pytest.approx(1.0)
-    mid = curve.time_to_fraction(0.5)
-    end = curve.time_to_fraction(1.0)
-    assert 0 <= mid <= end
-
-
 def test_average_completion_ordering():
-    rlnc = average_completion_time(
-        "rlnc", n_nodes=8, k=16, monte_carlo=2, seed=1, max_rounds=4000
-    )
-    wc = average_completion_time(
-        "wc", n_nodes=8, k=16, monte_carlo=2, seed=1, max_rounds=4000
-    )
-    assert rlnc < wc
+    aggregates = _run("fig7b_completion_time", seed=1)
+    for k in SMALL.k_sweep:
+        rlnc = aggregates[f"fig7:rlnc:n8:k{k}"].mean("average_completion_round")
+        wc = aggregates[f"fig7:wc:n8:k{k}"].mean("average_completion_round")
+        assert rlnc < wc
 
 
 def test_ltnc_overhead_positive():
-    overhead = ltnc_overhead(
-        n_nodes=8, k=32, monte_carlo=2, seed=2, max_rounds=8000
-    )
-    assert overhead > 0.0
+    aggregates = _run("fig7c_overhead", seed=2)
+    for k in SMALL.k_sweep:
+        assert aggregates[f"fig7:ltnc:n8:k{k}"].mean("overhead") > 0.0
+    # WC and RLNC check innovation exactly.
+    assert aggregates["fig7c:wc"].mean("overhead") == 0.0
+    assert aggregates["fig7c:rlnc"].mean("overhead") == 0.0
 
 
 def test_measure_recoding_shapes():
@@ -110,15 +141,6 @@ def test_cost_series_structure():
         cost_series("sorting", (16,))
 
 
-def test_collect_recoding_stats():
-    stats = collect_recoding_stats(n_nodes=10, k=32, seed=6)
-    assert 0.5 <= stats.first_pick_acceptance <= 1.0
-    assert 0.5 <= stats.build_hit_rate <= 1.0
-    assert stats.average_relative_deviation < 0.2
-    assert stats.packets_recoded > 0
-    assert stats.occurrence_rsd >= 0.0
-
-
 def test_measure_redundant_insertions():
     stats = measure_redundant_insertions(k=48, stream_length=150, seed=7)
     assert stats.stream_length == 150
@@ -128,7 +150,9 @@ def test_measure_redundant_insertions():
 
 
 def test_refinement_ablation_lowers_rsd():
-    outcomes = refinement_ablation(n_nodes=10, k=48, seed=8, monte_carlo=1)
+    outcomes = _outcomes(
+        "ablation_refinement", 8, 1, _profile(n_nodes=10, k_default=48)
+    )
     assert (
         outcomes["refine-on"].occurrence_rsd
         < outcomes["refine-off"].occurrence_rsd
@@ -136,9 +160,9 @@ def test_refinement_ablation_lowers_rsd():
 
 
 def test_feedback_ablation_none_ships_all():
-    outcomes = feedback_ablation(n_nodes=8, k=32, seed=9, monte_carlo=1)
-    none = outcomes["none"]
-    binary = outcomes["binary"]
+    outcomes = _outcomes("ablation_feedback", 9, 1, _profile(k_default=32))
+    none = outcomes["feedback-none"]
+    binary = outcomes["feedback-binary"]
     assert none.abort_rate == 0.0
     assert binary.abort_rate > 0.0
     # Binary feedback avoids shipping some payloads.
@@ -147,7 +171,7 @@ def test_feedback_ablation_none_ships_all():
     )
 
 
-# -- the drivers against their plain-loop oracles -------------------------
+# -- the readers against their plain-loop oracles -------------------------
 def _assert_outcomes_match(fleet, serial):
     """Equal, except the ppm-carried RSD, which may differ by rounding."""
     assert dataclasses.replace(fleet, occurrence_rsd=0.0) == dataclasses.replace(
@@ -181,7 +205,7 @@ def test_ltnc_telemetry_equals_the_node_reads():
 
 
 def test_recoding_stats_match_the_node_reads():
-    fleet = collect_recoding_stats(n_nodes=10, k=32, seed=6, monte_carlo=2)
+    fleet = _recoding_stats(6, 2, _profile(n_nodes=10, k_default=32))
     serial = serial_recoding_stats(10, 32, seed=6, monte_carlo=2)
     exact = ("first_pick_acceptance", "average_retries", "build_hit_rate",
              "packets_recoded")
@@ -191,61 +215,82 @@ def test_recoding_stats_match_the_node_reads():
         assert getattr(fleet, name) == pytest.approx(
             getattr(serial, name), abs=1e-6
         ), name
+    assert 0.5 <= fleet.first_pick_acceptance <= 1.0
+    assert 0.5 <= fleet.build_hit_rate <= 1.0
+    assert fleet.average_relative_deviation < 0.2
+    assert fleet.packets_recoded > 0
+    assert fleet.occurrence_rsd >= 0.0
 
 
 def test_ablation_outcomes_match_the_plain_loop():
+    refine = _outcomes("ablation_refinement", 8, 2, _profile(n_nodes=10, k_default=32))
     _assert_outcomes_match(
-        run_ltnc_variant("refine-off", 10, 32, seed=8, monte_carlo=2, refine=False),
+        refine["refine-off"],
         serial_ltnc_variant("refine-off", 10, 32, 8, 2, refine=False),
     )
-    full = feedback_ablation(n_nodes=8, k=32, seed=9, monte_carlo=2)["full"]
+    feedback = _outcomes("ablation_feedback", 9, 2, _profile(k_default=32))
     _assert_outcomes_match(
-        full, serial_ltnc_variant("feedback-full", 8, 32, 9, 2, feedback="full")
+        feedback["feedback-full"],
+        serial_ltnc_variant("feedback-full", 8, 32, 9, 2, feedback="full"),
+    )
+    triggers = _outcomes("aggressiveness_sweep", 5, 2)
+    _assert_outcomes_match(
+        triggers["aggr-0.25"],
+        serial_ltnc_variant("aggr-0.25", 8, 16, 5, 2, aggressiveness=0.25),
     )
 
 
 def test_convergence_curve_from_traces_equals_the_result_series():
-    for scheme in ("wc", "ltnc", "rlnc"):
-        curve = run_convergence(scheme, n_nodes=8, k=16, monte_carlo=3, seed=4)
+    curves = _curves(seed=4, n_trials=3)
+    assert list(curves) == ["wc", "ltnc", "rlnc"]
+    for scheme, curve in curves.items():
         series = [r.series_completed for r in serial_fig7(scheme, 8, 16, 3, 4)]
         padded = np.ones((3, max(map(len, series))))
         for row, s in enumerate(series):
             padded[row, : len(s)] = s
         assert np.array_equal(curve.completed_fraction, padded.mean(axis=0))
+        assert curve.scheme == scheme and curve.runs == 3
+        assert curve.completed_fraction[-1] == pytest.approx(1.0)
+        assert 0 <= curve.time_to_fraction(0.5) <= curve.time_to_fraction(1.0)
 
 
 def test_fig7_points_match_the_plain_loop():
     runs = serial_fig7("ltnc", 8, 16, 2, 3)
-    assert average_completion_time(
-        "ltnc", n_nodes=8, k=16, monte_carlo=2, seed=3
-    ) == pytest.approx(np.mean([r.average_completion_round() for r in runs]))
-    assert ltnc_overhead(n_nodes=8, k=16, monte_carlo=2, seed=3) == pytest.approx(
+    cell = _run("fig7c_overhead", 3)["fig7:ltnc:n8:k16"]
+    assert cell.mean("average_completion_round") == pytest.approx(
+        np.mean([r.average_completion_round() for r in runs])
+    )
+    assert cell.mean("overhead") == pytest.approx(
         np.mean([r.overhead() for r in runs])
     )
 
 
 def test_drivers_are_worker_count_invariant():
-    drivers = {
-        "convergence": lambda w: run_convergence(
-            "ltnc", 8, 16, monte_carlo=3, seed=2, n_workers=w
-        ),
-        "completion": lambda w: average_completion_time(
-            "rlnc", 8, 16, monte_carlo=3, seed=2, n_workers=w
-        ),
-        "overhead": lambda w: ltnc_overhead(8, 16, monte_carlo=3, seed=2, n_workers=w),
-        "redundancy": lambda w: redundancy_ablation(
-            8, 16, seed=2, monte_carlo=3, n_workers=w
-        ),
-        "recoding": lambda w: collect_recoding_stats(
-            8, 16, seed=2, monte_carlo=3, n_workers=w
-        ),
+    def grid(group):
+        return lambda w: {
+            name: aggregate.to_dict()
+            for name, aggregate in _run(group, 2, 3, n_workers=w).items()
+        }
+
+    readers = {
+        "convergence": lambda w: _curves(2, 3, n_workers=w),
+        "completion": grid("fig7b_completion_time"),
+        "overhead": grid("fig7c_overhead"),
+        "redundancy": lambda w: _outcomes("ablation_redundancy", 2, 3, n_workers=w),
+        "recoding": lambda w: _recoding_stats(2, 3, n_workers=w),
     }
-    for name, driver in drivers.items():
-        assert driver(1) == driver(2), name
+    for name, read in readers.items():
+        assert read(1) == read(2), name
 
 
 def test_a_cell_where_nothing_completes_raises_naming_it():
+    stalled = _profile(k_default=32, max_rounds=3)
+    aggregates = _run("fig7b_completion_time", 0, profile=stalled)
     with pytest.raises(SimulationError, match="fig7:ltnc:n8:k32"):
-        average_completion_time("ltnc", n_nodes=8, k=32, monte_carlo=2, max_rounds=3)
-    with pytest.raises(SimulationError, match="'stalled'"):
-        run_ltnc_variant("stalled", 8, 32, monte_carlo=2, max_rounds=3)
+        aggregates["fig7:ltnc:n8:k32"].mean("average_completion_round")
+    with pytest.raises(SimulationError, match="'refine-on'"):
+        _outcomes("ablation_refinement", 0, 2, stalled)
+    structure = _run("ablation_structure", 0, 1, stalled)
+    assert [a.trials[0]["rounds"] for a in structure.values()] == [3, 3]
+    with pytest.raises(SimulationError, match="'structure:rndlt'"):
+        structure["structure:rndlt"].mean("average_completion_round")

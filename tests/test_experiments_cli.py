@@ -12,8 +12,11 @@ import os
 
 import pytest
 
+from repro.experiments.scale import PROFILES
+from repro.scenarios import PRESETS, expand_scenarios, scenario_groups
 from repro.scenarios import fleet as fleet_module
 from repro.scenarios.__main__ import main
+from repro.scenarios.presets import FIGURES
 from repro.scenarios.runner import run_trial
 from repro.schemes import available_schemes
 
@@ -86,6 +89,33 @@ def test_scheme_compare_rejects_unknown_scheme(capsys):
     assert "unknown scheme 'nope'" in err
     assert all(repr(name) in err for name in available_schemes())
     assert "Traceback" not in err
+
+
+def test_sweep_cli_lists_the_figure_groups_and_all_is_the_presets(capsys):
+    assert main(["--list", "--scale", "quick"]) == 0
+    listed = {
+        line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+    }
+    groups = scenario_groups(PROFILES["quick"])
+    for group in FIGURES:
+        assert listed[group].split()[1:] == ["group:", *groups[group]]
+    # The figure groups are not presets: 'all' still means the 13.
+    assert len(PRESETS) == 13
+    assert [s.name for s in expand_scenarios(["all"], PROFILES["quick"])] == sorted(
+        PRESETS
+    )
+
+
+@pytest.mark.parametrize("group", list(FIGURES))
+def test_sweep_cli_runs_each_figure_group(capsys, group):
+    argv = ["--scenario", group, "--trials", "1", "--scale", "quick"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    cells = scenario_groups(PROFILES["quick"])[group]
+    if len(cells) == 1:  # a single aggregate, not keyed by name
+        payload = {payload["scenario"]["name"]: payload}
+    assert sorted(payload) == sorted(cells)  # the JSON sorts its keys
+    assert all(a["n_trials"] == 1 for a in payload.values())
 
 
 def _sweep(driver):

@@ -13,7 +13,7 @@ executable three ways:
   check-then-insert pattern whose second reduction the kernels replay
   from the first;
 * :func:`make_rref` heuristic selection is pinned (int kernel below
-  :data:`BATCH_RREF_MIN_COLS`, numpy at or above, explicit overrides).
+  :data:`BATCH_RREF_MIN_COLS`, numpy at or above).
 """
 
 from __future__ import annotations
@@ -219,17 +219,15 @@ def test_load_identity_equals_unit_inserts(kernel, nbytes, ncols):
 # make_rref heuristic + validation
 # ----------------------------------------------------------------------
 def test_make_rref_picks_kernel_by_code_length():
-    assert isinstance(make_rref(BATCH_RREF_MIN_COLS - 1), IncrementalRref)
-    assert isinstance(make_rref(BATCH_RREF_MIN_COLS), BatchRref)
-    assert isinstance(make_rref(64, backend="numpy"), BatchRref)
-    assert isinstance(make_rref(4096, backend="int"), IncrementalRref)
-    with pytest.raises(DimensionError):
-        make_rref(64, backend="gpu")
+    assert BATCH_RREF_MIN_COLS == 1024
+    assert isinstance(make_rref(1023), IncrementalRref)
+    assert isinstance(make_rref(1024), BatchRref)
 
 
 def test_make_rref_threads_payload_and_counter():
     counter = OpCounter()
-    r = make_rref(2048, payload_nbytes=32, counter=counter, backend="numpy")
+    r = make_rref(2048, payload_nbytes=32, counter=counter)
+    assert isinstance(r, BatchRref)
     assert r.counter is counter
     assert r.payload_nbytes == 32
     assert r.ncols == 2048

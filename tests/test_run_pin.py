@@ -36,10 +36,12 @@ SEED = 2718
 #: run name -> (sha256 of the snapshot JSON, sha256 of the trace records)
 #: All three were re-recorded when LTNC's set reads took ascending id
 #: order (round plan v2).  The epidemic snapshot was re-recorded again
-#: when LTNC nodes began recording their ``ltnc:*`` statistics.
+#: when LTNC nodes began recording their ``ltnc:*`` statistics, and
+#: once more when a node that churns out records them as it dies
+#: (before, only the final membership's were recorded).
 PINNED = {
     "epidemic": (
-        "6dfb11348d4a57353fd6fed19583d1c7bb9dbef0b19ddff3c65678665ff40fac",
+        "3fc9cc414a7a6542bf32c18f8a52eef1ffcdc5f8c762b9397a9f7755d2988c24",
         "52c432803994d3f63df3448129abdc43aaf5f129a504feef44b90624eb9e5d02",
     ),
     "catalogue": (

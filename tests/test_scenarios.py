@@ -14,6 +14,7 @@ from repro.scenarios import (
     ScenarioAggregate,
     ScenarioSpec,
     TopologySpec,
+    expand_scenarios,
     get_preset,
     preset_names,
     scenario_groups,
@@ -21,6 +22,7 @@ from repro.scenarios import (
     trial_record,
     trial_seed,
 )
+from repro.scenarios.presets import FIGURES
 from repro.topology import TopologyChannel, TopologySampler
 
 QUICK = PROFILES["quick"]
@@ -325,6 +327,63 @@ def test_spec_topology_graph_is_trial_deterministic():
     c = spec.build(seed=6).sampler.graph
     assert a == b
     assert a != c  # a different trial seed grows a different overlay
+
+
+# -- figure groups ----------------------------------------------------------
+#: Each figure group's cells at the quick profile.  Trial seeds derive
+#: from cell names, so these names are what keeps every figure's
+#: report stable.
+FIGURE_CELLS = {
+    "fig7a_convergence": ("fig7:wc:n12:k32", "fig7:ltnc:n12:k32", "fig7:rlnc:n12:k32"),
+    "fig7b_completion_time": tuple(
+        f"fig7:{scheme}:n12:k{k}"
+        for scheme in ("wc", "ltnc", "rlnc")
+        for k in (16, 32, 64)
+    ),
+    "fig7c_overhead": (
+        "fig7:ltnc:n12:k16",
+        "fig7:ltnc:n12:k32",
+        "fig7:ltnc:n12:k64",
+        "fig7c:wc",
+        "fig7c:rlnc",
+    ),
+    "ablation_refinement": ("refine-on", "refine-off"),
+    "ablation_redundancy": ("detect-on", "detect-off"),
+    "ablation_feedback": ("feedback-none", "feedback-binary", "feedback-full"),
+    "ablation_structure": ("structure:ltnc", "structure:rndlt"),
+    "aggressiveness_sweep": ("aggr-0.01", "aggr-0.05", "aggr-0.25", "aggr-0.75"),
+    "text_stats": ("textstats:n12:k32",),
+}
+
+
+def test_figure_groups_expand_to_their_named_cells():
+    assert tuple(FIGURES) == tuple(FIGURE_CELLS)
+    groups = scenario_groups(QUICK)
+    for group, names in FIGURE_CELLS.items():
+        assert tuple(s.name for s in expand_scenarios([group], QUICK)) == names
+        assert groups[group] == names
+
+
+def test_figure_groups_share_identical_cells_once():
+    # A cell's name fixes its seeds, so groups that declare the same
+    # name (Fig. 7a-c's LTNC points) must declare the same cell; naming
+    # both groups runs each point once, in first-named order.
+    for profile in PROFILES.values():
+        cells = {}
+        for grid in FIGURES.values():
+            for cell in grid(profile):
+                assert cells.setdefault(cell.name, cell) == cell, cell.name
+    names = [
+        s.name
+        for s in expand_scenarios(
+            ["fig7c_overhead", "fig7b_completion_time"], QUICK
+        )
+    ]
+    assert names == list(
+        dict.fromkeys(
+            FIGURE_CELLS["fig7c_overhead"] + FIGURE_CELLS["fig7b_completion_time"]
+        )
+    )
 
 
 # -- CLI ------------------------------------------------------------------

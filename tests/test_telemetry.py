@@ -21,6 +21,7 @@ import logging
 
 import pytest
 
+from repro.experiments.scale import PROFILES
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT,
     TELEMETRY_VERSION,
@@ -34,6 +35,7 @@ from repro.scenarios import (
     FleetStop,
     ScenarioSpec,
 )
+from repro.scenarios.presets import get_preset
 from repro.scenarios.runner import (
     TrialSpec,
     merge_trial_snapshots,
@@ -78,6 +80,21 @@ def test_merge_trial_snapshots_counts_trials():
     assert section["counters"]["rounds"] == sum(
         s["counters"]["rounds"] for s in snapshots
     )
+
+
+def test_churned_ltnc_nodes_keep_their_telemetry():
+    # Every packet a session carried came from a source push or from
+    # an overlay node's ltnc:packets_sent, including the sends of nodes
+    # that later churned out.
+    spec = get_preset("churn", PROFILES["quick"])
+    trial = TrialSpec(spec, 1, trial_seed(1, spec.name, 1))
+    result, snapshot = run_trial_telemetry(trial)
+    counters = snapshot["counters"]
+    source_sends = result.rounds * spec.n_sources * spec.source_pushes
+    assert result.churn_events > 0
+    assert counters["recoded_packets"] - source_sends == counters[
+        "ltnc:packets_sent"
+    ]
 
 
 # -- invariance ----------------------------------------------------------
