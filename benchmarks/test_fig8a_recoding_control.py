@@ -26,7 +26,7 @@ PAPER_NOTE = (
 
 def test_fig8a_recoding_control(benchmark, profile, reporter):
     ks = profile.k_cost_sweep
-    model = CycleModel(m=profile.payload_nbytes)
+    model = CycleModel()
 
     def experiment():
         return cost_series(

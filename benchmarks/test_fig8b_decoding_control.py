@@ -22,7 +22,7 @@ PAPER_NOTE = (
 
 def test_fig8b_decoding_control(benchmark, profile, reporter):
     ks = profile.k_cost_sweep
-    model = CycleModel(m=profile.payload_nbytes)
+    model = CycleModel()
 
     def experiment():
         return cost_series("decoding", ks, seed=81, model=model)

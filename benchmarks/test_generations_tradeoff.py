@@ -21,7 +21,7 @@ from conftest import run_once_benchmark
 def test_generations_tradeoff(benchmark, profile, reporter):
     k_total = profile.k_default
     sizes = [g for g in (8, 16, 32, 64) if g < k_total] + [k_total]
-    model = CycleModel(m=profile.payload_nbytes)
+    model = CycleModel()
 
     def experiment():
         rows = {}

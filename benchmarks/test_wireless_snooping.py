@@ -33,7 +33,7 @@ def test_wireless_snooping(benchmark, profile, reporter):
                 k,
                 snoop=snoop,
                 seed=derive(99, "wireless", int(snoop)),
-                max_rounds=min(profile.max_rounds, 20_000),
+                max_rounds=20_000,
                 node_kwargs={"aggressiveness": 0.01},
             )
             results[snoop] = sim.run()

@@ -32,7 +32,6 @@ def main() -> None:
         scheme="ltnc",
         n_nodes=PROFILE.n_nodes,
         k=PROFILE.k_default,
-        max_rounds=PROFILE.max_rounds,
         sampler="topology",
         topology={"graph": "edge_tree", "params": {"branching": 3},
                   "loss_mode": "hop", "per_hop_loss": 0.01},

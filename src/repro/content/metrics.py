@@ -51,8 +51,6 @@ class CatalogueResult(SessionResult):
     rounds: int = 0
     completion_rounds: dict[Pair, int] = field(default_factory=dict)
     data_until_complete: dict[Pair, int] = field(default_factory=dict)
-    series_rounds: list[int] = field(default_factory=list)
-    series_completed: list[float] = field(default_factory=list)
     sessions: int = 0
     aborted: int = 0
     unwanted: int = 0
@@ -193,10 +191,8 @@ class CatalogueResult(SessionResult):
 
     # ------------------------------------------------------------------
     def record_round(self, round_index: int) -> None:
-        """Append one point of the pair-completion convergence series."""
+        """Close round *round_index*: the run has lasted one round more."""
         self.rounds = round_index + 1
-        self.series_rounds.append(round_index)
-        self.series_completed.append(self.completed_fraction())
 
     def __repr__(self) -> str:
         return (

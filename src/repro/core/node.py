@@ -57,14 +57,24 @@ from repro.costmodel.counters import OpCounter
 from repro.errors import DimensionError, RecodingError
 from repro.gf2.bitvec import BitVector
 from repro.lt.decoder import BeliefPropagationDecoder
-from repro.lt.distributions import DegreeDistribution, RobustSoliton
+from repro.lt.distributions import robust_soliton
 from repro.lt.tanner import TannerListener
 from repro.obs.metrics import MetricsCollector
 from repro.obs.profiler import NULL_CLOCK, PhaseClock
 from repro.rng import make_rng
 
-__all__ = ["MAX_DEGREE_RETRIES", "PPM", "RSD_MIN_PACKETS", "LtncStats", "LtncNode"]
+__all__ = [
+    "LTNC_AGGRESSIVENESS",
+    "MAX_DEGREE_RETRIES",
+    "PPM",
+    "RSD_MIN_PACKETS",
+    "LtncStats",
+    "LtncNode",
+]
 
+#: §IV-A: the share of k innovative packets a node holds before it
+#: recodes, tuned so completion time is minimised, "typically 1 %".
+LTNC_AGGRESSIVENESS = 0.01
 #: Redraws of an unreachable degree before clamping to the largest
 #: reachable one.
 MAX_DEGREE_RETRIES = 64
@@ -181,14 +191,11 @@ class LtncNode:
     payload_nbytes:
         Payload size *m*, or ``None`` for symbolic mode (structure
         evolves identically; data XORs are counted, not executed).
-    distribution:
-        Degree distribution for recoded packets; defaults to the
-        Robust Soliton, the optimal choice (§II).
     rng:
         Seed or generator for all recoding randomness.
     aggressiveness:
         Fraction of *k* innovative packets a node must hold before it
-        starts recoding (§IV-A; the paper tunes this to ~1 % for LTNC).
+        starts recoding (§IV-A; :data:`LTNC_AGGRESSIVENESS` by default).
     refine:
         Apply Algorithm 2 after building (ablation knob).
     detect_redundancy:
@@ -205,9 +212,8 @@ class LtncNode:
         node_id: int,
         k: int,
         payload_nbytes: int | None = None,
-        distribution: DegreeDistribution | None = None,
         rng: np.random.Generator | int | None = None,
-        aggressiveness: float = 0.01,
+        aggressiveness: float = LTNC_AGGRESSIVENESS,
         refine: bool = True,
         detect_redundancy: bool = True,
     ) -> None:
@@ -217,16 +223,12 @@ class LtncNode:
             raise DimensionError(
                 f"aggressiveness must be in [0, 1], got {aggressiveness}"
             )
-        if distribution is not None and distribution.k != k:
-            raise DimensionError(
-                f"distribution is for k={distribution.k}, node for k={k}"
-            )
         self.node_id = node_id
         self.k = k
         self.payload_nbytes = payload_nbytes
-        self.distribution = (
-            distribution if distribution is not None else RobustSoliton(k)
-        )
+        #: Recoded degrees follow the Robust Soliton, the optimal
+        #: choice (§II); one instance per k is shared by every node.
+        self.distribution = robust_soliton(k)
         self.rng = make_rng(rng)
         self.aggressiveness = aggressiveness
         self.refine = refine

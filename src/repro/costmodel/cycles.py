@@ -9,12 +9,11 @@ and convert counts to cycles here.
 Calibration
 -----------
 
-Constants approximate a 64-bit scalar core:
+The weights approximate a 64-bit scalar core and live in one table,
+:data:`CYCLES_PER_OP`:
 
 * one 64-bit word XOR (load-xor-store on cached data): ~3 cycles;
-* one byte of payload XOR: 3/8 cycle (same word op, 8 bytes at a time)
-  — payloads stream through memory, so an optional ``memory_factor``
-  models bandwidth-bound scaling;
+* one byte of payload XOR: 3/8 cycle (same word op, 8 bytes at a time);
 * a hash/index/queue operation: ~24 cycles (hashing + probe);
 * a `cc` array lookup: ~4 cycles (array load + compare);
 * a random draw: ~32 cycles (PRNG step + scaling).
@@ -24,17 +23,28 @@ is that Gauss reduction costs ``O(k^2)`` row operations of ``k/64``
 words each while belief propagation costs ``O(k log k)`` edge
 operations, and that sparse RLNC recoding XORs ``ln k + 20`` payloads
 while LTNC XORs only a handful.  Those shapes are invariant to the
-constants; the benches print both.
+constants; the benches print both.  The payload size *m* is the
+model's one setting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
-from repro.costmodel.counters import OpCounter
+from repro.costmodel.counters import CONTROL_OPS, OpCounter
 
-__all__ = ["CycleModel", "CostBreakdown"]
+__all__ = ["CYCLES_PER_OP", "CycleModel", "CostBreakdown"]
+
+#: Cycles per canonical op; ``payload_xor`` is charged per payload byte.
+CYCLES_PER_OP: dict[str, float] = {
+    "vec_word_xor": 3.0,
+    "gauss_row_xor": 8.0,
+    "bp_edge": 12.0,
+    "table_op": 24.0,
+    "cc_lookup": 4.0,
+    "rng_draw": 32.0,
+    "payload_xor": 3.0 / 8.0,
+}
 
 
 @dataclass(frozen=True)
@@ -57,51 +67,28 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class CycleModel:
-    """Weights mapping canonical operations to CPU cycles.
+    """Op counts to CPU cycles by the module's weight table.
 
     Parameters
     ----------
     m:
         Payload size in bytes — scales every ``payload_xor``.
-    memory_factor:
-        Multiplier on data-plane cycles modelling memory-bandwidth
-        pressure for large payloads (1.0 = cache-resident).
     """
 
     m: int = 256 * 1024
-    word_xor_cycles: float = 3.0
-    payload_byte_cycles: float = 3.0 / 8.0
-    table_op_cycles: float = 24.0
-    cc_lookup_cycles: float = 4.0
-    rng_draw_cycles: float = 32.0
-    gauss_row_cycles: float = 8.0
-    bp_edge_cycles: float = 12.0
-    memory_factor: float = 1.0
-    extra_weights: Mapping[str, float] = field(default_factory=dict)
 
     def control_cycles(self, counter: OpCounter) -> float:
-        """Cycles spent on control structures (vectors, graphs, tables)."""
-        c = counter.get
-        cycles = (
-            c("vec_word_xor") * self.word_xor_cycles
-            + c("gauss_row_xor") * self.gauss_row_cycles
-            + c("bp_edge") * self.bp_edge_cycles
-            + c("table_op") * self.table_op_cycles
-            + c("cc_lookup") * self.cc_lookup_cycles
-            + c("rng_draw") * self.rng_draw_cycles
-        )
-        for op, weight in self.extra_weights.items():
-            cycles += c(op) * weight
+        """Cycles spent on control structures (vectors, graphs, tables),
+        summed in ``CONTROL_OPS`` order: the order fixes every float of
+        Figure 8."""
+        cycles = 0.0
+        for op in CONTROL_OPS:
+            cycles += counter.get(op) * CYCLES_PER_OP[op]
         return cycles
 
     def data_cycles(self, counter: OpCounter) -> float:
         """Cycles spent XOR-ing payload bytes."""
-        return (
-            counter.get("payload_xor")
-            * self.m
-            * self.payload_byte_cycles
-            * self.memory_factor
-        )
+        return counter.get("payload_xor") * self.m * CYCLES_PER_OP["payload_xor"]
 
     def breakdown(self, counter: OpCounter) -> CostBreakdown:
         """Control/data split for one counted activity."""

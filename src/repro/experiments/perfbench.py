@@ -41,7 +41,7 @@ import platform
 import sys
 import tempfile
 import time
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -87,6 +87,7 @@ SCHEMA_VERSION = 6
 DEFAULT_SEED = 2026
 KERNEL_KS: tuple[int, ...] = (32, 64, 128, 256)
 DEFAULT_OUT = "BENCH_ltnc.json"
+T = TypeVar("T")
 
 #: Workload sizes per profile: (rref vectors, bitvec ops, decode
 #: batches, end-to-end n_nodes, end-to-end k, fleet grid shape).
@@ -129,11 +130,12 @@ _PROFILES = {
 }
 
 
-def _timed(fn: Callable[[], int]) -> tuple[int, float]:
-    """Run *fn* once; return (ops it reports, wall seconds)."""
+def _timed(fn: Callable[[], T]) -> tuple[T, float]:
+    """Run *fn* once; return (what it returns, wall seconds).  Every
+    row of the report is timed here."""
     t0 = time.perf_counter()
-    n_ops = fn()
-    return n_ops, time.perf_counter() - t0
+    value = fn()
+    return value, time.perf_counter() - t0
 
 
 # ----------------------------------------------------------------------
@@ -227,10 +229,12 @@ def bench_bitvector_ops(k: int, n_ops: int, seed: int) -> dict[str, float]:
     out: dict[str, float] = {"k": k, "n_ops": n_ops}
 
     def rate(fn: Callable[[], object]) -> float:
-        t0 = time.perf_counter()
-        for _ in range(n_ops):
-            fn()
-        return round(n_ops / (time.perf_counter() - t0), 1)
+        def loop() -> None:
+            for _ in range(n_ops):
+                fn()
+
+        _, seconds = _timed(loop)
+        return round(n_ops / seconds, 1)
 
     out["ixor_per_sec"] = rate(lambda: a.ixor(b))
     out["first_index_per_sec"] = rate(a.first_index)
@@ -248,7 +252,7 @@ def bench_decode(k: int, n_batches: int, seed: int) -> dict[str, float]:
     second, the unit the dissemination loop cares about.
     """
     from repro.lt.decoder import BeliefPropagationDecoder
-    from repro.lt.distributions import RobustSoliton
+    from repro.lt.distributions import robust_soliton
     from repro.lt.encoder import LTEncoder
 
     m = 32
@@ -270,7 +274,7 @@ def bench_decode(k: int, n_batches: int, seed: int) -> dict[str, float]:
         fed = 0
         for batch in range(n_batches):
             encoder = LTEncoder(
-                k, RobustSoliton(k), rng=make_rng(seed + batch)
+                k, robust_soliton(k), rng=make_rng(seed + batch)
             )
             decoder = BeliefPropagationDecoder(k)
             while not decoder.is_complete():
@@ -292,18 +296,34 @@ def bench_decode(k: int, n_batches: int, seed: int) -> dict[str, float]:
 # ----------------------------------------------------------------------
 # End-to-end rounds/sec
 # ----------------------------------------------------------------------
+def _epidemic(
+    scheme: str,
+    n_nodes: int,
+    k: int,
+    seed: int,
+    max_rounds: int | None = None,
+    profiler=None,
+):
+    """One seeded epidemic dissemination, optionally round-capped or
+    profiled; returns its result and wall seconds."""
+    from repro.gossip.simulator import EpidemicSimulator
+
+    sim = EpidemicSimulator(
+        scheme,
+        n_nodes=n_nodes,
+        k=k,
+        seed=seed,
+        max_rounds=max_rounds if max_rounds is not None else 200_000,
+        profiler=profiler,
+    )
+    return _timed(sim.run)
+
+
 def bench_end_to_end(
     scheme: str, n_nodes: int, k: int, seed: int
 ) -> dict[str, float]:
     """One seeded epidemic dissemination; report simulated rounds/sec."""
-    from repro.gossip.simulator import EpidemicSimulator
-
-    sim = EpidemicSimulator(
-        scheme, n_nodes=n_nodes, k=k, seed=seed, max_rounds=200_000
-    )
-    t0 = time.perf_counter()
-    result = sim.run()
-    seconds = time.perf_counter() - t0
+    result, seconds = _epidemic(scheme, n_nodes, k, seed)
     return {
         "n_nodes": n_nodes,
         "k": k,
@@ -329,19 +349,7 @@ def bench_n_scaling(
     while N scales) and reports rounds/sec under the row's ``batched``
     key; *max_rounds* bounds the largest overlays.
     """
-    from repro.gossip.simulator import EpidemicSimulator, Feedback
-
-    sim = EpidemicSimulator(
-        "ltnc",
-        n_nodes=n_nodes,
-        k=k,
-        feedback=Feedback.BINARY,
-        seed=seed,
-        max_rounds=max_rounds if max_rounds is not None else 200_000,
-    )
-    t0 = time.perf_counter()
-    result = sim.run()
-    seconds = time.perf_counter() - t0
+    result, seconds = _epidemic("ltnc", n_nodes, k, seed, max_rounds=max_rounds)
     return {
         "n_nodes": n_nodes,
         "k": k,
@@ -368,21 +376,10 @@ def bench_phases(
     ``measured_fraction`` says how much of the wall clock the phase
     brackets account for; the remainder is loop scaffolding.
     """
-    from repro.gossip.simulator import EpidemicSimulator
     from repro.obs import PhaseProfiler
 
     profiler = PhaseProfiler()
-    sim = EpidemicSimulator(
-        scheme,
-        n_nodes=n_nodes,
-        k=k,
-        seed=seed,
-        max_rounds=200_000,
-        profiler=profiler,
-    )
-    t0 = time.perf_counter()
-    result = sim.run()
-    seconds = time.perf_counter() - t0
+    result, seconds = _epidemic(scheme, n_nodes, k, seed, profiler=profiler)
     # refine is a subset of encode: exclude it so measured_seconds is
     # a genuine (non-double-counted) slice of the wall clock.
     measured = sum(
@@ -432,9 +429,9 @@ def bench_fleet(
         runner = FleetRunner(
             n_workers=n_workers, n_shards=n_shards, telemetry_dir=telemetry_dir
         )
-        t0 = time.perf_counter()
-        aggregate = runner.run(spec, n_trials, master_seed=seed)
-        seconds = time.perf_counter() - t0
+        aggregate, seconds = _timed(
+            lambda: runner.run(spec, n_trials, master_seed=seed)
+        )
     summary = aggregate.metrics_summary()
     section = (runner.last_telemetry or {}).get(spec.name, {})
     return {
@@ -621,6 +618,19 @@ def validate_bench(data: dict[str, object]) -> None:
                 ):
                     errors.append(
                         "n_scaling.completion did not run to completion"
+                    )
+                # A round-capped row that did not complete must have
+                # run its cap: at N = 10,000 this is the scale claim.
+                cap = entry.get("max_rounds")
+                if (
+                    cap is not None
+                    and isinstance(batched, dict)
+                    and not batched.get("all_complete")
+                    and batched.get("rounds") != cap
+                ):
+                    errors.append(
+                        f"n_scaling[{label}] ran {batched.get('rounds')} of "
+                        f"its {cap} capped rounds without completing"
                     )
     if version == 5 and "ltnc_batched" not in (data.get("phases") or {}):
         errors.append("phases.ltnc_batched missing")

@@ -18,7 +18,7 @@ numbers so the two are never confused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config import env_str
 
@@ -27,7 +27,13 @@ __all__ = ["ScaleProfile", "current_profile", "PROFILES"]
 
 @dataclass(frozen=True)
 class ScaleProfile:
-    """Workload sizes for the figure/table benches."""
+    """Workload sizes for the figure/table benches.
+
+    Only what differs between profiles lives here: the push rate, the
+    round horizon and the payload size are the defaults of
+    :class:`~repro.scenarios.spec.ScenarioSpec` and
+    :class:`~repro.costmodel.cycles.CycleModel` at every profile.
+    """
 
     name: str
     n_nodes: int
@@ -35,11 +41,7 @@ class ScaleProfile:
     k_sweep: tuple[int, ...]
     k_cost_sweep: tuple[int, ...]
     monte_carlo: int
-    payload_nbytes: int = 256 * 1024  # m, used by the cycle model only
     recode_samples: int = 200
-    source_pushes: int = 4
-    max_rounds: int = 200_000
-    extras: dict[str, object] = field(default_factory=dict)
 
 
 PROFILES: dict[str, ScaleProfile] = {

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from repro.core.node import PPM, LtncNode, LtncStats
 from repro.gf2.matrix import IncrementalRref
-from repro.lt.distributions import RobustSoliton
+from repro.lt.distributions import robust_soliton
 from repro.lt.encoder import LTEncoder
 from repro.rng import derive, derive_seed, make_rng
 from repro.scenarios.fleet import FleetRunner
@@ -107,7 +107,7 @@ def _redundancy_rich_stream(k: int, length: int, seed: int):
     Recoded packets from warm intermediate nodes carry exactly the kind
     of low-degree redundancy the detector exists to catch.
     """
-    encoder = LTEncoder(k, RobustSoliton(k), rng=derive(seed, "stream", k))
+    encoder = LTEncoder(k, robust_soliton(k), rng=derive(seed, "stream", k))
     relay = LtncNode(99, k, rng=derive(seed, "relay", k))
     rng = make_rng(int(derive(seed, "mix", k).integers(2**32)))
     packets = []

@@ -32,7 +32,6 @@ import numpy as np
 from repro.coding.packet import EncodedPacket
 from repro.core.node import LtncNode
 from repro.errors import DimensionError, RecodingError
-from repro.lt.distributions import RobustSoliton
 from repro.rng import make_rng, spawn
 
 __all__ = [
@@ -110,7 +109,8 @@ class GenerationNode:
 
     Sub-nodes are created lazily: a node allocates coding state only
     for generations it has actually seen — the memory-bounding property
-    generations exist for.
+    generations exist for.  *node_kwargs* (``aggressiveness``,
+    ``refine``, ...) go to every sub-node.
     """
 
     def __init__(
@@ -120,7 +120,6 @@ class GenerationNode:
         generation_size: int,
         payload_nbytes: int | None = None,
         rng: np.random.Generator | int | None = None,
-        aggressiveness: float = 0.01,
         **node_kwargs: object,
     ) -> None:
         self.node_id = node_id
@@ -128,10 +127,8 @@ class GenerationNode:
         self.bounds = generation_bounds(k_total, generation_size)
         self.payload_nbytes = payload_nbytes
         self.rng = make_rng(rng)
-        self.aggressiveness = aggressiveness
         self._node_kwargs = node_kwargs
         self._subnodes: dict[int, LtncNode] = {}
-        self._distributions: dict[int, RobustSoliton] = {}
 
     # ------------------------------------------------------------------
     def subnode(self, generation: int) -> LtncNode:
@@ -143,17 +140,13 @@ class GenerationNode:
         node = self._subnodes.get(generation)
         if node is None:
             _, size = self.bounds[generation]
-            dist = self._distributions.get(size)
             node = LtncNode(
                 self.node_id,
                 size,
                 payload_nbytes=self.payload_nbytes,
-                distribution=dist,
                 rng=spawn(self.rng, 1)[0],
-                aggressiveness=self.aggressiveness,
                 **self._node_kwargs,  # type: ignore[arg-type]
             )
-            self._distributions[size] = node.distribution  # type: ignore[assignment]
             self._subnodes[generation] = node
         return node
 

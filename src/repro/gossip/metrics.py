@@ -119,8 +119,6 @@ class DisseminationResult(SessionResult):
     k: int
     rounds: int = 0
     completion_rounds: dict[int, int] = field(default_factory=dict)
-    series_rounds: list[int] = field(default_factory=list)
-    series_completed: list[float] = field(default_factory=list)
     sessions: int = 0
     aborted: int = 0
     data_transfers: int = 0
@@ -184,15 +182,15 @@ class DisseminationResult(SessionResult):
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, object]:
-        """Full JSON-able dump: key metrics plus series and op counts."""
+        """Full JSON-able dump: key metrics plus each node's completion
+        round (the Fig. 7a curve) and op counts."""
         payload = dict(self.key_metrics())
         payload.update(
             {
                 "scheme": self.scheme,
                 "n_nodes": self.n_nodes,
                 "k": self.k,
-                "series_rounds": list(self.series_rounds),
-                "series_completed": list(self.series_completed),
+                "completion_rounds": dict(self.completion_rounds),
                 "recode_ops": self.recode_ops.snapshot(),
                 "decode_ops": self.decode_ops.snapshot(),
             }
@@ -201,10 +199,8 @@ class DisseminationResult(SessionResult):
 
     # ------------------------------------------------------------------
     def record_round(self, round_index: int) -> None:
-        """Append one point of the Fig. 7a convergence series."""
+        """Close round *round_index*: the run has lasted one round more."""
         self.rounds = round_index + 1
-        self.series_rounds.append(round_index)
-        self.series_completed.append(self.completed_fraction())
 
     def __repr__(self) -> str:
         return (

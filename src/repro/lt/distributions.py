@@ -17,6 +17,7 @@ The paper relies on two properties that our benches verify:
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from typing import Sequence
 
@@ -30,6 +31,7 @@ __all__ = [
     "RobustSoliton",
     "TruncatedUniform",
     "empirical_degrees",
+    "robust_soliton",
     "total_variation",
 ]
 
@@ -174,6 +176,14 @@ class RobustSoliton(DegreeDistribution):
     def low_degree_mass(self) -> float:
         """P(degree <= 2) — the refinement power of LTNC (§III-B3)."""
         return self.mass_below(2)
+
+
+@functools.cache
+def robust_soliton(k: int) -> RobustSoliton:
+    """The Robust Soliton every LT encoder and LTNC recoder of code
+    length *k* draws from, built once per *k* and shared (sampling
+    reads it and never changes it)."""
+    return RobustSoliton(k)
 
 
 class TruncatedUniform(DegreeDistribution):

@@ -71,8 +71,10 @@ And one exercises the round loop at scale:
     plane, dominates.
 
 Add a scenario by writing a ``def my_scenario(profile) -> ScenarioSpec``
-factory and registering it in :data:`PRESETS`; everything downstream
-(CLI, runner, benches, golden tests) picks it up by name.
+factory that builds on ``_cell`` (the profile's overlay size and code
+length, the scheme's experiment defaults; it names only what differs)
+and registering it in :data:`PRESETS`; everything downstream (CLI,
+runner, benches, golden tests) picks it up by name.
 
 The figures of the evaluation are grids of cells, declared here once
 and named after the report their bench writes under
@@ -101,7 +103,7 @@ from repro.content.spec import CatalogueSpec
 from repro.errors import SimulationError
 from repro.scenarios.spec import ScenarioSpec
 from repro.gossip.channel import ChurnPhase
-from repro.schemes import LTNC_AGGRESSIVENESS, available_schemes, get_scheme
+from repro.schemes import available_schemes, get_scheme
 from repro.topology.spec import TopologySpec
 
 __all__ = [
@@ -138,11 +140,6 @@ __all__ = [
     "scenario_groups",
 ]
 
-#: §IV-A: aggressiveness minimising completion time, "typically 1 %".
-_LTNC_NODE_KWARGS: dict[str, object] = {
-    "aggressiveness": LTNC_AGGRESSIVENESS
-}
-
 
 def _profile(profile=None):
     if profile is not None:
@@ -154,18 +151,29 @@ def _profile(profile=None):
     return current_profile()
 
 
+def _cell(
+    p,
+    name: str,
+    scheme: str = "ltnc",
+    node_kwargs: dict[str, object] | None = None,
+    **fields,
+) -> ScenarioSpec:
+    """A scenario at the profile's overlay size and code length, unless
+    *fields* say otherwise, under the scheme's experiment defaults
+    (LTNC's 1 % aggressiveness, §IV-A) with *node_kwargs* merged over
+    them.  Every other field keeps its :class:`ScenarioSpec` default."""
+    defaults = get_scheme(scheme).default_node_kwargs
+    return ScenarioSpec(
+        name=name,
+        scheme=scheme,
+        **{"n_nodes": p.n_nodes, "k": p.k_default, **fields},
+        node_kwargs={**defaults, **(node_kwargs or {})},
+    )
+
+
 def baseline(profile=None) -> ScenarioSpec:
     """The paper's dissemination setup at the active profile's size."""
-    p = _profile(profile)
-    return ScenarioSpec(
-        name="baseline",
-        scheme="ltnc",
-        n_nodes=p.n_nodes,
-        k=p.k_default,
-        source_pushes=p.source_pushes,
-        max_rounds=p.max_rounds,
-        node_kwargs=dict(_LTNC_NODE_KWARGS),
-    )
+    return _cell(_profile(profile), "baseline")
 
 
 def multihop_lossy(profile=None) -> ScenarioSpec:
@@ -183,61 +191,38 @@ def multihop_lossy(profile=None) -> ScenarioSpec:
         round(1.0 - (1.0 - per_hop) ** (i // ring_size + 1), 6)
         for i in range(p.n_nodes)
     )
-    return ScenarioSpec(
-        name="multihop_lossy",
-        scheme="ltnc",
-        n_nodes=p.n_nodes,
-        k=p.k_default,
-        source_pushes=p.source_pushes,
-        max_rounds=p.max_rounds,
-        node_loss=node_loss,
-        node_kwargs=dict(_LTNC_NODE_KWARGS),
-    )
+    return _cell(p, "multihop_lossy", node_loss=node_loss)
 
 
 def edge_cache(profile=None) -> ScenarioSpec:
     """Replicated origins plus pre-warmed caches at half the nodes."""
     p = _profile(profile)
-    return ScenarioSpec(
-        name="edge_cache",
-        scheme="ltnc",
-        n_nodes=p.n_nodes,
-        k=p.k_default,
-        source_pushes=p.source_pushes,
-        max_rounds=p.max_rounds,
+    return _cell(
+        p,
+        "edge_cache",
         n_sources=2,
         warm_fraction=0.5,
         warm_packets=p.k_default // 2,
-        node_kwargs=dict(_LTNC_NODE_KWARGS),
     )
 
 
 def churn(profile=None) -> ScenarioSpec:
     """Background churn with a ten-fold storm early in the epoch."""
     p = _profile(profile)
-    return ScenarioSpec(
-        name="churn",
-        scheme="ltnc",
-        n_nodes=p.n_nodes,
-        k=p.k_default,
-        source_pushes=p.source_pushes,
-        max_rounds=p.max_rounds,
+    return _cell(
+        p,
+        "churn",
         churn_rate=0.01,
         churn_phases=(ChurnPhase(start=20, end=60, rate=0.1),),
-        node_kwargs=dict(_LTNC_NODE_KWARGS),
     )
 
 
 def sensor_grid(profile=None) -> ScenarioSpec:
     """A 2-D sensor lattice: neighbourhood gossip, per-hop erasures."""
     p = _profile(profile)
-    return ScenarioSpec(
-        name="sensor_grid",
-        scheme="ltnc",
-        n_nodes=p.n_nodes,
-        k=p.k_default,
-        source_pushes=p.source_pushes,
-        max_rounds=p.max_rounds,
+    return _cell(
+        p,
+        "sensor_grid",
         sampler="topology",
         topology=TopologySpec(
             graph="grid2d",
@@ -245,46 +230,35 @@ def sensor_grid(profile=None) -> ScenarioSpec:
             per_hop_loss=0.02,
             root=0,
         ),
-        node_kwargs=dict(_LTNC_NODE_KWARGS),
     )
 
 
 def smallworld_gossip(profile=None) -> ScenarioSpec:
     """Watts–Strogatz neighbourhood gossip with long-range escapes."""
     p = _profile(profile)
-    return ScenarioSpec(
-        name="smallworld_gossip",
-        scheme="ltnc",
-        n_nodes=p.n_nodes,
-        k=p.k_default,
-        source_pushes=p.source_pushes,
-        max_rounds=p.max_rounds,
+    return _cell(
+        p,
+        "smallworld_gossip",
         sampler="topology",
         topology=TopologySpec(
             graph="watts_strogatz",
             params={"k_nearest": 4, "rewire_p": 0.1},
             escape=0.05,
         ),
-        node_kwargs=dict(_LTNC_NODE_KWARGS),
     )
 
 
 def scalefree_p2p(profile=None) -> ScenarioSpec:
     """Barabási–Albert scale-free overlay: hub-mediated dissemination."""
     p = _profile(profile)
-    return ScenarioSpec(
-        name="scalefree_p2p",
-        scheme="ltnc",
-        n_nodes=p.n_nodes,
-        k=p.k_default,
-        source_pushes=p.source_pushes,
-        max_rounds=p.max_rounds,
+    return _cell(
+        p,
+        "scalefree_p2p",
         sampler="topology",
         topology=TopologySpec(
             graph="barabasi_albert",
             params={"m_attach": 2},
         ),
-        node_kwargs=dict(_LTNC_NODE_KWARGS),
     )
 
 
@@ -298,13 +272,9 @@ def powerline_multihop(profile=None) -> ScenarioSpec:
     the feeder (Kabore et al., LT codes over powerline smart grids).
     """
     p = _profile(profile)
-    return ScenarioSpec(
-        name="powerline_multihop",
-        scheme="ltnc",
-        n_nodes=p.n_nodes,
-        k=p.k_default,
-        source_pushes=p.source_pushes,
-        max_rounds=p.max_rounds,
+    return _cell(
+        p,
+        "powerline_multihop",
         sampler="topology",
         topology=TopologySpec(
             graph="line",
@@ -312,7 +282,6 @@ def powerline_multihop(profile=None) -> ScenarioSpec:
             per_hop_loss=0.03,
             root=0,
         ),
-        node_kwargs=dict(_LTNC_NODE_KWARGS),
     )
 
 
@@ -326,13 +295,9 @@ def zipf_catalogue(profile=None) -> ScenarioSpec:
     nodes that want it.
     """
     p = _profile(profile)
-    return ScenarioSpec(
-        name="zipf_catalogue",
-        scheme="ltnc",
-        n_nodes=p.n_nodes,
-        k=p.k_default,
-        source_pushes=p.source_pushes,
-        max_rounds=p.max_rounds,
+    return _cell(
+        p,
+        "zipf_catalogue",
         content=CatalogueSpec(
             n_contents=4,
             k=max(1, p.k_default // 2),
@@ -340,7 +305,6 @@ def zipf_catalogue(profile=None) -> ScenarioSpec:
             zipf_s=1.0,
             interests_per_node=2,
         ),
-        node_kwargs=dict(_LTNC_NODE_KWARGS),
     )
 
 
@@ -355,13 +319,9 @@ def edge_cache_catalogue(profile=None) -> ScenarioSpec:
     """
     p = _profile(profile)
     k = max(1, p.k_default // 2)
-    return ScenarioSpec(
-        name="edge_cache_catalogue",
-        scheme="ltnc",
-        n_nodes=p.n_nodes,
-        k=p.k_default,
-        source_pushes=p.source_pushes,
-        max_rounds=p.max_rounds,
+    return _cell(
+        p,
+        "edge_cache_catalogue",
         sampler="topology",
         topology=TopologySpec(
             graph="edge_tree",
@@ -381,7 +341,6 @@ def edge_cache_catalogue(profile=None) -> ScenarioSpec:
             cache_capacity=(3 * k) // 2,
             cache_at_root=True,
         ),
-        node_kwargs=dict(_LTNC_NODE_KWARGS),
     )
 
 
@@ -395,13 +354,9 @@ def striped_vod(profile=None) -> ScenarioSpec:
     catalogue strictly round-robin — the steady feed of a VOD head-end.
     """
     p = _profile(profile)
-    return ScenarioSpec(
-        name="striped_vod",
-        scheme="ltnc",
-        n_nodes=p.n_nodes,
-        k=p.k_default,
-        source_pushes=p.source_pushes,
-        max_rounds=p.max_rounds,
+    return _cell(
+        p,
+        "striped_vod",
         content=CatalogueSpec(
             n_contents=2,
             k=p.k_default,
@@ -410,7 +365,6 @@ def striped_vod(profile=None) -> ScenarioSpec:
             generation_size=max(1, p.k_default // 4),
             source_schedule="round_robin",
         ),
-        node_kwargs=dict(_LTNC_NODE_KWARGS),
     )
 
 
@@ -425,15 +379,7 @@ def sparse_rlnc(profile=None) -> ScenarioSpec:
     it exists — which is exactly what this preset demonstrates.
     """
     p = _profile(profile)
-    return ScenarioSpec(
-        name="sparse_rlnc",
-        scheme="sparse_rlnc",
-        n_nodes=p.n_nodes,
-        k=p.k_default,
-        source_pushes=p.source_pushes,
-        max_rounds=p.max_rounds,
-        node_kwargs={"density": 0.1},
-    )
+    return _cell(p, "sparse_rlnc", "sparse_rlnc")
 
 
 def large_overlay(profile=None) -> ScenarioSpec:
@@ -445,14 +391,11 @@ def large_overlay(profile=None) -> ScenarioSpec:
     paper profile this is an 8,000-node overlay.
     """
     p = _profile(profile)
-    return ScenarioSpec(
-        name="large_overlay",
-        scheme="ltnc",
+    return _cell(
+        p,
+        "large_overlay",
         n_nodes=p.n_nodes * 8,
         k=max(1, p.k_default // 2),
-        source_pushes=p.source_pushes,
-        max_rounds=p.max_rounds,
-        node_kwargs=dict(_LTNC_NODE_KWARGS),
     )
 
 
@@ -491,35 +434,9 @@ CONTENT_PRESETS: tuple[str, ...] = (
 # -- figure grids ---------------------------------------------------------
 
 
-def _cell(p, name: str, scheme: str = "ltnc", **fields) -> ScenarioSpec:
-    """A figure cell at the profile's overlay size, code length, push
-    rate and horizon, unless *fields* say otherwise."""
-    sizes = {
-        "n_nodes": p.n_nodes,
-        "k": p.k_default,
-        "source_pushes": p.source_pushes,
-        "max_rounds": p.max_rounds,
-    }
-    return ScenarioSpec(name=name, scheme=scheme, **{**sizes, **fields})
-
-
 def _fig7_cell(p, scheme: str, k: int) -> ScenarioSpec:
-    """One Fig. 7 point, ``fig7:<scheme>:n<N>:k<k>``, under the scheme's
-    experiment defaults (LTNC's 1 % aggressiveness, §IV-A)."""
-    return _cell(
-        p,
-        f"fig7:{scheme}:n{p.n_nodes}:k{k}",
-        scheme,
-        k=k,
-        node_kwargs=dict(get_scheme(scheme).default_node_kwargs),
-    )
-
-
-def _ltnc_cell(p, name: str, feedback: str = "binary", **node_kwargs) -> ScenarioSpec:
-    """An LTNC cell under variant knobs."""
-    return _cell(
-        p, name, feedback=feedback, node_kwargs={**_LTNC_NODE_KWARGS, **node_kwargs}
-    )
+    """One Fig. 7 point, ``fig7:<scheme>:n<N>:k<k>``."""
+    return _cell(p, f"fig7:{scheme}:n{p.n_nodes}:k{k}", scheme, k=k)
 
 
 _FIG7_SCHEMES = ("wc", "ltnc", "rlnc")
@@ -556,8 +473,8 @@ def ablation_refinement(profile=None) -> list[ScenarioSpec]:
     """Algorithm 2 (refinement, §III-B3) on vs off."""
     p = _profile(profile)
     return [
-        _ltnc_cell(p, "refine-on", refine=True),
-        _ltnc_cell(p, "refine-off", refine=False),
+        _cell(p, "refine-on", node_kwargs={"refine": True}),
+        _cell(p, "refine-off", node_kwargs={"refine": False}),
     ]
 
 
@@ -570,8 +487,8 @@ def ablation_redundancy(profile=None) -> list[ScenarioSpec]:
     """
     p = _profile(profile)
     return [
-        _ltnc_cell(p, "detect-on", detect_redundancy=True),
-        _ltnc_cell(p, "detect-off", detect_redundancy=False),
+        _cell(p, "detect-on", node_kwargs={"detect_redundancy": True}),
+        _cell(p, "detect-off", node_kwargs={"detect_redundancy": False}),
     ]
 
 
@@ -579,7 +496,7 @@ def ablation_feedback(profile=None) -> list[ScenarioSpec]:
     """Transport feedback none vs binary vs full (§III-C2)."""
     p = _profile(profile)
     return [
-        _ltnc_cell(p, f"feedback-{mode}", feedback=mode)
+        _cell(p, f"feedback-{mode}", feedback=mode)
         for mode in ("none", "binary", "full")
     ]
 
@@ -592,13 +509,7 @@ def ablation_structure(profile=None) -> list[ScenarioSpec]:
     """
     p = _profile(profile)
     return [
-        _cell(
-            p,
-            f"structure:{scheme}",
-            scheme,
-            max_rounds=min(p.max_rounds, 10_000),
-            node_kwargs=dict(_LTNC_NODE_KWARGS),
-        )
+        _cell(p, f"structure:{scheme}", scheme, max_rounds=10_000)
         for scheme in ("ltnc", "rndlt")
     ]
 
@@ -607,7 +518,7 @@ def aggressiveness_sweep(profile=None) -> list[ScenarioSpec]:
     """LTNC's recoding trigger (§IV-A), from eager to late."""
     p = _profile(profile)
     return [
-        _ltnc_cell(p, f"aggr-{trigger}", aggressiveness=trigger)
+        _cell(p, f"aggr-{trigger}", node_kwargs={"aggressiveness": trigger})
         for trigger in (0.01, 0.05, 0.25, 0.75)
     ]
 
@@ -615,7 +526,7 @@ def aggressiveness_sweep(profile=None) -> list[ScenarioSpec]:
 def text_stats(profile=None) -> list[ScenarioSpec]:
     """The LTNC dissemination whose ``ltnc:*`` telemetry gives TXT1-TXT3."""
     p = _profile(profile)
-    return [_ltnc_cell(p, f"textstats:n{p.n_nodes}:k{p.k_default}")]
+    return [_cell(p, f"textstats:n{p.n_nodes}:k{p.k_default}")]
 
 
 #: Figure grids by the name of the report their bench writes under

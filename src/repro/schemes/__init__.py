@@ -31,7 +31,7 @@ from repro.schemes.registry import (
     unregister_scheme,
 )
 from repro.schemes import builtin  # noqa: F401  (registers built-ins)
-from repro.schemes.builtin import LTNC_AGGRESSIVENESS, WARM_FILL
+from repro.schemes.builtin import WARM_FILL
 
 __all__ = [
     "CodingScheme",
@@ -43,6 +43,5 @@ __all__ = [
     "register_scheme",
     "resolve",
     "unregister_scheme",
-    "LTNC_AGGRESSIVENESS",
     "WARM_FILL",
 ]

@@ -17,8 +17,8 @@ producing byte-identical streams across the registry refactor (the
 from __future__ import annotations
 
 from repro.coding.packet import EncodedPacket
-from repro.core.node import LtncNode
-from repro.lt.distributions import RobustSoliton
+from repro.core.node import LTNC_AGGRESSIVENESS, LtncNode
+from repro.lt.distributions import robust_soliton
 from repro.lt.encoder import LTEncoder
 from repro.rlnc.node import RlncNode
 from repro.rlnc.sparse import DEFAULT_DENSITY, SparseRlncNode
@@ -29,17 +29,12 @@ from repro.wc.node import WcNode, default_fanout
 
 __all__ = [
     "WARM_FILL",
-    "LTNC_AGGRESSIVENESS",
     "WC",
     "RLNC",
     "LTNC",
     "RNDLT",
     "SPARSE_RLNC",
 ]
-
-#: §IV-A: aggressiveness tuned so completion time is minimised,
-#: "typically 1 %" — the experiment-level default for LTNC-family nodes.
-LTNC_AGGRESSIVENESS = 0.01
 
 #: Fraction of k innovative packets a "warm" node holds when recoding
 #: costs are sampled — a node in the thick of the dissemination.
@@ -124,13 +119,13 @@ def _fill(node, next_packet, k: int):
 
 def _warm_ltnc(k: int, seed: int) -> LtncNode:
     """An LTNC node mid-dissemination (WARM_FILL of k packets held)."""
-    encoder = LTEncoder(k, RobustSoliton(k), rng=derive(seed, "warm-enc", k))
+    encoder = LTEncoder(k, robust_soliton(k), rng=derive(seed, "warm-enc", k))
     node = LtncNode(0, k, rng=derive(seed, "warm-ltnc", k))
     return _fill(node, encoder.next_packet, k)
 
 
 def _ltnc_decode_stream(k: int, seed: int):
-    encoder = LTEncoder(k, RobustSoliton(k), rng=derive(seed, "dec-enc", k))
+    encoder = LTEncoder(k, robust_soliton(k), rng=derive(seed, "dec-enc", k))
     node = LtncNode(0, k, rng=derive(seed, "dec-ltnc", k))
     return node, encoder.next_packet
 

@@ -35,7 +35,7 @@ from repro.coding.packet import EncodedPacket
 from repro.core.node import LtncNode
 from repro.errors import StorageError
 from repro.lt.decoder import BeliefPropagationDecoder
-from repro.lt.distributions import RobustSoliton
+from repro.lt.distributions import robust_soliton
 from repro.lt.encoder import LTEncoder
 from repro.rng import make_rng, spawn
 
@@ -70,7 +70,11 @@ class StorageCluster:
     n_nodes:
         Cluster size.
     slots_per_node:
-        Encoded packets each node stores.
+        Encoded packets each node stores.  The initial population and
+        LTNC repairs draw degrees from the Robust Soliton, and LT codes
+        need roughly 3x redundancy at small k for reliable
+        belief-propagation reads; size the cluster accordingly
+        (``n_nodes * slots_per_node >= 3 * k``).
     content:
         Optional ``(k, m)`` payload matrix; ``None`` for symbolic mode.
     repair_mode:
@@ -82,11 +86,6 @@ class StorageCluster:
         slots_per_node >= 2 * k`` is comfortable): a repair that sees
         fewer than ``(1 + eps) * k`` packets recodes from partial
         information and repeated repairs erode the cluster's rank.
-    distribution:
-        Degree distribution for the initial population and LTNC repairs
-        (default Robust Soliton).  LT codes need roughly 3x redundancy
-        at small k for reliable belief-propagation reads; size the
-        cluster accordingly (``n_nodes * slots_per_node >= 3 * k``).
     rng:
         Master seed or generator.
     """
@@ -99,7 +98,6 @@ class StorageCluster:
         content: np.ndarray | None = None,
         repair_mode: str = "ltnc",
         repair_helpers: int = 8,
-        distribution: RobustSoliton | None = None,
         rng: np.random.Generator | int | None = None,
     ) -> None:
         if n_nodes < 2:
@@ -129,12 +127,9 @@ class StorageCluster:
         self._rng, encoder_rng, self._repair_rng = spawn(master, 3)
         self.repairs_done = 0
         self.failures = 0
-        self.distribution = (
-            distribution if distribution is not None else RobustSoliton(k)
-        )
         encoder = LTEncoder(
             k,
-            self.distribution,
+            robust_soliton(k),
             payloads=content,
             rng=encoder_rng,
             balanced=True,
@@ -230,7 +225,6 @@ class StorageCluster:
                 node_id,
                 self.k,
                 payload_nbytes=self.payload_nbytes,
-                distribution=self.distribution,
                 rng=spawn(self._repair_rng, 1)[0],
                 aggressiveness=0.0,
             )

@@ -39,6 +39,7 @@ dissemination result obeys.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import dataclasses
 
@@ -47,7 +48,7 @@ import numpy as np
 from repro.baselines.random_recode import RandomRecodeNode
 from repro.coding.packet import EncodedPacket, xor_payloads
 from repro.core.builder import BuildResult
-from repro.core.node import LtncNode
+from repro.core.node import LTNC_AGGRESSIVENESS, LtncNode
 from repro.core.occurrences import OccurrenceTracker
 from repro.core.reachability import ReachabilityOracle
 from repro.core.refiner import RefineResult, pair_payload
@@ -61,7 +62,7 @@ from repro.rlnc.sparse import SparseRlncNode
 from repro.scenarios.aggregate import ScenarioAggregate
 from repro.scenarios.runner import trial_seed
 from repro.scenarios.spec import ScenarioSpec
-from repro.schemes import LTNC_AGGRESSIVENESS, get_scheme, registry
+from repro.schemes import get_scheme, registry
 from repro.wc.node import WcNode, default_fanout
 
 __all__ = [
@@ -70,6 +71,7 @@ __all__ = [
     "ReferenceWcNode",
     "assert_conserved",
     "buckets_below",
+    "convergence_series",
     "frequency",
     "reference_build",
     "reference_paths",
@@ -484,6 +486,17 @@ def _rsds(nodes) -> list[float]:
         n.occurrences.rsd()
         for n in nodes
         if isinstance(n, LtncNode) and n.occurrences.packets_sent >= 20
+    ]
+
+
+def convergence_series(result) -> list[float]:
+    """Fig. 7a's curve of one run: per round r, the share of nodes whose
+    completion round is <= r.  Completions are never undone and churn
+    spares completed nodes, so this is the share complete after round r.
+    """
+    done = sorted(result.completion_rounds.values())
+    return [
+        bisect.bisect_right(done, r) / result.n_nodes for r in range(result.rounds)
     ]
 
 

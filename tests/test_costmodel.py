@@ -9,6 +9,7 @@ from repro.costmodel import (
     CycleModel,
     OpCounter,
 )
+from repro.costmodel.cycles import CYCLES_PER_OP
 
 
 class TestOpCounter:
@@ -62,7 +63,7 @@ class TestCycleModel:
     def test_control_cycles_weighting(self):
         model = CycleModel(m=100)
         c = OpCounter({"vec_word_xor": 10, "table_op": 2})
-        expect = 10 * model.word_xor_cycles + 2 * model.table_op_cycles
+        expect = 10 * CYCLES_PER_OP["vec_word_xor"] + 2 * CYCLES_PER_OP["table_op"]
         assert model.control_cycles(c) == pytest.approx(expect)
 
     def test_data_cycles_scale_with_m(self):
@@ -70,17 +71,6 @@ class TestCycleModel:
         small = CycleModel(m=100).data_cycles(c)
         large = CycleModel(m=200).data_cycles(c)
         assert large == pytest.approx(2 * small)
-
-    def test_memory_factor(self):
-        c = OpCounter({"payload_xor": 1})
-        base = CycleModel(m=8, memory_factor=1.0).data_cycles(c)
-        slow = CycleModel(m=8, memory_factor=4.0).data_cycles(c)
-        assert slow == pytest.approx(4 * base)
-
-    def test_extra_weights(self):
-        model = CycleModel(m=1, extra_weights={"my_op": 5.0})
-        c = OpCounter({"my_op": 3})
-        assert model.control_cycles(c) == pytest.approx(15.0)
 
     def test_breakdown_total(self):
         model = CycleModel(m=8)
@@ -102,7 +92,7 @@ class TestCycleModel:
         model = CycleModel(m=1024)
         c = OpCounter({"payload_xor": 8})
         per_byte = model.data_cycles_per_byte(c, content_bytes=1024)
-        assert per_byte == pytest.approx(8 * model.payload_byte_cycles)
+        assert per_byte == pytest.approx(8 * CYCLES_PER_OP["payload_xor"])
         assert model.data_cycles_per_byte(c, 0) == 0.0
 
     def test_all_control_ops_have_weights(self):

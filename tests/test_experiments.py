@@ -21,6 +21,7 @@ from repro.obs import MetricsCollector, ObsSpec
 from repro.scenarios import FleetRunner, ScenarioSpec, expand_scenarios
 
 from oracles import (
+    convergence_series,
     serial_fig7,
     serial_ltnc_variant,
     serial_recoding_stats,
@@ -36,10 +37,15 @@ def _profile(**sizes):
     return dataclasses.replace(SMALL, **sizes)
 
 
-def _run(group, seed, n_trials=2, profile=SMALL, n_workers=1):
+def _cells(group, profile, **fields):
+    """A group's cells, with *fields* replaced in each."""
+    return [cell.with_(**fields) for cell in expand_scenarios([group], profile)]
+
+
+def _run(group, seed, n_trials=2, profile=SMALL, n_workers=1, **fields):
     """A group's aggregates, by cell name."""
     return FleetRunner(n_workers=n_workers).run_grid(
-        expand_scenarios([group], profile), n_trials, seed
+        _cells(group, profile, **fields), n_trials, seed
     )
 
 
@@ -59,10 +65,10 @@ def _curves(seed, n_trials, profile=SMALL, n_workers=1):
         }
 
 
-def _outcomes(group, seed, n_trials, profile=SMALL, n_workers=1):
+def _outcomes(group, seed, n_trials, profile=SMALL, n_workers=1, **fields):
     """An LTNC variant group's outcomes, by cell name."""
     aggregates, telemetry = run_with_telemetry(
-        expand_scenarios([group], profile), n_trials, seed, n_workers
+        _cells(group, profile, **fields), n_trials, seed, n_workers
     )
     return {
         name: AblationOutcome.from_run(aggregate, telemetry[name])
@@ -244,7 +250,7 @@ def test_convergence_curve_from_traces_equals_the_result_series():
     curves = _curves(seed=4, n_trials=3)
     assert list(curves) == ["wc", "ltnc", "rlnc"]
     for scheme, curve in curves.items():
-        series = [r.series_completed for r in serial_fig7(scheme, 8, 16, 3, 4)]
+        series = [convergence_series(r) for r in serial_fig7(scheme, 8, 16, 3, 4)]
         padded = np.ones((3, max(map(len, series))))
         for row, s in enumerate(series):
             padded[row, : len(s)] = s
@@ -284,13 +290,13 @@ def test_drivers_are_worker_count_invariant():
 
 
 def test_a_cell_where_nothing_completes_raises_naming_it():
-    stalled = _profile(k_default=32, max_rounds=3)
-    aggregates = _run("fig7b_completion_time", 0, profile=stalled)
+    stalled = {"profile": _profile(k_default=32), "max_rounds": 3}
+    aggregates = _run("fig7b_completion_time", 0, **stalled)
     with pytest.raises(SimulationError, match="fig7:ltnc:n8:k32"):
         aggregates["fig7:ltnc:n8:k32"].mean("average_completion_round")
     with pytest.raises(SimulationError, match="'refine-on'"):
-        _outcomes("ablation_refinement", 0, 2, stalled)
-    structure = _run("ablation_structure", 0, 1, stalled)
+        _outcomes("ablation_refinement", 0, 2, **stalled)
+    structure = _run("ablation_structure", 0, 1, **stalled)
     assert [a.trials[0]["rounds"] for a in structure.values()] == [3, 3]
     with pytest.raises(SimulationError, match="'structure:rndlt'"):
         structure["structure:rndlt"].mean("average_completion_round")

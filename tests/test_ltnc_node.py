@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.baselines.random_recode import RandomRecodeNode
 from repro.coding.packet import make_content
 from repro.core.node import RSD_MIN_PACKETS, LtncNode, LtncStats
 from repro.errors import DimensionError, RecodingError
+from repro.generations import GenerationNode
 from repro.gf2.matrix import IncrementalRref
-from repro.lt.distributions import RobustSoliton
+from repro.lt.distributions import RobustSoliton, robust_soliton
 from repro.lt.encoder import LTEncoder
 from repro.obs import MetricsCollector
 
@@ -23,8 +25,25 @@ def test_rejects_bad_parameters():
         LtncNode(0, 0)
     with pytest.raises(DimensionError):
         LtncNode(0, 8, aggressiveness=1.5)
-    with pytest.raises(DimensionError):
-        LtncNode(0, 8, distribution=RobustSoliton(16))
+
+
+def test_nodes_of_one_k_share_one_robust_soliton():
+    k = 16
+    shared = robust_soliton(k)
+    held = [
+        LtncNode(0, k).distribution,
+        LtncNode(1, k, rng=2).distribution,
+        RandomRecodeNode(2, k).distribution,
+        *(GenerationNode(3, 2 * k, k).subnode(g).distribution for g in (0, 1)),
+    ]
+    assert all(d is shared for d in held)
+    assert LtncNode(4, k + 1).distribution is not shared
+    fresh = RobustSoliton(k)
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    assert [shared.sample(a) for _ in range(300)] == [
+        fresh.sample(b) for _ in range(300)
+    ]
+    assert np.array_equal(shared.sample_many(300, a), fresh.sample_many(300, b))
 
 
 def test_decodes_lt_stream_bit_for_bit():

@@ -69,5 +69,3 @@ def test_record_round_series():
     result.completion_rounds[2] = 1
     result.record_round(1)
     assert result.rounds == 2
-    assert result.series_rounds == [0, 1]
-    assert result.series_completed == [0.25, 0.75]

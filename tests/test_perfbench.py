@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -160,6 +161,22 @@ def test_validate_bench_rejects_broken_reports():
         validate_bench(slow_batch)
     with pytest.raises(ValueError, match="unknown profile"):
         run_perfbench(profile="nope")
+
+
+def test_validate_bench_requires_capped_rows_to_run_their_cap():
+    # The checked-in report and every history file hold capped N=10,000
+    # rows that ran exactly their cap (v4 has no n_scaling).
+    root = pathlib.Path(__file__).resolve().parent.parent
+    history = sorted((root / "benchmarks" / "history").glob("*.json"))
+    assert len(history) == 3
+    for path in [root / "BENCH_ltnc.json", *history]:
+        validate_bench(json.loads(path.read_text()))
+    cut = json.loads((root / "BENCH_ltnc.json").read_text())
+    row = cut["n_scaling"]["n=10000"]
+    assert row["max_rounds"] == 80 and not row["batched"]["all_complete"]
+    row["batched"]["rounds"] = 79
+    with pytest.raises(ValueError, match="ran 79 of its 80 capped rounds"):
+        validate_bench(cut)
 
 
 def test_validate_bench_accepts_v4_history_reports():

@@ -1,5 +1,6 @@
 """Unit tests for the scenario subsystem: specs, presets, aggregation."""
 
+import hashlib
 import json
 
 import pytest
@@ -82,7 +83,7 @@ def test_spec_build_is_deterministic():
     a = spec.run(seed=42)
     b = spec.run(seed=42)
     assert a.key_metrics() == b.key_metrics()
-    assert a.series_completed == b.series_completed
+    assert a.completion_rounds == b.completion_rounds
 
 
 def test_prewarm_speeds_up_dissemination():
@@ -384,6 +385,26 @@ def test_figure_groups_share_identical_cells_once():
             FIGURE_CELLS["fig7c_overhead"] + FIGURE_CELLS["fig7b_completion_time"]
         )
     )
+
+
+#: sha256 of every preset and figure cell, at every profile, as JSON.
+#: A moved digest means some spec changed: a field, a default it
+#: inherits or a scheme's experiment default.
+SPEC_DIGEST = "1302497b90add8d64bc2165677cbdf207b90058ab32991300bcd36b427269959"
+
+
+def test_preset_and_figure_specs_are_pinned():
+    specs = {}
+    for profile in ("quick", "default", "paper"):
+        p = PROFILES[profile]
+        for name, factory in PRESETS.items():
+            specs[f"{profile}/{name}"] = factory(p).to_dict()
+        for figure, grid in FIGURES.items():
+            for cell in grid(p):
+                specs[f"{profile}/{figure}/{cell.name}"] = cell.to_dict()
+    assert len(specs) == 140
+    text = json.dumps(specs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SPEC_DIGEST
 
 
 # -- CLI ------------------------------------------------------------------

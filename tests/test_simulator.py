@@ -12,6 +12,8 @@ from repro.gossip import (
     run_dissemination,
 )
 
+from oracles import convergence_series
+
 
 def test_rejects_bad_config():
     with pytest.raises(SimulationError):
@@ -113,7 +115,7 @@ def test_convergence_series_monotone():
     result = run_dissemination(
         "ltnc", n_nodes=10, k=24, seed=9, max_rounds=4000
     )
-    series = result.series_completed
+    series = convergence_series(result)
     assert all(b >= a for a, b in zip(series, series[1:]))
     assert series[-1] == 1.0
     assert len(series) == result.rounds
